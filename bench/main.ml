@@ -3,7 +3,6 @@
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- fig9    -- one experiment
-     dune exec bench/main.exe -- micro   -- Bechamel micro-benchmarks
 
    The experiment index lives in DESIGN.md; the paper-vs-measured record
    in EXPERIMENTS.md is produced from this output. *)
@@ -449,6 +448,44 @@ module Chaos = Ovs_trafficgen.Chaos
 
 let json_out = ref false
 
+(* with --json, write [v] to [file] and say so *)
+let emit file v =
+  if !json_out then begin
+    Json.write file v;
+    row "wrote %s@." file
+  end
+
+let chaos_json rows =
+  let run (r : Chaos.row) =
+    let c = r.Chaos.row_res in
+    Json.(
+      Obj
+        [ str "plan" r.Chaos.row_plan;
+          str "leg" (Chaos.leg_name r.Chaos.row_leg);
+          num 4 "baseline_mpps" c.Scenario.c_baseline_mpps;
+          num 4 "faulted_mpps" c.Scenario.c_faulted_mpps;
+          num 4 "post_mpps" c.Scenario.c_post_mpps;
+          int "offered" c.Scenario.c_offered;
+          int "delivered" c.Scenario.c_delivered; int "drops" c.Scenario.c_drops;
+          int "pressure_rejects" c.Scenario.c_pressure_rejects;
+          int "in_flight" c.Scenario.c_in_flight;
+          bool "conserved" c.Scenario.c_conserved;
+          ( "recovery_ns",
+            match c.Scenario.c_recovery_ns with
+            | Some ns -> Fixed (0, ns)
+            | None -> Null );
+          int "restarts" c.Scenario.c_restarts;
+          int "repairs" c.Scenario.c_repairs;
+          ("fired", Obj (List.map (fun (n, k) -> int n k) c.Scenario.c_fired));
+          int "latency_count" c.Scenario.c_latency_count;
+          bool "latency_conserved" r.Chaos.row_latency_ok;
+          bool "recovered" r.Chaos.row_recovered; bool "pass" r.Chaos.row_pass ])
+  in
+  Json.(
+    Obj
+      [ str "bench" "chaos"; arr "runs" run rows;
+        bool "all_pass" (Chaos.all_pass rows) ])
+
 (* every fault plan from the catalog against the legs it applies to; a
    failed verdict (conservation leak or unrecovered throughput) fails
    the bench run *)
@@ -469,12 +506,7 @@ let chaos_exp () =
             r.Chaos.row_res.Scenario.c_health
       | None -> ())
   | None -> ());
-  if !json_out then begin
-    let out = open_out "BENCH_chaos.json" in
-    output_string out (Chaos.to_json rows);
-    close_out out;
-    row "wrote BENCH_chaos.json@."
-  end;
+  emit "BENCH_chaos.json" (chaos_json rows);
   if not (Chaos.all_pass rows) then
     fail_check "chaos: conservation leak or unrecovered plan"
 
@@ -717,17 +749,20 @@ let ccache_point ~target_rules : ccache_row =
     cr_mismatches = mismatches;
   }
 
-let ccache_rows_to_json rows =
-  let row_json r =
-    Printf.sprintf
-      "  {\"rules\": %d, \"megaflows\": %d, \"subtables\": %d, \
-       \"mean_probes\": %.3f, \"baseline_cycles_per_lookup\": %.2f, \
-       \"ccache_cycles_per_lookup\": %.2f, \"speedup\": %.3f, \
-       \"coverage\": %.4f, \"mismatches\": %d}"
-      r.cr_rules r.cr_megaflows r.cr_subtables r.cr_mean_probes r.cr_baseline
-      r.cr_ccache (cr_speedup r) r.cr_coverage r.cr_mismatches
-  in
-  "[\n" ^ String.concat ",\n" (List.map row_json rows) ^ "\n]\n"
+let ccache_json rows =
+  Json.Arr
+    (List.map
+       (fun r ->
+         Json.(
+           Obj
+             [ int "rules" r.cr_rules; int "megaflows" r.cr_megaflows;
+               int "subtables" r.cr_subtables;
+               num 3 "mean_probes" r.cr_mean_probes;
+               num 2 "baseline_cycles_per_lookup" r.cr_baseline;
+               num 2 "ccache_cycles_per_lookup" r.cr_ccache;
+               num 3 "speedup" (cr_speedup r); num 4 "coverage" r.cr_coverage;
+               int "mismatches" r.cr_mismatches ]))
+       rows)
 
 let ccache_exp () =
   section
@@ -746,12 +781,7 @@ let ccache_exp () =
         r.cr_megaflows r.cr_subtables r.cr_mean_probes r.cr_baseline r.cr_ccache
         (cr_speedup r) (100. *. r.cr_coverage))
     rows;
-  if !json_out then begin
-    let out = open_out "BENCH_ccache.json" in
-    output_string out (ccache_rows_to_json rows);
-    close_out out;
-    row "wrote BENCH_ccache.json@."
-  end;
+  emit "BENCH_ccache.json" (ccache_json rows);
   let bad_mismatch = List.exists (fun r -> r.cr_mismatches > 0) rows in
   let at_scale = List.nth rows (List.length rows - 1) in
   if bad_mismatch then fail_check "ccache: ccache/dpcls disagreement";
@@ -782,63 +812,6 @@ let mc_exp () =
   in
   gate "small-exhaustive" (Mc.explore Mc.Small);
   gate "large-sampled" (Mc.sample ~seed:20260807 ~n:500 Mc.Large)
-
-(* -------------------------------------------------- Bechamel micro bench *)
-
-let micro () =
-  let open Bechamel in
-  let pkt = Ovs_packet.Build.udp ~frame_len:64 () in
-  let key = Ovs_packet.Flow_key.extract pkt in
-  let emc = Ovs_flow.Emc.create () in
-  Ovs_flow.Emc.insert emc key 1;
-  let dpcls = Ovs_flow.Dpcls.create () in
-  let mask = Ovs_packet.Flow_key.create () in
-  Ovs_packet.Flow_key.set mask Ovs_packet.Flow_key.Field.In_port max_int;
-  Ovs_flow.Dpcls.insert dpcls ~mask ~key 1;
-  Ovs_ebpf.Maps.reset_registry ();
-  let hook = Ovs_ebpf.Xdp.load_exn ~name:"task_b" Ovs_ebpf.Progs.task_b in
-  let ring = Ovs_xsk.Ring.create ~size:2048 () in
-  let tests =
-    [
-      Test.make ~name:"flow_key_extract (Fig 2/9 fast path)"
-        (Staged.stage (fun () -> ignore (Ovs_packet.Flow_key.extract pkt)));
-      Test.make ~name:"emc_lookup (Table 2)"
-        (Staged.stage (fun () -> ignore (Ovs_flow.Emc.lookup emc key)));
-      Test.make ~name:"dpcls_lookup (Fig 9 1000-flow path)"
-        (Staged.stage (fun () -> ignore (Ovs_flow.Dpcls.lookup dpcls key)));
-      Test.make ~name:"ebpf_run_task_b (Table 5)"
-        (Staged.stage (fun () -> ignore (Ovs_ebpf.Xdp.run hook Costs.default pkt)));
-      Test.make ~name:"xsk_ring_push_pop (Fig 4 paths 1-5)"
-        (Staged.stage (fun () ->
-             ignore (Ovs_xsk.Ring.push ring { Ovs_xsk.Ring.addr = 1; len = 64 });
-             ignore (Ovs_xsk.Ring.pop ring)));
-      Test.make ~name:"checksum_64B (O5)"
-        (Staged.stage (fun () ->
-             ignore
-               (Ovs_packet.Checksum.compute pkt.Ovs_packet.Buffer.data ~off:0
-                  ~len:64)));
-    ]
-  in
-  section "Bechamel micro-benchmarks (real wall-clock of the data structures)";
-  let clock = Toolkit.Instance.monotonic_clock in
-  let label = Measure.label clock in
-  List.iter
-    (fun t ->
-      let elt = List.hd (Test.elements t) in
-      let m = Benchmark.run (Benchmark.cfg ~quota:(Time.second 0.4) ()) [ clock ] elt in
-      let times =
-        Array.to_list m.Benchmark.lr
-        |> List.filter_map (fun raw ->
-               let runs = Measurement_raw.run raw in
-               if runs > 0. then Some (Measurement_raw.get ~label raw /. runs)
-               else None)
-      in
-      let sorted = List.sort compare times in
-      let median =
-        match sorted with [] -> 0. | l -> List.nth l (List.length l / 2)
-      in
-      row "%-44s %10.1f ns/op@." (Test.Elt.name elt) median)
-    tests
 
 (* ---------------------------------------------------------- Multicore *)
 
@@ -871,19 +844,19 @@ let multicore_rows () =
       (n, stats, vt.Scenario.rate_mpps))
     [ 1; 2; 4; 8 ]
 
-let multicore_to_json ~cores rows =
+let multicore_json ~cores rows =
   let row_json (n, (s : Engine.stats), vt_mpps) =
-    Printf.sprintf
-      "  {\"domains\": %d, \"mpps_wall\": %.4f, \"mpps_vt\": %.4f, \
-       \"delivered\": %d, \"dropped\": %d, \"upcalls\": %d, \
-       \"wall_ns\": %.0f}"
-      n s.Engine.s_mpps vt_mpps s.Engine.s_delivered s.Engine.s_dropped
-      s.Engine.s_upcalls s.Engine.s_wall_ns
+    Json.(
+      Obj
+        [ int "domains" n; num 4 "mpps_wall" s.Engine.s_mpps;
+          num 4 "mpps_vt" vt_mpps; int "delivered" s.Engine.s_delivered;
+          int "dropped" s.Engine.s_dropped; int "upcalls" s.Engine.s_upcalls;
+          num 0 "wall_ns" s.Engine.s_wall_ns ])
   in
-  Printf.sprintf
-    "{\"cores\": %d, \"target\": %d, \"rows\": [\n%s\n]}\n" cores
-    multicore_target
-    (String.concat ",\n" (List.map row_json rows))
+  Json.(
+    Obj
+      [ int "cores" cores; int "target" multicore_target;
+        arr "rows" row_json rows ])
 
 let multicore_exp () =
   section "Multicore: wall-clock Mpps on real domains vs virtual time";
@@ -909,12 +882,7 @@ let multicore_exp () =
       row "(single-core host: 1 -> 2 scaling gate not armed, numbers are@.";
       row " time-sliced and informational only)@."
   | _ -> ());
-  if !json_out then begin
-    let out = open_out "BENCH_multicore.json" in
-    output_string out (multicore_to_json ~cores rows);
-    close_out out;
-    row "wrote BENCH_multicore.json@."
-  end
+  emit "BENCH_multicore.json" (multicore_json ~cores rows)
 
 (* ------------------------------------------- latency distributions *)
 
@@ -992,18 +960,18 @@ let lat_print r =
     r.lr_p99 r.lr_p999
     (if r.lr_p50 > 0. then r.lr_p99 /. r.lr_p50 else 0.)
 
-let lat_rows_to_json rows =
+let lat_json rows =
   let row_json r =
-    Printf.sprintf
-      "  {\"leg\": \"%s\", \"rung\": \"%s\", \"rate_pps\": %.0f, \
-       \"offered\": %d, \"delivered\": %d, \"samples\": %d, \
-       \"mean_ns\": %.1f, \"p50_ns\": %.1f, \"p95_ns\": %.1f, \
-       \"p99_ns\": %.1f, \"p999_ns\": %.1f, \"max_ns\": %.1f}"
-      r.lr_leg r.lr_rung r.lr_rate_pps r.lr_n r.lr_delivered r.lr_count
-      r.lr_mean r.lr_p50 r.lr_p95 r.lr_p99 r.lr_p999 r.lr_max
+    Json.(
+      Obj
+        [ str "leg" r.lr_leg; str "rung" r.lr_rung;
+          num 0 "rate_pps" r.lr_rate_pps; int "offered" r.lr_n;
+          int "delivered" r.lr_delivered; int "samples" r.lr_count;
+          num 1 "mean_ns" r.lr_mean; num 1 "p50_ns" r.lr_p50;
+          num 1 "p95_ns" r.lr_p95; num 1 "p99_ns" r.lr_p99;
+          num 1 "p999_ns" r.lr_p999; num 1 "max_ns" r.lr_max ])
   in
-  Printf.sprintf "{\"bench\": \"latency\", \"rows\": [\n%s\n]}\n"
-    (String.concat ",\n" (List.map row_json rows))
+  Json.(Obj [ str "bench" "latency"; arr "rows" row_json rows ])
 
 (* Conservation gate every latency row must clear: one sojourn sample per
    delivered packet, none for drops. *)
@@ -1149,12 +1117,7 @@ let latency_exp () =
   row "@.(ladder rungs are fractions of each leg's measured capacity; the@.";
   row " burst rung offers 64-packet bursts with 50 us gaps at 0.7x; every@.";
   row " row is gated on samples == delivered — drops record nothing)@.";
-  if !json_out then begin
-    let out = open_out "BENCH_latency.json" in
-    output_string out (lat_rows_to_json (ladder @ chains @ dom));
-    close_out out;
-    row "wrote BENCH_latency.json@."
-  end
+  emit "BENCH_latency.json" (lat_json (ladder @ chains @ dom))
 
 (* --------------------------------------------------------- NDR search *)
 
@@ -1193,21 +1156,17 @@ let ndr_leg name which =
     o.Ndr.probes;
   (name, cap, o)
 
-let ndr_to_json legs =
+let ndr_json legs =
+  let probe (rate, ok) = Json.(Obj [ num 0 "rate_pps" rate; bool "lossless" ok ]) in
   let leg_json (name, cap, (o : Ndr.outcome)) =
-    Printf.sprintf
-      "  {\"leg\": \"%s\", \"capacity_pps\": %.0f, \"ndr_pps\": %.0f, \
-       \"iterations\": %d, \"probes\": [%s]}"
-      name cap o.Ndr.ndr_pps o.Ndr.iterations
-      (String.concat ", "
-         (List.map
-            (fun (rate, ok) ->
-              Printf.sprintf "{\"rate_pps\": %.0f, \"lossless\": %b}" rate ok)
-            o.Ndr.probes))
+    Json.(
+      Obj
+        [ str "leg" name; num 0 "capacity_pps" cap;
+          num 0 "ndr_pps" o.Ndr.ndr_pps; int "iterations" o.Ndr.iterations;
+          arr "probes" probe o.Ndr.probes ])
   in
-  Printf.sprintf
-    "{\"bench\": \"ndr\", \"probe_packets\": %d, \"legs\": [\n%s\n]}\n" ndr_n
-    (String.concat ",\n" (List.map leg_json legs))
+  Json.(
+    Obj [ str "bench" "ndr"; int "probe_packets" ndr_n; arr "legs" leg_json legs ])
 
 let ndr_exp () =
   section "NDR: RFC 2544 binary search for the non-drop rate per leg";
@@ -1222,12 +1181,7 @@ let ndr_exp () =
     ndr_n;
   row " it can sit above the steady-state capacity when the probe fits@.";
   row " the ingress ring — the search contract is zero loss, re-probed)@.";
-  if !json_out then begin
-    let out = open_out "BENCH_ndr.json" in
-    output_string out (ndr_to_json legs);
-    close_out out;
-    row "wrote BENCH_ndr.json@."
-  end
+  emit "BENCH_ndr.json" (ndr_json legs)
 
 (* ------------------------------------------------------- policy bench *)
 
@@ -1432,32 +1386,32 @@ let policy_legs () =
           ("pmd-deferred", Dpif.Dpdk, true) ])
     shapes
 
-let policy_to_json ladder muts legs =
+let policy_json ladder muts legs =
   let ladder_json r =
-    Printf.sprintf
-      "  {\"policy\": \"%s\", \"rules\": %d, \"tables\": %d, \"paths\": %d, \
-       \"cubes\": %d, \"proved\": %b}"
-      r.pr_name r.pr_rules r.pr_tables r.pr_paths r.pr_cubes r.pr_proved
+    Json.(
+      Obj
+        [ str "policy" r.pr_name; int "rules" r.pr_rules;
+          int "tables" r.pr_tables; int "paths" r.pr_paths;
+          int "cubes" r.pr_cubes; bool "proved" r.pr_proved ])
   in
   let mut_json m =
-    Printf.sprintf
-      "  {\"mutation\": \"%s\", \"policy\": \"%s\", \"caught\": %b, \
-       \"counterexample\": %S}"
-      m.pm_mutation m.pm_policy m.pm_caught m.pm_counterexample
+    Json.(
+      Obj
+        [ str "mutation" m.pm_mutation; str "policy" m.pm_policy;
+          bool "caught" m.pm_caught;
+          str "counterexample" m.pm_counterexample ])
   in
   let leg_json l =
-    Printf.sprintf
-      "  {\"leg\": \"%s\", \"policy\": \"%s\", \"packets\": %d, \
-       \"emitted\": %d, \"expected\": %d, \"mismatches\": %d}"
-      l.pl_leg l.pl_policy l.pl_packets l.pl_emitted l.pl_expected
-      l.pl_mismatches
+    Json.(
+      Obj
+        [ str "leg" l.pl_leg; str "policy" l.pl_policy;
+          int "packets" l.pl_packets; int "emitted" l.pl_emitted;
+          int "expected" l.pl_expected; int "mismatches" l.pl_mismatches ])
   in
-  Printf.sprintf
-    "{\"bench\": \"policy\", \"ladder\": [\n%s\n], \"mutations\": [\n%s\n], \
-     \"legs\": [\n%s\n]}\n"
-    (String.concat ",\n" (List.map ladder_json ladder))
-    (String.concat ",\n" (List.map mut_json muts))
-    (String.concat ",\n" (List.map leg_json legs))
+  Json.(
+    Obj
+      [ str "bench" "policy"; arr "ladder" ladder_json ladder;
+        arr "mutations" mut_json muts; arr "legs" leg_json legs ])
 
 let policy_exp () =
   section
@@ -1493,12 +1447,7 @@ let policy_exp () =
   row " policy semantics agreed on every cube. Each seeded compiler bug@.";
   row " must be caught with a packet that concretely diverges, and the@.";
   row " datapath legs replay real traffic against the eval oracle)@.";
-  if !json_out then begin
-    let out = open_out "BENCH_policy.json" in
-    output_string out (policy_to_json ladder muts legs);
-    close_out out;
-    row "wrote BENCH_policy.json@."
-  end
+  emit "BENCH_policy.json" (policy_json ladder muts legs)
 
 (* ------------------------------------------------------- scale bench *)
 
@@ -1537,24 +1486,26 @@ type scale_round = {
   sr_heap_mb : float;
 }
 
-let scale_to_json (rounds : scale_round list) ~births ~offered ~delivered
+let scale_json (rounds : scale_round list) ~births ~offered ~delivered
     ~upcalls ~peak_conns ~final_conns ~heap_mb ~p50 ~p99 =
   let round_json r =
-    Printf.sprintf
-      "  {\"round\": %d, \"now_s\": %.1f, \"conns\": %d, \"megaflows\": %d, \
-       \"dirty\": %d, \"retranslated\": %d, \"evicted\": %d, \
-       \"divergences\": %d, \"heap_mb\": %.1f}"
-      r.sr_round r.sr_now_s r.sr_conns r.sr_megaflows r.sr_dirty r.sr_retx
-      r.sr_evicted r.sr_divergences r.sr_heap_mb
+    Json.(
+      Obj
+        [ int "round" r.sr_round; num 1 "now_s" r.sr_now_s;
+          int "conns" r.sr_conns; int "megaflows" r.sr_megaflows;
+          int "dirty" r.sr_dirty; int "retranslated" r.sr_retx;
+          int "evicted" r.sr_evicted; int "divergences" r.sr_divergences;
+          num 1 "heap_mb" r.sr_heap_mb ])
   in
-  Printf.sprintf
-    "{\"bench\": \"scale\", \"flows\": %d, \"churn_per_s\": %.0f, \
-     \"births\": %d, \"offered\": %d, \"delivered\": %d, \"upcalls\": %d, \
-     \"peak_conns\": %d, \"final_conns\": %d, \"heap_mb\": %.1f, \
-     \"upcall_p50_ns\": %.0f, \"upcall_p99_ns\": %.0f, \"rounds\": [\n%s\n]}\n"
-    scale_n_flows scale_churn_per_s births offered delivered upcalls peak_conns
-    final_conns heap_mb p50 p99
-    (String.concat ",\n" (List.map round_json rounds))
+  Json.(
+    Obj
+      [ str "bench" "scale"; int "flows" scale_n_flows;
+        num 0 "churn_per_s" scale_churn_per_s; int "births" births;
+        int "offered" offered; int "delivered" delivered;
+        int "upcalls" upcalls; int "peak_conns" peak_conns;
+        int "final_conns" final_conns; num 1 "heap_mb" heap_mb;
+        num 0 "upcall_p50_ns" p50; num 0 "upcall_p99_ns" p99;
+        arr "rounds" round_json rounds ])
 
 let scale_exp () =
   section "Scale: 1M+ concurrent connections under flow and rule churn";
@@ -1758,15 +1709,10 @@ let scale_exp () =
         fail_check "scale: heap grew %.1f -> %.1f MB past steady state"
           first.sr_heap_mb worst
   | [] -> ());
-  if !json_out then begin
-    let out = open_out "BENCH_scale.json" in
-    output_string out
-      (scale_to_json rounds ~births:!births ~offered:!offered
-         ~delivered:!delivered ~upcalls:c.Ovs_datapath.Dp_core.upcalls
-         ~peak_conns:!peak_conns ~final_conns ~heap_mb ~p50 ~p99);
-    close_out out;
-    row "wrote BENCH_scale.json@."
-  end
+  emit "BENCH_scale.json"
+    (scale_json rounds ~births:!births ~offered:!offered ~delivered:!delivered
+       ~upcalls:c.Ovs_datapath.Dp_core.upcalls ~peak_conns:!peak_conns
+       ~final_conns ~heap_mb ~p50 ~p99)
 
 (* ------------------------------------------- live reconfiguration churn *)
 
@@ -1801,61 +1747,64 @@ let reconfig_plan ~naive ~t_total =
         (String.concat "; " reconfig_swap_flows);
     ]
 
-let reconfig_to_json (runs : Scenario.reconfig_result list)
+let reconfig_json (runs : Scenario.reconfig_result list)
     ~(mc : Engine.stats * string list * int) ~two_phase_rec ~naive_rec =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n  \"experiment\": \"reconfig\",\n  \"runs\": [\n";
-  List.iteri
-    (fun i (r : Scenario.reconfig_result) ->
-      add "    {\"plan\": \"%s\", \"leg\": \"%s\", \"offered\": %d, " r.Scenario.rc_plan
-        r.Scenario.rc_leg r.Scenario.rc_offered;
-      add "\"delivered\": %d, \"drops\": %d, \"vanished\": %d, "
-        r.Scenario.rc_delivered r.Scenario.rc_drops r.Scenario.rc_vanished;
-      add "\"conserved\": %b, \"flow_mods\": %d, \"ovsdb_rows\": %d, "
-        r.Scenario.rc_conserved r.Scenario.rc_flow_mods r.Scenario.rc_ovsdb_rows;
-      add "\"divergences\": %d, \"upcalls\": %d,\n     \"events\": [\n"
-        r.Scenario.rc_divergences r.Scenario.rc_upcalls;
-      List.iteri
-        (fun j (e : Scenario.churn_event) ->
-          add
-            "       {\"at_s\": %.9f, \"label\": \"%s\", \"flow_mods\": %d, \
-             \"dirty\": %d, \"retx\": %d, \"evicted\": %d, \"divergences\": \
-             %d, \"upcalls\": %d}%s\n"
-            e.Scenario.e_at_s e.Scenario.e_label e.Scenario.e_flow_mods
-            e.Scenario.e_dirty e.Scenario.e_retx e.Scenario.e_evicted
-            e.Scenario.e_divergences e.Scenario.e_upcalls
-            (if j < List.length r.Scenario.rc_events - 1 then "," else ""))
-        r.Scenario.rc_events;
-      add "     ]";
-      (match r.Scenario.rc_upgrade with
-      | Some u ->
-          add
-            ",\n     \"upgrade\": {\"style\": \"%s\", \"shadow_rules\": %d, \
-             \"evicted\": %d, \"upcall_burst\": %d, \"offered\": %d, \
-             \"delivered\": %d, \"lost\": %d, \"recovery_ns\": %.0f}"
-            (Reconfig.pp_style u.Reconfig.up_style)
-            u.Reconfig.up_shadow_rules u.Reconfig.up_evicted
-            u.Reconfig.up_upcall_burst u.Reconfig.up_offered
-            u.Reconfig.up_delivered u.Reconfig.up_lost u.Reconfig.up_recovery_ns
-      | None -> ());
-      add "}%s\n" (if i < List.length runs - 1 then "," else ""))
-    runs;
+  let event (e : Scenario.churn_event) =
+    Json.(
+      Obj
+        [ num 9 "at_s" e.Scenario.e_at_s; str "label" e.Scenario.e_label;
+          int "flow_mods" e.Scenario.e_flow_mods;
+          int "dirty" e.Scenario.e_dirty; int "retx" e.Scenario.e_retx;
+          int "evicted" e.Scenario.e_evicted;
+          int "divergences" e.Scenario.e_divergences;
+          int "upcalls" e.Scenario.e_upcalls ])
+  in
+  let upgrade (u : Reconfig.upgrade_report) =
+    Json.(
+      Obj
+        [ str "style" (Reconfig.pp_style u.Reconfig.up_style);
+          int "shadow_rules" u.Reconfig.up_shadow_rules;
+          int "evicted" u.Reconfig.up_evicted;
+          int "upcall_burst" u.Reconfig.up_upcall_burst;
+          int "offered" u.Reconfig.up_offered;
+          int "delivered" u.Reconfig.up_delivered;
+          int "lost" u.Reconfig.up_lost;
+          num 0 "recovery_ns" u.Reconfig.up_recovery_ns ])
+  in
+  let run (r : Scenario.reconfig_result) =
+    Json.(
+      Obj
+        ([ str "plan" r.Scenario.rc_plan; str "leg" r.Scenario.rc_leg;
+           int "offered" r.Scenario.rc_offered;
+           int "delivered" r.Scenario.rc_delivered;
+           int "drops" r.Scenario.rc_drops;
+           int "vanished" r.Scenario.rc_vanished;
+           bool "conserved" r.Scenario.rc_conserved;
+           int "flow_mods" r.Scenario.rc_flow_mods;
+           int "ovsdb_rows" r.Scenario.rc_ovsdb_rows;
+           int "divergences" r.Scenario.rc_divergences;
+           int "upcalls" r.Scenario.rc_upcalls;
+           arr "events" event r.Scenario.rc_events ]
+        @ List.map (fun u -> ("upgrade", upgrade u))
+            (Option.to_list r.Scenario.rc_upgrade)))
+  in
   let stats, violations, at_cutover = mc in
-  add "  ],\n";
-  add
-    "  \"multicore\": {\"domains\": %d, \"offered\": %d, \"delivered\": %d, \
-     \"dropped\": %d, \"upcalls\": %d, \"violations\": %d, \
-     \"delivered_at_cutover\": %d},\n"
-    stats.Engine.s_units stats.Engine.s_offered stats.Engine.s_delivered
-    stats.Engine.s_dropped stats.Engine.s_upcalls (List.length violations)
-    at_cutover;
-  add
-    "  \"downtime\": {\"two_phase_recovery_ns\": %.0f, \
-     \"naive_recovery_ns\": %.0f}\n"
-    two_phase_rec naive_rec;
-  add "}\n";
-  Buffer.contents b
+  Json.(
+    Obj
+      [ str "experiment" "reconfig"; arr "runs" run runs;
+        ( "multicore",
+          Obj
+            [ int "domains" stats.Engine.s_units;
+              int "offered" stats.Engine.s_offered;
+              int "delivered" stats.Engine.s_delivered;
+              int "dropped" stats.Engine.s_dropped;
+              int "upcalls" stats.Engine.s_upcalls;
+              int "violations" (List.length violations);
+              int "delivered_at_cutover" at_cutover ] );
+        ( "downtime",
+          Obj
+            [ num 0 "two_phase_recovery_ns" two_phase_rec;
+              num 0 "naive_recovery_ns" naive_rec ] ) ])
 
 let reconfig_exp () =
   section "Reconfig: OVSDB-driven control churn with hitless two-phase upgrade";
@@ -1908,13 +1857,10 @@ let reconfig_exp () =
         report r;
         if not r.Scenario.rc_conserved then
           fail_check
-            "reconfig %s two-phase: conservation: offered %d <> delivered %d \
-             + drops %d (in flight %d)"
-            name r.Scenario.rc_offered r.Scenario.rc_delivered
-            r.Scenario.rc_drops r.Scenario.rc_in_flight;
-        if r.Scenario.rc_vanished <> 0 then
-          fail_check "reconfig %s two-phase: %d packets vanished (want 0)" name
-            r.Scenario.rc_vanished;
+            "reconfig %s two-phase: %d packets vanished, %d in flight (want \
+             0, 0): %s"
+            name r.Scenario.rc_vanished r.Scenario.rc_in_flight
+            (Scenario.Ledger.render r.Scenario.rc_ledger);
         (match r.Scenario.rc_upgrade with
         | None -> fail_check "reconfig %s two-phase: no upgrade report" name
         | Some u ->
@@ -1931,9 +1877,9 @@ let reconfig_exp () =
   let naive = run ~naive:true ~latency:false Dpif.Dpdk in
   report naive;
   if naive.Scenario.rc_vanished <= 0 then
-    fail_check
-      "reconfig naive: expected a loss window, saw %d vanished packets"
-      naive.Scenario.rc_vanished;
+    fail_check "reconfig naive: expected a loss window, saw %d vanished: %s"
+      naive.Scenario.rc_vanished
+      (Scenario.Ledger.render naive.Scenario.rc_ledger);
   (match naive.Scenario.rc_upgrade with
   | None -> fail_check "reconfig naive: no upgrade report"
   | Some u ->
@@ -2011,14 +1957,9 @@ let reconfig_exp () =
     fail_check
       "reconfig domains: cutover at %d delivered is not mid-run (total %d)"
       at_cutover stats.Engine.s_delivered;
-  if !json_out then begin
-    let out = open_out "BENCH_reconfig.json" in
-    output_string out
-      (reconfig_to_json (two_phase @ [ naive ]) ~mc ~two_phase_rec:tp_rec
-         ~naive_rec:nv_rec);
-    close_out out;
-    row "wrote BENCH_reconfig.json@."
-  end
+  emit "BENCH_reconfig.json"
+    (reconfig_json (two_phase @ [ naive ]) ~mc ~two_phase_rec:tp_rec
+       ~naive_rec:nv_rec)
 
 (* ------------------------------------------------------------------ CLI *)
 
@@ -2040,24 +1981,19 @@ let () =
       args
   in
   (match args with
-  | [] ->
-      List.iter (fun (_, f) -> f ()) all;
-      micro ()
+  | [] -> List.iter (fun (_, f) -> f ()) all
   | names ->
       (* validate every name before running anything, so a typo exits
          nonzero without half the experiments' output above it *)
-      let known n = n = "micro" || List.mem_assoc n all in
-      let unknown = List.filter (fun n -> not (known n)) names in
+      let unknown = List.filter (fun n -> not (List.mem_assoc n all)) names in
       if unknown <> [] then begin
-        Fmt.epr "unknown experiment%s: %s (have: %s, micro)@."
+        Fmt.epr "unknown experiment%s: %s (have: %s)@."
           (if List.length unknown > 1 then "s" else "")
           (String.concat ", " unknown)
           (String.concat ", " (List.map fst all));
         exit 1
       end;
-      List.iter
-        (fun name -> if name = "micro" then micro () else List.assoc name all ())
-        names);
+      List.iter (fun name -> List.assoc name all ()) names);
   if !failures <> [] then begin
     Fmt.epr "@.%d check%s failed:@." (List.length !failures)
       (if List.length !failures > 1 then "s" else "");

@@ -9,11 +9,8 @@
     to the pre-engine scheduler (pinned by the determinism test in
     [test/test_engine.ml]).
 
-    The schedule explorer ([lib/mc]) keeps its private fine-grained step
-    access here: {!step_poll}/{!step_retry}/{!step_drain}/{!handle_crashes}
-    re-export the {!Pmd} step API through the engine, so explorer
-    schedules stay expressible while ordinary callers (bench, tools,
-    scenarios) drive the engine handle only. *)
+    The schedule explorer ([lib/mc]) takes the poll-mode runtime from
+    {!runtime} and schedules {!Pmd}'s single-phase steps itself. *)
 
 module Cpu = Ovs_sim.Cpu
 
@@ -115,22 +112,6 @@ let stats t =
   }
 
 let stop t = stats t
-
-(** {1 Schedule-explorer access}
-
-    The explorer needs single-PMD single-phase steps to enumerate
-    interleavings. These require the poll-mode runtime; they raise on a
-    legacy-loop engine (the explorer always configures [n_pmds >= 1]). *)
-
-let rt_exn t =
-  match t.rt with
-  | Some rt -> rt
-  | None -> invalid_arg "Engine_vt: no PMD runtime (legacy loop)"
-
-let step_poll t pmd rxq = Pmd.step_poll (rt_exn t) pmd rxq
-let step_retry t pmd = Pmd.step_retry (rt_exn t) pmd
-let step_drain t pmd = Pmd.step_drain (rt_exn t) pmd
-let handle_crashes t = Pmd.handle_crashes (rt_exn t)
 
 let handle t = Engine.Handle ((module struct
   type nonrec t = t

@@ -1,8 +1,7 @@
 (** The virtual-time execution engine: the deterministic single-thread
     scheduler behind the {!Engine} interface. One {!step} is the
     pre-redesign poll sweep, charging byte-identical virtual nanoseconds
-    (pinned by the determinism test). The schedule explorer's private
-    fine-grained step access lives here. *)
+    (pinned by the determinism test). *)
 
 type t
 
@@ -28,7 +27,8 @@ val create :
 
 val runtime : t -> Pmd.t option
 (** The poll-mode runtime behind this engine, if any — for introspection
-    (reports, health monitoring), not for driving steps. *)
+    (reports, health monitoring) and for the schedule explorer, which
+    drives {!Pmd}'s single-phase steps on it. *)
 
 val note_offered : t -> int -> unit
 (** Record packets the traffic rig offered, for the stats readout. *)
@@ -40,14 +40,3 @@ val stop : t -> Engine.stats
 
 val handle : t -> Engine.handle
 (** Pack as a generic engine handle. *)
-
-(** {1 Schedule-explorer access}
-
-    Single-PMD single-phase steps for interleaving enumeration — the
-    explorer's private API. Ordinary callers drive the engine handle.
-    @raise Invalid_argument on a legacy-loop engine (no PMD runtime). *)
-
-val step_poll : t -> Pmd.pmd -> Pmd.rxq -> int
-val step_retry : t -> Pmd.pmd -> unit
-val step_drain : t -> Pmd.pmd -> unit
-val handle_crashes : t -> unit

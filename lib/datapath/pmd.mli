@@ -73,14 +73,7 @@ val poll_all : t -> int
     removes the upcall hook around itself and does its own counter
     attribution, so any interleaving of steps across PMDs is a
     well-formed execution; [step_poll; step_retry; step_drain] on one
-    PMD reproduces {!poll_rxq} exactly.
-
-    @deprecated Since the execution-engine redesign these are the
-    explorer's private substrate: ordinary callers (bench, tools,
-    scenarios) must drive an {!Engine.handle} instead, and the explorer
-    itself reaches these through [Engine_vt.step_poll] and friends.
-    Calling them directly from new code bypasses the engine's offered /
-    delivered accounting. *)
+    PMD reproduces {!poll_rxq} exactly. *)
 
 val step_poll : t -> pmd -> rxq -> int
 (** One burst from one rxq through the datapath — no retry pass, no

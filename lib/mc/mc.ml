@@ -20,7 +20,6 @@ module Umem = Ovs_xsk.Umem
 module Umempool = Ovs_xsk.Umempool
 module Xsk = Ovs_xsk.Xsk
 module Dpif = Ovs_datapath.Dpif
-module Dp_core = Ovs_datapath.Dp_core
 module Pmd = Ovs_datapath.Pmd
 module Health = Ovs_datapath.Health
 module Faults = Ovs_faults.Faults
@@ -175,9 +174,7 @@ type tracked_ring = {
 
 type model = {
   rig : Scenario.rig;
-  rt : Pmd.t;  (** runtime introspection (pmds, rxqs, assignment) *)
-  eng : Ovs_datapath.Engine_vt.t;
-      (** the rig's engine — the explorer's step access goes through it *)
+  rt : Pmd.t;  (** the rig engine's PMD runtime: steps and introspection *)
   health : Health.t;
   by_id : (int * Pmd.pmd) list;  (** pmd id -> runtime pmd *)
   ports : port_view array;  (** p0 first *)
@@ -186,7 +183,7 @@ type model = {
   pcs : int array;
   mutable now : Time.ns;  (** the fault/health virtual clock *)
   quantum : Time.ns;
-  offered : int;
+  ledger : Scenario.Ledger.t;  (** the packet-conservation books *)
   mut : mutation option;
   mutable epoch : int;
 }
@@ -233,22 +230,18 @@ let build ?mutation mode =
   in
   let rig = Scenario.setup cfg in
   let rt =
-    match rig.Scenario.r_rt with
+    match Ovs_datapath.Engine_vt.runtime rig.Scenario.r_eng with
     | Some rt -> rt
     | None -> failwith "Mc.build: no PMD runtime"
   in
   let health = Health.create ~dp:rig.Scenario.r_dp ~rt () in
   Faults.arm (fault_plan mode);
-  (* preload the traffic the schedule will churn through, with the chaos
-     rig's offered-packet accounting (NIC-counted drops are offered) *)
-  let phy0 = rig.Scenario.r_phy0 in
-  let offered = ref 0 in
+  (* preload the traffic the schedule will churn through, into the
+     rig's ledger (NIC-counted drops are offered); nothing polls yet *)
+  let ledger = Scenario.Ledger.open_ rig "mc" in
   let n_preload = match mode with Large -> 32 | Tiny | Small -> 16 in
   for _ = 1 to n_preload do
-    let pkt = Pktgen.next rig.Scenario.r_gen in
-    let dropped0 = phy0.Netdev.stats.Netdev.rx_dropped in
-    if Netdev.rss_enqueue phy0 pkt then incr offered
-    else if phy0.Netdev.stats.Netdev.rx_dropped > dropped0 then incr offered
+    Scenario.Ledger.offer ledger rig (Pktgen.next rig.Scenario.r_gen)
   done;
   let view port_no =
     match
@@ -296,7 +289,6 @@ let build ?mutation mode =
   {
     rig;
     rt;
-    eng = rig.Scenario.r_eng;
     health;
     by_id = List.map (fun p -> (Pmd.pmd_id p, p)) (Pmd.pmds rt);
     ports;
@@ -305,7 +297,7 @@ let build ?mutation mode =
     pcs = Array.make (Array.length scripts) 0;
     now = 0.;
     quantum = Time.us 100.;
-    offered = !offered;
+    ledger;
     mut = mutation;
     epoch = 0;
   }
@@ -315,23 +307,10 @@ let pmd_of m id = List.assoc id m.by_id
 let rxq_of pmd q =
   List.find (fun r -> r.Pmd.rxq_queue = q) (Pmd.rxqs_of pmd)
 
-(* Replicates the chaos runner's tick: advance the injector clock and run
-   the window-open side effects the subsystems don't trigger themselves. *)
+(* the chaos runner's fault tick, one quantum of the injector clock on *)
 let fault_tick m =
   m.now <- m.now +. m.quantum;
-  let opened = Faults.tick m.now in
-  List.iter
-    (fun (f : Faults.fault) ->
-      match f.Faults.f_action with
-      | Faults.Upcall_storm -> Dpif.flush_caches m.rig.Scenario.r_dp
-      | Faults.Ct_pressure { zone; limit } ->
-          ignore
-            (Ovs_conntrack.Conntrack.evict_to_limit
-               (Dpif.conntrack m.rig.Scenario.r_dp)
-               ~zone ~limit
-              : int)
-      | _ -> ())
-    opened
+  Scenario.fault_tick m.rig ~now:m.now
 
 (* -- mutations: flip one guarded invariant, conditioned on schedule
    state so the explorer has to find the interleaving that exposes it -- *)
@@ -391,16 +370,16 @@ let exec_step m tid =
       (match step with
       | S_poll (p, q) ->
           let pmd = pmd_of m p in
-          ignore (Ovs_datapath.Engine_vt.step_poll m.eng pmd (rxq_of pmd q) : int)
-      | S_retry p -> Ovs_datapath.Engine_vt.step_retry m.eng (pmd_of m p)
-      | S_drain p -> Ovs_datapath.Engine_vt.step_drain m.eng (pmd_of m p)
+          ignore (Pmd.step_poll m.rt pmd (rxq_of pmd q) : int)
+      | S_retry p -> Pmd.step_retry m.rt (pmd_of m p)
+      | S_drain p -> Pmd.step_drain m.rt (pmd_of m p)
       | S_fault_tick -> fault_tick m
       | S_health -> ignore (Health.check m.health ~now:m.now : int)
       | S_reclaim ->
           Array.iter
             (fun pv -> ignore (Umempool.reclaim_leaked pv.pv_pool : int))
             m.ports
-      | S_crash_sweep -> Ovs_datapath.Engine_vt.handle_crashes m.eng);
+      | S_crash_sweep -> Pmd.handle_crashes m.rt);
       apply_mutation m step
     end
   end
@@ -507,28 +486,11 @@ let check_queues m =
     (Pmd.pmds m.rt)
 
 (* Chaos-rig packet conservation: offered = delivered + drops + in flight
-   after every step (the model is fresh, so counters start at zero). *)
+   after every step, on the rig's ledger. *)
 let check_packets m =
-  let rig = m.rig in
-  let delivered = rig.Scenario.r_phy1.Netdev.stats.Netdev.tx_packets in
-  let xsk_drops =
-    Array.fold_left
-      (fun acc pv ->
-        Array.fold_left
-          (fun a (x : Xsk.t) ->
-            a + x.Xsk.rx_dropped_no_frame + x.Xsk.rx_dropped_ring_full)
-          acc pv.pv_xsks)
-      0 m.ports
-  in
-  let drops =
-    rig.Scenario.r_phy0.Netdev.stats.Netdev.rx_dropped
-    + (Dpif.counters rig.Scenario.r_dp).Dp_core.dropped
-    + xsk_drops
-  in
-  let in_flight = Scenario.in_flight rig in
-  if m.offered <> delivered + drops + in_flight then
-    fail O_packets "offered %d <> delivered %d + drops %d + in-flight %d"
-      m.offered delivered drops in_flight
+  let books = Scenario.Ledger.diff m.ledger m.rig in
+  if Scenario.Ledger.unaccounted books <> 0 then
+    fail O_packets "%s" (Scenario.Ledger.render books)
 
 (* Per-stage cycle sums reproduce the charged busy total. *)
 let check_trace m =

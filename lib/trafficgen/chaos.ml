@@ -169,64 +169,10 @@ let render rows =
         | None -> "-")
         (if r.row_pass then "PASS"
          else if not c.Scenario.c_conserved then
-           Printf.sprintf "LEAK (in flight %d, unaccounted %d)"
-             c.Scenario.c_in_flight
-             (c.Scenario.c_offered - c.Scenario.c_delivered
-            - c.Scenario.c_drops)
+           Printf.sprintf "LEAK (%s)" (Scenario.Ledger.render c.Scenario.c_ledger)
          else if not r.row_latency_ok then
            Printf.sprintf "STAMP-LEAK (%d samples, %d delivered)"
              c.Scenario.c_latency_count c.Scenario.c_delivered
          else "DEGRADED"))
     rows;
-  Buffer.contents b
-
-(* hand-rolled JSON: the repo has no json dependency *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json rows =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n  \"bench\": \"chaos\",\n  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      let c = r.row_res in
-      add "    {\"plan\": \"%s\", \"leg\": \"%s\",\n" (json_escape r.row_plan)
-        (leg_name r.row_leg);
-      add "     \"baseline_mpps\": %.4f, \"faulted_mpps\": %.4f, \"post_mpps\": %.4f,\n"
-        c.Scenario.c_baseline_mpps c.Scenario.c_faulted_mpps
-        c.Scenario.c_post_mpps;
-      add "     \"offered\": %d, \"delivered\": %d, \"drops\": %d,\n"
-        c.Scenario.c_offered c.Scenario.c_delivered c.Scenario.c_drops;
-      add "     \"pressure_rejects\": %d, \"in_flight\": %d, \"conserved\": %b,\n"
-        c.Scenario.c_pressure_rejects c.Scenario.c_in_flight
-        c.Scenario.c_conserved;
-      add "     \"recovery_ns\": %s, \"restarts\": %d, \"repairs\": %d,\n"
-        (match c.Scenario.c_recovery_ns with
-        | Some ns -> Printf.sprintf "%.0f" ns
-        | None -> "null")
-        c.Scenario.c_restarts c.Scenario.c_repairs;
-      add "     \"fired\": {%s},\n"
-        (String.concat ", "
-           (List.map
-              (fun (n, k) -> Printf.sprintf "\"%s\": %d" (json_escape n) k)
-              c.Scenario.c_fired));
-      add "     \"latency_count\": %d, \"latency_conserved\": %b,\n"
-        c.Scenario.c_latency_count r.row_latency_ok;
-      add "     \"recovered\": %b, \"pass\": %b}%s\n" r.row_recovered
-        r.row_pass
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  add "  ],\n  \"all_pass\": %b\n}\n" (all_pass rows);
   Buffer.contents b

@@ -90,7 +90,13 @@ type config = {
   n_pmds : int;
       (** >= 1 drives the run through the {!Ovs_datapath.Pmd} runtime with
           that many PMD cores; 0 (the default) keeps the legacy
-          one-context-per-queue loop *)
+          one-context-per-queue loop. That loop stays because running it
+          as [n_pmds = queues] is exact only for unfaulted runs at the
+          default 32-packet batches: on a prototype of that mapping the
+          tx-batch ablation at batch 1 moved from 2.63 to 2.31 Mpps, the
+          chaos pkt_mangle/ct_pressure faulted rates moved in the third
+          decimal, the naive-swap recovery ratio moved from 4.76e-01 to
+          4.62e-01 — and the kernel legs have no PMD at all. *)
   n_rxqs : int;  (** rxqs for the PMD runtime; 0 means [queues] *)
   trace : bool;  (** attach a per-stage cycle tracer to the datapath *)
   faults : Faults.plan option;
@@ -464,79 +470,6 @@ let poll_sweep (r : rig) =
         r.r_vdevs
   | None -> ()
 
-(* The paced driver behind every latency-armed run. The generator is its
-   own line-rate core: each packet charges its inter-arrival gap to
-   [loadgen] (the arrival clock — birth stamps come from it) and a
-   credit counter converts elapsed server time back into injection
-   budget, [credit += rate * dwall]. When the dataplane keeps up, wall
-   advances exactly one gap per packet and the loop stays in lockstep;
-   when it falls behind, wall outruns the arrival clock, the credit (=
-   packets that arrived meanwhile) grows, and the backlog overflows the
-   NIC ring into counted rx drops — which is what gives an NDR probe a
-   real loss cliff and a latency rung its queueing tail. *)
-let drive_paced (r : rig) (loadgen : Cpu.ctx) ?(rate_pps = 0.) n =
-  let cfg = r.r_cfg in
-  let rate =
-    if rate_pps > 0. then rate_pps
-    else if cfg.offered_mpps > 0. then cfg.offered_mpps *. 1e6
-    else Netdev.line_rate_pps r.r_phy0 ~frame_len:cfg.frame_len
-  in
-  let gap = 1e9 /. rate in
-  let in_burst = ref 0 in
-  let injected = ref 0 in
-  let credit = ref (float_of_int batch) in
-  while !injected < n do
-    let want =
-      Int.min (Int.min (int_of_float !credit) (n - !injected)) 4096
-    in
-    let w0 = Cpu.wall r.r_machine in
-    if want > 0 then begin
-      for _ = 1 to want do
-        Cpu.charge loadgen Cpu.User gap;
-        (match cfg.burst with
-        | Some b ->
-            incr in_burst;
-            if !in_burst >= b.Pktgen.on_packets then begin
-              in_burst := 0;
-              (* generator silence: the arrival clock idles, and the
-                 credit the silent period will accrue (wall keeps
-                 moving) is cancelled here — packets do not arrive
-                 during the off phase, which is what drops the mean
-                 offered rate to on / (on + off) *)
-              Cpu.charge loadgen Cpu.User b.Pktgen.off_ns;
-              credit := !credit -. (rate *. b.Pktgen.off_ns /. 1e9)
-            end
-        | None -> ());
-        let pkt = Pktgen.next ~birth_ns:(Cpu.busy loadgen) r.r_gen in
-        ignore (Netdev.rss_enqueue r.r_phy0 pkt : bool);
-        incr injected
-      done;
-      Engine_vt.note_offered r.r_eng want;
-      credit := !credit -. float_of_int want
-    end;
-    poll_sweep r;
-    let dwall = Cpu.wall r.r_machine -. w0 in
-    (* an idle iteration (no credit, nothing to poll) must still move the
-       clock or the loop deadlocks *)
-    if dwall <= 0. && want = 0 then Cpu.charge loadgen Cpu.User (Time.us 1.);
-    let dwall = Float.max dwall (Cpu.wall r.r_machine -. w0) in
-    credit := !credit +. (rate *. dwall /. 1e9)
-  done
-
-let drive (r : rig) n =
-  match r.r_loadgen with
-  | Some loadgen -> drive_paced r loadgen n
-  | None ->
-      let injected = ref 0 in
-      while !injected < n do
-        for _ = 1 to batch do
-          ignore (Netdev.rss_enqueue r.r_phy0 (Pktgen.next r.r_gen) : bool);
-          incr injected
-        done;
-        Engine_vt.note_offered r.r_eng batch;
-        poll_sweep r
-      done
-
 module Dp_core = Ovs_datapath.Dp_core
 module Xsk = Ovs_xsk.Xsk
 
@@ -553,32 +486,289 @@ let in_flight (r : rig) =
     | Some rt -> List.fold_left (fun a p -> a + Pmd.queued p) 0 (Pmd.pmds rt)
     | None -> 0)
 
-(* run the rig dry without injecting, so a measurement phase starts (and
-   its predecessor's packets end) on empty queues *)
-let quiesce (r : rig) =
-  let budget = ref 10_000 in
-  while in_flight r > 0 && !budget > 0 do
-    decr budget;
-    poll_sweep r
+(** The conservation ledger: the one definition of where an offered
+    packet can end up. A ledger records every drop counter when its phase
+    opens, counts the packets the phase offers, and reports each
+    counter's movement against that record — so a failed conservation
+    check names the counter that moved, by how much, and in which phase.
+    {!in_flight} is its in-flight term. *)
+module Ledger = struct
+  type t = {
+    phase : string;
+    base : (string * int) list;  (** every drop counter at phase start *)
+    tx0 : int;
+    mutable offered : int;
+    mutable rejected : int;
+  }
+
+  (** A phase's books: [offered = delivered + drops + in_flight] when
+      nothing vanished. *)
+  type diff = {
+    d_phase : string;
+    d_offered : int;
+    d_rejected : int;
+        (** refused uncounted under [Rx_backpressure]: never offered *)
+    d_delivered : int;
+    d_drops : (string * int) list;  (** each drop counter's delta *)
+    d_in_flight : int;
+  }
+
+  (* every place the rig counts a drop: the ingress NIC, the datapath's
+     verdicts, the AF_XDP sockets of both physical ports, and the
+     virtual endpoints' rx rings *)
+  let counters (r : rig) =
+    let xsk f =
+      List.fold_left
+        (fun a port_no ->
+          match Dpif.xsks r.r_dp ~port_no with
+          | Some xs -> Array.fold_left (fun a x -> a + f x) a xs
+          | None -> a)
+        0 [ r.r_p0; r.r_p1 ]
+    in
+    [
+      ("phy0.rx_dropped", r.r_phy0.Netdev.stats.Netdev.rx_dropped);
+      ("dp.dropped", (Dpif.counters r.r_dp).Dp_core.dropped);
+      ("xsk.rx_dropped_no_frame", xsk (fun x -> x.Xsk.rx_dropped_no_frame));
+      ("xsk.rx_dropped_ring_full", xsk (fun x -> x.Xsk.rx_dropped_ring_full));
+      ( "vdev.rx_dropped",
+        List.fold_left
+          (fun a (d, _) -> a + d.Netdev.stats.Netdev.rx_dropped)
+          0 r.r_vdevs );
+    ]
+
+  let tx (r : rig) = r.r_phy1.Netdev.stats.Netdev.tx_packets
+
+  let open_ (r : rig) phase =
+    { phase; base = counters r; tx0 = tx r; offered = 0; rejected = 0 }
+
+  (** Offer one packet at the ingress NIC. A packet the NIC refuses but
+      counts (full ring under [Rx_drop], carrier down) is still offered:
+      its drop counter balances the books. *)
+  let offer l (r : rig) pkt =
+    let rxd = r.r_phy0.Netdev.stats.Netdev.rx_dropped in
+    if
+      Netdev.rss_enqueue r.r_phy0 pkt
+      || r.r_phy0.Netdev.stats.Netdev.rx_dropped > rxd
+    then l.offered <- l.offered + 1
+    else l.rejected <- l.rejected + 1
+
+  let delivered l r = tx r - l.tx0
+
+  let diff l (r : rig) =
+    {
+      d_phase = l.phase;
+      d_offered = l.offered;
+      d_rejected = l.rejected;
+      d_delivered = delivered l r;
+      d_drops =
+        List.map2 (fun (c, v0) (_, v) -> (c, v - v0)) l.base (counters r);
+      d_in_flight = in_flight r;
+    }
+
+  let drops d = List.fold_left (fun a (_, n) -> a + n) 0 d.d_drops
+
+  (** Offered packets neither delivered, nor in a drop counter, nor
+      still in flight. *)
+  let unaccounted d = d.d_offered - d.d_delivered - drops d - d.d_in_flight
+
+  (** Exact conservation: nothing unaccounted, nothing left in flight. *)
+  let conserved d = unaccounted d = 0 && d.d_in_flight = 0
+
+  let render d =
+    Printf.sprintf
+      "phase %s: offered %d = delivered %d + drops %d [%s] + in flight %d%s"
+      d.d_phase d.d_offered d.d_delivered (drops d)
+      (match List.filter (fun (_, n) -> n <> 0) d.d_drops with
+      | [] -> "no drop counter moved"
+      | moved ->
+          String.concat ", "
+            (List.map (fun (c, n) -> Printf.sprintf "%s %+d" c n) moved))
+      d.d_in_flight
+      (match unaccounted d with
+      | 0 -> ""
+      | u -> Printf.sprintf " + %d unaccounted" u)
+end
+
+(* -- the phase driver: reset, offer, poll, drain -- *)
+
+(** How a phase paces its offered load: [want] sizes the next batch from
+    the packets still to offer, [arrive] runs before each packet (the
+    generator's arrival clock), and [settle] runs after each batch's poll
+    sweep with the batch size and the wall clock at its start. *)
+type pace = {
+  want : int -> int;
+  arrive : unit -> unit;
+  settle : w0:Time.ns -> int -> unit;
+}
+
+(* lockstep [batch]-packet bursts with no arrival clock *)
+let lockstep = { want = Int.min batch; arrive = ignore; settle = (fun ~w0:_ _ -> ()) }
+
+(* The paced driver behind every latency-armed run. The generator is its
+   own line-rate core: each packet charges its inter-arrival gap to
+   [loadgen] (the arrival clock — birth stamps come from it) and a
+   credit counter converts elapsed server time back into injection
+   budget, [credit += rate * dwall]. When the dataplane keeps up, wall
+   advances exactly one gap per packet and the loop stays in lockstep;
+   when it falls behind, wall outruns the arrival clock, the credit (=
+   packets that arrived meanwhile) grows, and the backlog overflows the
+   NIC ring into counted rx drops — which is what gives an NDR probe a
+   real loss cliff and a latency rung its queueing tail. [rate_pps] 0.
+   offers the config's rate (line rate when that is 0. too). *)
+let credit_paced (r : rig) loadgen ~rate_pps =
+  let cfg = r.r_cfg in
+  let rate =
+    if rate_pps > 0. then rate_pps
+    else if cfg.offered_mpps > 0. then cfg.offered_mpps *. 1e6
+    else Netdev.line_rate_pps r.r_phy0 ~frame_len:cfg.frame_len
+  in
+  let gap = 1e9 /. rate in
+  let in_burst = ref 0 in
+  let credit = ref (float_of_int batch) in
+  {
+    want = (fun left -> Int.min (Int.min (int_of_float !credit) left) 4096);
+    arrive =
+      (fun () ->
+        Cpu.charge loadgen Cpu.User gap;
+        match cfg.burst with
+        | Some b ->
+            incr in_burst;
+            if !in_burst >= b.Pktgen.on_packets then begin
+              in_burst := 0;
+              (* generator silence: the arrival clock idles, and the
+                 credit the silent period will accrue (wall keeps
+                 moving) is cancelled here — packets do not arrive
+                 during the off phase, which is what drops the mean
+                 offered rate to on / (on + off) *)
+              Cpu.charge loadgen Cpu.User b.Pktgen.off_ns;
+              credit := !credit -. (rate *. b.Pktgen.off_ns /. 1e9)
+            end
+        | None -> ());
+    settle =
+      (fun ~w0 sent ->
+        credit := !credit -. float_of_int sent;
+        let dwall = Cpu.wall r.r_machine -. w0 in
+        (* an idle iteration (no credit, nothing to poll) must still move
+           the clock or the loop deadlocks *)
+        if dwall <= 0. && sent = 0 then Cpu.charge loadgen Cpu.User (Time.us 1.);
+        let dwall = Float.max dwall (Cpu.wall r.r_machine -. w0) in
+        credit := !credit +. (rate *. dwall /. 1e9));
+  }
+
+(* Virtual wall time only advances through charges; a fault window or a
+   rule swap that stops all forwarding would otherwise never close. The
+   chaos and reconfig phases model the generator as its own line-rate
+   core: each offered packet charges its wire time, and drain sweeps
+   that move nothing charge an idle tick. Plain [run] never creates this
+   context, so unfaulted runs stay byte-identical. (A latency-armed rig
+   already carries it — its arrival clock doubles as the birth stamp.) *)
+let generator_core (r : rig) =
+  let loadgen =
+    match r.r_loadgen with Some lg -> lg | None -> Cpu.ctx r.r_machine "loadgen"
+  in
+  let pkt_ns =
+    1e9 /. Netdev.line_rate_pps r.r_phy0 ~frame_len:r.r_cfg.frame_len
+  in
+  (loadgen, { lockstep with arrive = (fun () -> Cpu.charge loadgen Cpu.User pkt_ns) })
+
+(** The one phase driver: offer [n] generator packets into [ledger]'s
+    books, a batch at a time as [pace] sizes them, each batch followed by
+    one poll sweep. [mutate] sees each packet before it is stamped and
+    offered; [tick] runs before each sweep, [after_poll] after it. A
+    latency-armed rig stamps each packet's birth on its arrival clock. *)
+let offer (r : rig) ledger pace ?(mutate = ignore) ?(tick = ignore)
+    ?(after_poll = ignore) n =
+  let left = ref n in
+  while !left > 0 do
+    let m = pace.want !left in
+    let w0 = Cpu.wall r.r_machine in
+    for _ = 1 to m do
+      pace.arrive ();
+      let pkt = Pktgen.next r.r_gen in
+      mutate pkt;
+      (match r.r_loadgen with
+      | Some lg -> pkt.Ovs_packet.Buffer.birth_ns <- Cpu.busy lg
+      | None -> ());
+      Ledger.offer ledger r pkt
+    done;
+    if m > 0 then Engine_vt.note_offered r.r_eng m;
+    left := !left - m;
+    tick ();
+    poll_sweep r;
+    after_poll ();
+    pace.settle ~w0 m
   done
 
-(* Quiesce, reset clocks, counters and the generator's flow-choice
-   stream, drive [n] packets, return (delivered, rate in pps over the
-   phase's wall time). Phases replay identical traffic, so their rates
-   are comparable at exact-determinism tightness. *)
-let measure_phase (r : rig) n =
-  quiesce r;
-  Pktgen.reset r.r_gen;
+(* [n] rounded up to whole batches: the lockstep phases offer full
+   bursts only *)
+let whole_batches n = (n + batch - 1) / batch * batch
+
+(** Run the rig dry without offering: poll sweeps until nothing is in
+    flight and [busy ()] is false, or [budget] sweeps have run. With
+    [idle], each sweep first charges that arrival clock 1 µs, so virtual
+    time moves even while nothing forwards. *)
+let drain (r : rig) ?idle ?(busy = fun () -> false) ?(tick = ignore)
+    ?(after_poll = ignore) budget =
+  let sweeps = ref 0 in
+  while (in_flight r > 0 || busy ()) && !sweeps < budget do
+    incr sweeps;
+    Option.iter (fun lg -> Cpu.charge lg Cpu.User (Time.us 1.)) idle;
+    tick ();
+    poll_sweep r;
+    after_poll ()
+  done
+
+(* run the rig dry without injecting, so a measurement phase starts (and
+   its predecessor's packets end) on empty queues *)
+let quiesce (r : rig) = drain r 10_000
+
+(** Open measurement phase [phase]: zero every clock and measurement
+    counter, then open the phase's ledger. *)
+let reset (r : rig) phase =
   List.iter Cpu.reset r.r_machine.Cpu.ctxs;
   Dpif.reset_measurement r.r_dp;
-  (match r.r_rt with Some rt -> Pmd.reset_stats rt | None -> ());
-  let tx0 = r.r_phy1.Netdev.stats.Netdev.tx_packets in
-  drive r n;
-  let delivered = r.r_phy1.Netdev.stats.Netdev.tx_packets - tx0 in
-  let wall =
-    Float.max (Float.max (Cpu.wall r.r_machine) (Dpif.serialized_tx r.r_dp)) 1.
+  Option.iter Pmd.reset_stats r.r_rt;
+  Ledger.open_ r phase
+
+(** {!reset} from a clean slate: the rig drained and the generator's
+    flow-choice stream rewound, so phases replay identical traffic and
+    their rates compare at exact-determinism tightness. *)
+let replay (r : rig) phase =
+  quiesce r;
+  Pktgen.reset r.r_gen;
+  reset r phase
+
+(** Offer [n] packets the way plain runs do: credit-paced on a
+    latency-armed rig, otherwise in whole lockstep batches. *)
+let drive ?ledger (r : rig) n =
+  let ledger =
+    match ledger with Some l -> l | None -> Ledger.open_ r "drive"
   in
-  (delivered, float_of_int delivered /. wall *. 1e9)
+  match r.r_loadgen with
+  | Some loadgen -> offer r ledger (credit_paced r loadgen ~rate_pps:0.) n
+  | None -> offer r ledger lockstep (whole_batches n)
+
+(* warm caches and megaflows; then train the computational cache over
+   the warmed-up megaflows (its charge lands in warm-up time, which the
+   next phase reset zeroes) *)
+let warm (r : rig) =
+  drive r r.r_cfg.warmup;
+  if r.r_cfg.ccache then
+    ignore
+      (Dpif.ccache_train r.r_dp (fun cat ns -> Cpu.charge r.r_sirq.(0) cat ns)
+        : Ovs_nmu.Ccache.train_stats option)
+
+(* a phase's wall time: the busiest context or the serialized egress *)
+let phase_wall (r : rig) =
+  Float.max (Float.max (Cpu.wall r.r_machine) (Dpif.serialized_tx r.r_dp)) 1.
+
+(* One replayed measurement phase: drive [n] packets, return (delivered,
+   rate in pps over the phase's wall time). *)
+let measure_phase (r : rig) n =
+  let ledger = replay r "measure" in
+  drive ~ledger r n;
+  let delivered = Ledger.delivered ledger r in
+  (delivered, float_of_int delivered /. phase_wall r *. 1e9)
 
 (* -- latency and NDR probes (require a latency-armed rig) -- *)
 
@@ -596,16 +786,10 @@ let loadgen_exn (r : rig) =
     conservation the latency gates enforce. *)
 let measure_latency (r : rig) ?(rate_pps = 0.) n =
   let loadgen = loadgen_exn r in
+  let ledger = replay r "latency" in
+  offer r ledger (credit_paced r loadgen ~rate_pps) n;
   quiesce r;
-  Pktgen.reset r.r_gen;
-  List.iter Cpu.reset r.r_machine.Cpu.ctxs;
-  Dpif.reset_measurement r.r_dp;
-  (match r.r_rt with Some rt -> Pmd.reset_stats rt | None -> ());
-  let tx0 = r.r_phy1.Netdev.stats.Netdev.tx_packets in
-  drive_paced r loadgen ~rate_pps n;
-  quiesce r;
-  let delivered = r.r_phy1.Netdev.stats.Netdev.tx_packets - tx0 in
-  (delivered, Dpif.latency r.r_dp)
+  (Ledger.delivered ledger r, Dpif.latency r.r_dp)
 
 (** One RFC 2544 probe: offer [n] packets at [rate_pps], drain, report
     offered vs delivered for {!Ndr.search}'s loss-free test. *)
@@ -621,12 +805,14 @@ let ndr_probe (r : rig) ~rate_pps n : Ndr.probe_result =
     Mpps. Returns the engine stats and any oracle violations (empty with
     [oracles:false], the default). Only P2P is meaningful here — the
     virtual endpoints are virtual-time constructs. *)
-let run_multicore ?(oracles = false) ?lock ?frames_per_queue ?ring_size
-    (cfg : config) ~n_domains () : Engine.stats * string list =
+(* The P2P rig on real domains: the generator's pre-built templates
+   become the injector's wire frames. *)
+let domains_config ?(oracles = false) ?lock ?frames_per_queue ?ring_size
+    (cfg : config) ~n_domains ~translate =
   (match cfg.topology with
   | P2P -> ()
   | PVP _ | PCP _ | Chain _ ->
-      invalid_arg "Scenario.run_multicore: only P2P runs on real domains");
+      invalid_arg "Scenario: only P2P runs on real domains");
   let gen =
     Pktgen.create ~mix:cfg.mix ~n_flows:cfg.n_flows ~frame_len:cfg.frame_len ()
   in
@@ -637,14 +823,19 @@ let run_multicore ?(oracles = false) ?lock ?frames_per_queue ?ring_size
           b.Ovs_packet.Buffer.len)
       gen.Pktgen.templates
   in
-  let ecfg =
-    Engine_domains.config ~n_domains ~frame_len:cfg.frame_len
-      ~target:cfg.measure ~upcall_capacity:cfg.upcall_capacity ~oracles
-      ~latency:cfg.latency ?lock ?frames_per_queue ?ring_size
-      ~translate:(fun _ -> true) (* P2P: one wildcard rule, port0 -> port1 *)
-      ~templates ()
+  Engine_domains.config ~n_domains ~frame_len:cfg.frame_len
+    ~target:cfg.measure ~upcall_capacity:cfg.upcall_capacity ~oracles
+    ~latency:cfg.latency ?lock ?frames_per_queue ?ring_size ~translate
+    ~templates ()
+
+let run_multicore ?oracles ?lock ?frames_per_queue ?ring_size (cfg : config)
+    ~n_domains () : Engine.stats * string list =
+  let eng =
+    Engine_domains.create
+      (domains_config ?oracles ?lock ?frames_per_queue ?ring_size cfg
+         ~n_domains
+         ~translate:(fun _ -> true) (* P2P: one wildcard rule, port0 -> port1 *))
   in
-  let eng = Engine_domains.create ecfg in
   Engine_domains.start eng;
   let stats = Engine_domains.stop eng in
   (stats, Engine_domains.violations eng)
@@ -679,23 +870,12 @@ let run (cfg : config) : result =
   | `Vt ->
   let r = setup cfg in
   let machine = r.r_machine and dp = r.r_dp and rt = r.r_rt in
-  (* warm up caches and megaflows, then measure from a clean slate *)
-  drive r cfg.warmup;
-  (* train the computational cache over the warmed-up megaflows; the
-     training charge lands in warmup time, which the resets below zero *)
-  if cfg.ccache then
-    ignore
-      (Dpif.ccache_train dp (fun cat ns -> Cpu.charge r.r_sirq.(0) cat ns)
-        : Ovs_nmu.Ccache.train_stats option);
-  List.iter Cpu.reset machine.Cpu.ctxs;
-  Dpif.reset_measurement dp;
-  (match rt with Some rt -> Pmd.reset_stats rt | None -> ());
-  let tx_before = r.r_phy1.Netdev.stats.Netdev.tx_packets in
-  drive r cfg.measure;
-  let delivered = r.r_phy1.Netdev.stats.Netdev.tx_packets - tx_before in
-
-  let wall = Float.max (Cpu.wall machine) (Dpif.serialized_tx dp) in
-  let wall = Float.max wall 1. in
+  (* warm up caches and megaflows, then measure straight on *)
+  warm r;
+  let ledger = reset r "measure" in
+  drive ~ledger r cfg.measure;
+  let delivered = Ledger.delivered ledger r in
+  let wall = phase_wall r in
   let raw_rate = float_of_int delivered /. wall *. 1e9 in
   let line = Netdev.line_rate_pps r.r_phy0 ~frame_len:cfg.frame_len in
   let line_limited = raw_rate > line in
@@ -764,133 +944,68 @@ type chaos_result = {
           -1 with latency off. Conservation demands exactly one sample
           per delivered packet: a mangled or crash-killed packet that
           leaked its timestamp would make this exceed [c_delivered]. *)
+  c_ledger : Ledger.diff;  (** the faulted phase's books, counter by counter *)
 }
+
+(* Advance the fault clock to [now] and run the window-open side effects
+   the subsystems do not trigger themselves. *)
+let fault_tick (r : rig) ~now =
+  List.iter
+    (fun (f : Faults.fault) ->
+      match f.Faults.f_action with
+      | Faults.Upcall_storm ->
+          (* the storm begins with a cache flush: every packet misses
+             into the (refusing) upcall queue *)
+          Dpif.flush_caches r.r_dp
+      | Faults.Ct_pressure { zone; limit } ->
+          (* table pressure early-drops existing connections; they must
+             re-commit against the forced limit and fail into +inv *)
+          ignore
+            (Ovs_conntrack.Conntrack.evict_to_limit (Dpif.conntrack r.r_dp)
+               ~zone ~limit
+              : int)
+      | _ -> ())
+    (Faults.tick now)
+
+(* the armed plan's packet mangling, applied as the generator emits *)
+let mangle (pkt : Ovs_packet.Buffer.t) =
+  match Faults.mutate () with
+  | Some (`Truncate frac) ->
+      pkt.Ovs_packet.Buffer.len <-
+        Int.max 4 (int_of_float (frac *. float_of_int pkt.Ovs_packet.Buffer.len))
+  | Some `Corrupt ->
+      (* clobber the ethertype: the frame stops being IP *)
+      Ovs_packet.Buffer.set_u8 pkt 12 0xff
+  | None -> ()
 
 let run_chaos (cfg : config) (plan : Faults.plan) : chaos_result =
   let cfg = { cfg with faults = Some plan } in
   let r = setup cfg in
   let machine = r.r_machine and dp = r.r_dp in
-  let phy0 = r.r_phy0 and phy1 = r.r_phy1 in
-  (* Virtual wall time only advances through charges; a fault window that
-     stops all forwarding would otherwise never close. The chaos runner
-     models the generator as its own line-rate core: each offered packet
-     charges its wire time, and drain iterations that move nothing charge
-     an idle tick. Plain [run] never creates this context, so unfaulted
-     runs stay byte-identical. (A latency-armed rig already carries the
-     same context — its arrival clock doubles as the birth stamp.) *)
-  let loadgen =
-    match r.r_loadgen with Some lg -> lg | None -> Cpu.ctx machine "loadgen"
-  in
-  let pkt_ns = 1e9 /. Netdev.line_rate_pps phy0 ~frame_len:cfg.frame_len in
-  drive r cfg.warmup;
-  if cfg.ccache then
-    ignore
-      (Dpif.ccache_train dp (fun cat ns -> Cpu.charge r.r_sirq.(0) cat ns)
-        : Ovs_nmu.Ccache.train_stats option);
+  let loadgen, pace = generator_core r in
+  warm r;
 
   (* phase A: unfaulted baseline on the warm rig *)
   let _, baseline_pps = measure_phase r cfg.measure in
 
-  (* phase B: the same traffic with the plan armed *)
-  quiesce r;
-  Pktgen.reset r.r_gen;
-  List.iter Cpu.reset machine.Cpu.ctxs;
-  Dpif.reset_measurement dp;
-  (match r.r_rt with Some rt -> Pmd.reset_stats rt | None -> ());
+  (* phase B: the same traffic with the plan armed, then drained until
+     every window has closed, every queue is empty and the monitor
+     reports healthy *)
+  let ledger = replay r "faulted" in
   let health = Health.create ~dp ?rt:r.r_rt () in
   Faults.arm plan;
-  let tx0 = phy1.Netdev.stats.Netdev.tx_packets in
-  let rxd0 = phy0.Netdev.stats.Netdev.rx_dropped in
-  let vdev_rxd =
-    fun () ->
-      List.fold_left
-        (fun a (d, _) -> a + d.Netdev.stats.Netdev.rx_dropped)
-        0 r.r_vdevs
-  in
-  let vdev_rxd0 = vdev_rxd () in
-  let xsk_drops () =
-    match Dpif.xsks dp ~port_no:r.r_p0 with
-    | Some xs ->
-        Array.fold_left
-          (fun a x -> a + x.Xsk.rx_dropped_no_frame + x.Xsk.rx_dropped_ring_full)
-          0 xs
-    | None -> 0
-  in
-  let xsk0 = xsk_drops () in
-  let dp0 = (Dpif.counters dp).Dp_core.dropped in
-  let offered = ref 0 and pressure = ref 0 in
   let tick () =
     let now = Cpu.wall machine in
-    let opened = Faults.tick now in
-    List.iter
-      (fun (f : Faults.fault) ->
-        match f.Faults.f_action with
-        | Faults.Upcall_storm ->
-            (* the storm begins with a cache flush: every packet misses
-               into the (refusing) upcall queue *)
-            Dpif.flush_caches dp
-        | Faults.Ct_pressure { zone; limit } ->
-            (* table pressure early-drops existing connections; they must
-               re-commit against the forced limit and fail into +inv *)
-            ignore
-              (Ovs_conntrack.Conntrack.evict_to_limit (Dpif.conntrack dp)
-                 ~zone ~limit
-                : int)
-        | _ -> ())
-      opened;
+    fault_tick r ~now;
     ignore (Health.check health ~now : int)
   in
-  let injected = ref 0 in
-  while !injected < cfg.measure do
-    for _ = 1 to batch do
-      let pkt = Pktgen.next r.r_gen in
-      (match Faults.mutate () with
-      | Some (`Truncate frac) ->
-          pkt.Ovs_packet.Buffer.len <-
-            Int.max 4
-              (int_of_float (frac *. float_of_int pkt.Ovs_packet.Buffer.len))
-      | Some `Corrupt ->
-          (* clobber the ethertype: the frame stops being IP *)
-          Ovs_packet.Buffer.set_u8 pkt 12 0xff
-      | None -> ());
-      Cpu.charge loadgen Cpu.User pkt_ns;
-      (* birth on the arrival clock, stamped after mangling: a dropped
-         mangled packet must not leak its timestamp into the sketch *)
-      if cfg.latency then pkt.Ovs_packet.Buffer.birth_ns <- Cpu.busy loadgen;
-      let rxd_before = phy0.Netdev.stats.Netdev.rx_dropped in
-      if Netdev.rss_enqueue phy0 pkt then incr offered
-      else if phy0.Netdev.stats.Netdev.rx_dropped > rxd_before then
-        (* dropped-and-counted at the NIC: still offered *)
-        incr offered
-      else incr pressure;
-      incr injected
-    done;
-    tick ();
-    poll_sweep r
-  done;
-  (* drain: keep the clock moving until every window has closed, every
-     queue is empty and the monitor reports healthy *)
-  let iters = ref 0 in
-  while
-    (in_flight r > 0 || Faults.pending_windows ()
-   || not (Health.healthy health))
-    && !iters < 200_000
-  do
-    incr iters;
-    Cpu.charge loadgen Cpu.User (Time.us 1.);
-    tick ();
-    poll_sweep r
-  done;
-  let delivered = phy1.Netdev.stats.Netdev.tx_packets - tx0 in
-  let drops =
-    phy0.Netdev.stats.Netdev.rx_dropped - rxd0
-    + ((Dpif.counters dp).Dp_core.dropped - dp0)
-    + (xsk_drops () - xsk0)
-    + (vdev_rxd () - vdev_rxd0)
-  in
-  let infl = in_flight r in
+  offer r ledger pace ~mutate:mangle ~tick (whole_batches cfg.measure);
+  drain r ~idle:loadgen ~tick
+    ~busy:(fun () -> Faults.pending_windows () || not (Health.healthy health))
+    200_000;
+  let books = Ledger.diff ledger r in
   let wall_b = Float.max (Cpu.wall machine) 1. in
-  let faulted_pps = float_of_int delivered /. wall_b *. 1e9 in
+  let faulted_pps = float_of_int books.Ledger.d_delivered /. wall_b *. 1e9 in
   let restarts =
     match r.r_rt with
     | Some rt -> List.fold_left (fun a p -> a + Pmd.restarts p) 0 (Pmd.pmds rt)
@@ -910,18 +1025,19 @@ let run_chaos (cfg : config) (plan : Faults.plan) : chaos_result =
     c_baseline_mpps = baseline_pps /. 1e6;
     c_faulted_mpps = faulted_pps /. 1e6;
     c_post_mpps = post_pps /. 1e6;
-    c_offered = !offered;
-    c_delivered = delivered;
-    c_drops = drops;
-    c_pressure_rejects = !pressure;
-    c_in_flight = infl;
-    c_conserved = !offered = delivered + drops && infl = 0;
+    c_offered = books.Ledger.d_offered;
+    c_delivered = books.Ledger.d_delivered;
+    c_drops = Ledger.drops books;
+    c_pressure_rejects = books.Ledger.d_rejected;
+    c_in_flight = books.Ledger.d_in_flight;
+    c_conserved = Ledger.conserved books;
     c_recovery_ns = Health.last_recovery health;
     c_restarts = restarts;
     c_repairs = Health.repairs health;
     c_fired = fired;
     c_health = health_text;
     c_latency_count = lat_count;
+    c_ledger = books;
   }
 
 (* -- live reconfiguration: OVSDB-driven control churn on a running rig -- *)
@@ -970,6 +1086,7 @@ type reconfig_result = {
   rc_lat_count : int;  (** sojourn samples, -1 with latency off *)
   rc_p50_ns : float;
   rc_p99_ns : float;
+  rc_ledger : Ledger.diff;  (** the churn phase's books, counter by counter *)
 }
 
 (* Everything recorded when a swap begins, so its report can be settled
@@ -977,9 +1094,7 @@ type reconfig_result = {
 type swap_mark = {
   m_style : Reconfig.swap_style;
   m_w0 : Time.ns;
-  m_off0 : int;
-  m_del0 : int;
-  m_drops0 : int;
+  m_books : Ledger.diff;  (** the phase's books when the swap began *)
   m_ups0 : int;
   m_shadow_rules : int;
   m_mods : int;
@@ -996,22 +1111,10 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
     reconfig_result =
   let r = setup cfg in
   let machine = r.r_machine and dp = r.r_dp in
-  let phy0 = r.r_phy0 and phy1 = r.r_phy1 in
-  (* the generator is its own line-rate core, exactly as in run_chaos:
-     virtual wall time must advance even when forwarding stalls *)
-  let loadgen =
-    match r.r_loadgen with Some lg -> lg | None -> Cpu.ctx machine "loadgen"
-  in
-  let pkt_ns = 1e9 /. Netdev.line_rate_pps phy0 ~frame_len:cfg.frame_len in
-  drive r cfg.warmup;
+  let loadgen, pace = generator_core r in
+  warm r;
   Dpif.set_revalidator_enabled dp true;
-
-  (* the churn phase starts from a clean slate *)
-  quiesce r;
-  Pktgen.reset r.r_gen;
-  List.iter Cpu.reset machine.Cpu.ctxs;
-  Dpif.reset_measurement dp;
-  (match r.r_rt with Some rt -> Pmd.reset_stats rt | None -> ());
+  let ledger = replay r "churn" in
 
   (* the plan rides the management channel: stored as one OVSDB
      transaction, then read back row by row — the switch never sees the
@@ -1021,34 +1124,9 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
   let ovsdb_rows = Ovs_ovsdb.Db.row_count db ~table:"Churn_op" in
   let plan = Reconfig.load_plan db ~name:plan.Reconfig.plan_name in
 
-  let tx () = phy1.Netdev.stats.Netdev.tx_packets in
+  let tx () = Ledger.delivered ledger r in
   let ups () = (Dpif.counters dp).Dp_core.upcalls in
-  let xsk_drops () =
-    match Dpif.xsks dp ~port_no:r.r_p0 with
-    | Some xs ->
-        Array.fold_left
-          (fun a x -> a + x.Xsk.rx_dropped_no_frame + x.Xsk.rx_dropped_ring_full)
-          0 xs
-    | None -> 0
-  in
-  let vdev_rxd () =
-    List.fold_left
-      (fun a (d, _) -> a + d.Netdev.stats.Netdev.rx_dropped)
-      0 r.r_vdevs
-  in
-  let tx0 = tx () in
-  let rxd0 = phy0.Netdev.stats.Netdev.rx_dropped in
-  let xsk0 = xsk_drops () in
-  let dp0 = (Dpif.counters dp).Dp_core.dropped in
-  let vdev0 = vdev_rxd () in
-  let drops () =
-    phy0.Netdev.stats.Netdev.rx_dropped - rxd0
-    + ((Dpif.counters dp).Dp_core.dropped - dp0)
-    + (xsk_drops () - xsk0)
-    + (vdev_rxd () - vdev0)
-  in
-
-  let offered = ref 0 and injected = ref 0 in
+  let injected = ref 0 in
   let flow_mods = ref 0 and divergences = ref 0 in
   let events = ref [] and burst_mark = ref None in
   let marks = ref None and rec_pending = ref None and recovery = ref 0. in
@@ -1063,23 +1141,8 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
     | _ -> ()
   in
   let inject n =
-    let stop = !injected + n in
-    while !injected < stop do
-      let m = Int.min batch (stop - !injected) in
-      for _ = 1 to m do
-        let pkt = Pktgen.next r.r_gen in
-        Cpu.charge loadgen Cpu.User pkt_ns;
-        if cfg.latency then pkt.Ovs_packet.Buffer.birth_ns <- Cpu.busy loadgen;
-        ignore (Netdev.rss_enqueue phy0 pkt : bool);
-        (* under Rx_drop a refused packet is a counted rx drop: offered
-           either way, and the drop term balances the books *)
-        incr offered;
-        incr injected
-      done;
-      Engine_vt.note_offered r.r_eng m;
-      poll_sweep r;
-      probe_recovery ()
-    done
+    offer r ledger pace ~after_poll:probe_recovery n;
+    injected := !injected + n
   in
 
   (* close the previous event's upcall-burst window *)
@@ -1117,74 +1180,59 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
     end;
     List.iter
       (function
-        | Reconfig.Swap { swap_style = Reconfig.Two_phase; swap_flows } ->
-            label := "swap two-phase";
-            let w0 = Cpu.wall machine in
+        | Reconfig.Swap { swap_style; swap_flows } ->
+            label := "swap " ^ Reconfig.pp_style swap_style;
             let m0 =
               {
-                m_style = Reconfig.Two_phase;
-                m_w0 = w0;
-                m_off0 = !offered;
-                m_del0 = tx () - tx0;
-                m_drops0 = drops ();
+                m_style = swap_style;
+                m_w0 = Cpu.wall machine;
+                m_books = Ledger.diff ledger r;
                 m_ups0 = ups ();
                 m_shadow_rules = 0;
                 m_mods = 0;
                 m_evicted = 0;
               }
             in
-            (* phase 1: populate the complete shadow off to the side —
-               the live classifier serves traffic untouched meanwhile *)
-            let shadow, smods =
-              Reconfig.build_shadow ~like:(Dpif.pipeline dp) swap_flows
+            let mark =
+              match swap_style with
+              | Reconfig.Two_phase ->
+                  (* phase 1: populate the complete shadow off to the
+                     side — the live classifier serves traffic untouched
+                     meanwhile *)
+                  let shadow, smods =
+                    Reconfig.build_shadow ~like:(Dpif.pipeline dp) swap_flows
+                  in
+                  (* phase 2: one pointer store + megaflow revalidation *)
+                  let ev_evicted = Dpif.swap_pipeline dp shadow in
+                  {
+                    m0 with
+                    m_shadow_rules = Ovs_ofproto.Pipeline.flow_count shadow;
+                    m_mods = smods;
+                    m_evicted = ev_evicted;
+                  }
+              | Reconfig.Naive ->
+                  (* in-place: delete everything, revalidate (storm #1 —
+                     the cache follows the now-empty tables), let traffic
+                     run into the hole, then install the replacement and
+                     revalidate again (storm #2 evicts the drop-cached
+                     misses) *)
+                  let conn = Ofconn.create ~pipeline:(Dpif.pipeline dp) () in
+                  let dm = Reconfig.apply_ops conn [ Reconfig.Delete "" ] in
+                  let _, ev1, div1 = Dpif.revalidate_check dp in
+                  inject
+                    (Int.min naive_window (Int.max 0 (cfg.measure - !injected)));
+                  let am =
+                    Reconfig.apply_ops conn
+                      (List.map (fun l -> Reconfig.Insert l) swap_flows)
+                  in
+                  let _, ev2, div2 = Dpif.revalidate_check dp in
+                  divs := !divs + div1 + div2;
+                  { m0 with m_mods = dm + am; m_evicted = ev1 + ev2 }
             in
-            (* phase 2: one pointer store + megaflow revalidation *)
-            let ev_evicted = Dpif.swap_pipeline dp shadow in
-            n_mods := !n_mods + smods;
-            evicted := !evicted + ev_evicted;
-            marks :=
-              Some
-                {
-                  m0 with
-                  m_shadow_rules = Ovs_ofproto.Pipeline.flow_count shadow;
-                  m_mods = smods;
-                  m_evicted = ev_evicted;
-                };
-            rec_pending := Some (w0, tx ())
-        | Reconfig.Swap { swap_style = Reconfig.Naive; swap_flows } ->
-            label := "swap naive";
-            let w0 = Cpu.wall machine in
-            let m0 =
-              {
-                m_style = Reconfig.Naive;
-                m_w0 = w0;
-                m_off0 = !offered;
-                m_del0 = tx () - tx0;
-                m_drops0 = drops ();
-                m_ups0 = ups ();
-                m_shadow_rules = 0;
-                m_mods = 0;
-                m_evicted = 0;
-              }
-            in
-            (* in-place: delete everything, revalidate (storm #1 — the
-               cache follows the now-empty tables), let traffic run into
-               the hole, then install the replacement and revalidate
-               again (storm #2 evicts the drop-cached misses) *)
-            let conn = Ofconn.create ~pipeline:(Dpif.pipeline dp) () in
-            let dm = Reconfig.apply_ops conn [ Reconfig.Delete "" ] in
-            let _, ev1, div1 = Dpif.revalidate_check dp in
-            inject (Int.min naive_window (Int.max 0 (cfg.measure - !injected)));
-            let am =
-              Reconfig.apply_ops conn
-                (List.map (fun l -> Reconfig.Insert l) swap_flows)
-            in
-            let _, ev2, div2 = Dpif.revalidate_check dp in
-            n_mods := !n_mods + dm + am;
-            evicted := !evicted + ev1 + ev2;
-            divs := !divs + div1 + div2;
-            marks := Some { m0 with m_mods = dm + am; m_evicted = ev1 + ev2 };
-            rec_pending := Some (w0, tx ())
+            n_mods := !n_mods + mark.m_mods;
+            evicted := !evicted + mark.m_evicted;
+            marks := Some mark;
+            rec_pending := Some (mark.m_w0, tx ())
         | _ -> ())
       swaps;
     let d1, rt1, _ = reval_cum () in
@@ -1220,14 +1268,10 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
     while fire_due () do () done
   done;
   (* drain: events past the traffic tail still fire on the idle clock *)
-  let iters = ref 0 in
-  while (!pending <> [] || in_flight r > 0) && !iters < 200_000 do
-    incr iters;
-    Cpu.charge loadgen Cpu.User (Time.us 1.);
-    ignore (fire_due () : bool);
-    poll_sweep r;
-    probe_recovery ()
-  done;
+  drain r ~idle:loadgen
+    ~busy:(fun () -> !pending <> [])
+    ~tick:(fun () -> ignore (fire_due () : bool))
+    ~after_poll:probe_recovery 200_000;
   close_burst ();
   (* a swap that never saw a post-cutover delivery charges the whole
      remaining run as its outage *)
@@ -1237,41 +1281,37 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
       rec_pending := None
   | None -> ());
 
-  let delivered = tx () - tx0 in
-  let total_drops = drops () in
-  let infl = in_flight r in
-  let vanished = !offered - delivered - total_drops - infl in
+  let books = Ledger.diff ledger r in
   let upgrade =
-    match !marks with
-    | None -> None
-    | Some m ->
-        let w_off = !offered - m.m_off0 in
-        let w_del = delivered - m.m_del0 in
-        let w_drops = total_drops - m.m_drops0 in
-        Some
-          {
-            Reconfig.up_style = m.m_style;
-            up_leg = Dpif.kind_name cfg.kind;
-            up_shadow_rules = m.m_shadow_rules;
-            up_flow_mods = m.m_mods;
-            up_evicted = m.m_evicted;
-            up_upcall_burst = ups () - m.m_ups0;
-            up_offered = w_off;
-            up_delivered = w_del;
-            up_lost = w_off - w_del - w_drops;
-            up_recovery_ns = !recovery;
-          }
+    Option.map
+      (fun m ->
+        let w_off = books.Ledger.d_offered - m.m_books.Ledger.d_offered in
+        let w_del = books.Ledger.d_delivered - m.m_books.Ledger.d_delivered in
+        let w_drops = Ledger.drops books - Ledger.drops m.m_books in
+        {
+          Reconfig.up_style = m.m_style;
+          up_leg = Dpif.kind_name cfg.kind;
+          up_shadow_rules = m.m_shadow_rules;
+          up_flow_mods = m.m_mods;
+          up_evicted = m.m_evicted;
+          up_upcall_burst = ups () - m.m_ups0;
+          up_offered = w_off;
+          up_delivered = w_del;
+          up_lost = w_off - w_del - w_drops;
+          up_recovery_ns = !recovery;
+        })
+      !marks
   in
   let lat = Dpif.latency dp in
   {
     rc_plan = plan.Reconfig.plan_name;
     rc_leg = Dpif.kind_name cfg.kind;
-    rc_offered = !offered;
-    rc_delivered = delivered;
-    rc_drops = total_drops;
-    rc_vanished = vanished;
-    rc_in_flight = infl;
-    rc_conserved = (!offered = delivered + total_drops) && infl = 0;
+    rc_offered = books.Ledger.d_offered;
+    rc_delivered = books.Ledger.d_delivered;
+    rc_drops = Ledger.drops books;
+    rc_vanished = Ledger.unaccounted books;
+    rc_in_flight = books.Ledger.d_in_flight;
+    rc_conserved = Ledger.conserved books;
     rc_events = List.rev !events;
     rc_flow_mods = !flow_mods;
     rc_ovsdb_rows = ovsdb_rows;
@@ -1282,6 +1322,7 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
       (if cfg.latency then Ovs_sim.Quantiles.count lat else -1);
     rc_p50_ns = (if cfg.latency then Ovs_sim.Quantiles.p50 lat else 0.);
     rc_p99_ns = (if cfg.latency then Ovs_sim.Quantiles.p99 lat else 0.);
+    rc_ledger = books;
   }
 
 (** The real-parallelism cutover: drive the P2P rig on OCaml domains
@@ -1297,9 +1338,6 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
 let run_reconfig_multicore ?(n_domains = 2) (cfg : config)
     ~(flows_before : string list) ~(flows_after : string list) () :
     Engine.stats * string list * int =
-  (match cfg.topology with
-  | P2P -> ()
-  | _ -> invalid_arg "Scenario.run_reconfig_multicore: only P2P");
   let wire_pipeline flows =
     let like = Ovs_ofproto.Pipeline.create ~n_tables:4 () in
     Ovs_ofproto.Pipeline.set_ports like [ 0; 1 ];
@@ -1307,27 +1345,15 @@ let run_reconfig_multicore ?(n_domains = 2) (cfg : config)
     p
   in
   let live = Atomic.make (wire_pipeline flows_before) in
-  let gen =
-    Pktgen.create ~mix:cfg.mix ~n_flows:cfg.n_flows ~frame_len:cfg.frame_len ()
-  in
-  let templates =
-    Array.map
-      (fun (b : Ovs_packet.Buffer.t) ->
-        Bytes.sub b.Ovs_packet.Buffer.data b.Ovs_packet.Buffer.start
-          b.Ovs_packet.Buffer.len)
-      gen.Pktgen.templates
-  in
   let translate key =
     (Ovs_ofproto.Pipeline.translate (Atomic.get live) key)
       .Ovs_ofproto.Pipeline.odp_actions
     <> []
   in
-  let ecfg =
-    Engine_domains.config ~n_domains ~frame_len:cfg.frame_len
-      ~target:cfg.measure ~upcall_capacity:cfg.upcall_capacity ~oracles:true
-      ~translate ~templates ()
+  let eng =
+    Engine_domains.create
+      (domains_config ~oracles:true cfg ~n_domains ~translate)
   in
-  let eng = Engine_domains.create ecfg in
   let cut_at = cfg.measure / 2 in
   Engine_domains.start eng;
   let seen = ref 0 and spins = ref 0 in

@@ -262,6 +262,199 @@ let domains_via_run () =
   check Alcotest.bool "run dispatches to the domains engine" true
     (r.Scenario.packets > 0 && r.Scenario.rate_mpps > 0.)
 
+(* -- phase goldens: the chaos, reconfig, latency/NDR and explorer phases --
+
+   Each phase driver charges virtual time through its own offer, poll and
+   drain order; these fingerprints pin every bit of what they report, so
+   a refactor of the rig's phase machinery must reproduce them exactly. *)
+
+module Chaos = Ovs_trafficgen.Chaos
+module Reconfig = Ovs_ofproto.Reconfig
+module Dpif = Ovs_datapath.Dpif
+module Q = Ovs_sim.Quantiles
+module Mc = Ovs_mc.Mc
+
+let chaos_fingerprint (c : Scenario.chaos_result) =
+  Printf.sprintf
+    "base=%.17g fault=%.17g post=%.17g offered=%d delivered=%d drops=%d \
+     rejects=%d in_flight=%d recovery=%s restarts=%d repairs=%d fired=[%s] \
+     samples=%d"
+    c.Scenario.c_baseline_mpps c.Scenario.c_faulted_mpps c.Scenario.c_post_mpps
+    c.Scenario.c_offered c.Scenario.c_delivered c.Scenario.c_drops
+    c.Scenario.c_pressure_rejects c.Scenario.c_in_flight
+    (match c.Scenario.c_recovery_ns with
+    | Some ns -> Printf.sprintf "%.17g" ns
+    | None -> "-")
+    c.Scenario.c_restarts c.Scenario.c_repairs
+    (String.concat ","
+       (List.map (fun (n, k) -> Printf.sprintf "%s:%d" n k) c.Scenario.c_fired))
+    c.Scenario.c_latency_count
+
+let chaos_golden plan leg ~measure () =
+  let spec = List.find (fun s -> s.Chaos.s_name = plan) Chaos.catalog in
+  let cfg = { (Chaos.leg_config spec leg) with Scenario.measure } in
+  Scenario.run_chaos cfg spec.Chaos.s_plan |> chaos_fingerprint
+
+let reconfig_fingerprint (r : Scenario.reconfig_result) =
+  let event (e : Scenario.churn_event) =
+    Printf.sprintf "%.17g %s mods=%d dirty=%d retx=%d evicted=%d div=%d up=%d"
+      e.Scenario.e_at_s e.Scenario.e_label e.Scenario.e_flow_mods
+      e.Scenario.e_dirty e.Scenario.e_retx e.Scenario.e_evicted
+      e.Scenario.e_divergences e.Scenario.e_upcalls
+  in
+  Printf.sprintf
+    "offered=%d delivered=%d drops=%d vanished=%d in_flight=%d mods=%d \
+     rows=%d div=%d upcalls=%d samples=%d p50=%.17g p99=%.17g events=[%s] \
+     upgrade=%s"
+    r.Scenario.rc_offered r.Scenario.rc_delivered r.Scenario.rc_drops
+    r.Scenario.rc_vanished r.Scenario.rc_in_flight r.Scenario.rc_flow_mods
+    r.Scenario.rc_ovsdb_rows r.Scenario.rc_divergences r.Scenario.rc_upcalls
+    r.Scenario.rc_lat_count r.Scenario.rc_p50_ns r.Scenario.rc_p99_ns
+    (String.concat "; " (List.map event r.Scenario.rc_events))
+    (match r.Scenario.rc_upgrade with
+    | None -> "-"
+    | Some u ->
+        Printf.sprintf
+          "%s shadow=%d mods=%d evicted=%d burst=%d offered=%d delivered=%d \
+           lost=%d recovery=%.17g"
+          (Reconfig.pp_style u.Reconfig.up_style)
+          u.Reconfig.up_shadow_rules u.Reconfig.up_flow_mods
+          u.Reconfig.up_evicted u.Reconfig.up_upcall_burst
+          u.Reconfig.up_offered u.Reconfig.up_delivered u.Reconfig.up_lost
+          u.Reconfig.up_recovery_ns)
+
+(* the reconfig bench's churn plan, shrunk: three rule events, then the
+   whole-table swap at 60% of the measured window *)
+let reconfig_golden ~naive () =
+  let measure = 4_000 in
+  let t_total = float_of_int measure *. (8. *. 84. /. 25.) /. 1e9 in
+  let swap_flows =
+    [
+      "table=0,priority=300,udp,in_port=0,actions=output:1";
+      "table=0,priority=200,in_port=0,actions=output:1";
+      "table=0,priority=50,actions=output:1";
+    ]
+  in
+  let text =
+    String.concat "\n"
+      [
+        Printf.sprintf
+          "@%.9f insert table=0,priority=400,udp,in_port=0,actions=output:1"
+          (0.20 *. t_total);
+        Printf.sprintf "@%.9f delete table=0,udp,in_port=0" (0.50 *. t_total);
+        Printf.sprintf "@%.9f %s %s" (0.60 *. t_total)
+          (if naive then "swap-naive" else "swap")
+          (String.concat "; " swap_flows);
+      ]
+  in
+  let plan = Reconfig.plan_of_string ~name:"golden" text in
+  Scenario.run_reconfig ~naive_window:256
+    (Scenario.config ~kind:Dpif.Dpdk ~warmup:1_000 ~measure
+       ~latency:(not naive) ())
+    plan
+  |> reconfig_fingerprint
+
+let sketch_fingerprint (delivered, q) =
+  Printf.sprintf "delivered=%d n=%d sum=%.17g p50=%.17g p99=%.17g max=%.17g"
+    delivered (Q.count q) (Q.sum q) (Q.p50 q) (Q.p99 q) (Q.quantile q 100.)
+
+let latency_golden () =
+  let rig =
+    Scenario.setup
+      (Scenario.config ~kind:(Dpif.Afxdp Dpif.afxdp_default) ~n_flows:64
+         ~latency:true ())
+  in
+  Scenario.drive rig 2_000;
+  (* the sketch is the datapath's live one: read it before the probe *)
+  let rung = sketch_fingerprint (Scenario.measure_latency rig ~rate_pps:6e6 5_000) in
+  let probe = Scenario.ndr_probe rig ~rate_pps:3e7 20_000 in
+  Printf.sprintf "%s | ndr offered=%d delivered=%d" rung
+    probe.Ovs_trafficgen.Ndr.offered probe.Ovs_trafficgen.Ndr.delivered
+
+let mc_fingerprint (o : Mc.outcome) =
+  Printf.sprintf "explored=%d pruned=%d %s" o.Mc.o_explored o.Mc.o_pruned
+    (match o.Mc.o_violation with
+    | None -> "clean"
+    | Some (v, sched) ->
+        Printf.sprintf "%s@%d/t%d len=%d %s"
+          (Mc.oracle_name v.Mc.v_oracle)
+          v.Mc.v_step v.Mc.v_thread (Array.length sched)
+          (Option.value ~default:"-" (Mc.artifact_of_outcome o)))
+
+let mc_golden () =
+  String.concat "\n"
+    (mc_fingerprint (Mc.explore Mc.Tiny)
+    :: List.map
+         (fun (name, mutation) ->
+           name ^ ": " ^ mc_fingerprint (Mc.explore ~mutation Mc.Tiny))
+         Mc.mutations)
+
+let golden_chaos_pmd () =
+  check Alcotest.string "pmd_crash on the 2-PMD leg byte-identical"
+    "base=10.053192427870972 fault=7.9937656621595812 \
+     post=10.053192427870972 offered=8000 delivered=8000 drops=0 \
+     rejects=0 in_flight=0 recovery=150301.13749999047 restarts=1 \
+     repairs=1 fired=[crash:1] samples=8000"
+    (chaos_golden "pmd_crash" Chaos.Pmd_leg ~measure:8_000 ())
+
+let golden_chaos_afxdp () =
+  check Alcotest.string "pkt_mangle on the AF_XDP leg byte-identical"
+    "base=7.2429324822888246 fault=5.7325883494495686 \
+     post=7.2429324822888246 offered=8000 delivered=6430 drops=1570 \
+     rejects=0 in_flight=0 recovery=- restarts=0 repairs=0 \
+     fired=[truncate:1173,corrupt:930] samples=6430"
+    (chaos_golden "pkt_mangle" Chaos.Afxdp_leg ~measure:8_000 ())
+
+let golden_reconfig_two_phase () =
+  check Alcotest.string "two-phase swap byte-identical"
+    "offered=4000 delivered=4000 drops=0 vanished=0 in_flight=0 mods=5 \
+     rows=3 div=0 upcalls=3 samples=4000 p50=239944.25684337845 \
+     p99=402551.82147479517 events=[2.1503999999999999e-05 flow_mods \
+     mods=1 dirty=1 retx=1 evicted=1 div=0 up=1; 5.376e-05 flow_mods \
+     mods=1 dirty=1 retx=1 evicted=1 div=0 up=1; 6.4511999999999995e-05 \
+     swap two-phase mods=3 dirty=0 retx=0 evicted=1 div=0 up=1] \
+     upgrade=two-phase shadow=3 mods=3 evicted=1 burst=1 offered=3680 \
+     delivered=3680 lost=0 recovery=29432.600000000093"
+    (reconfig_golden ~naive:false ())
+
+let golden_reconfig_naive () =
+  check Alcotest.string "naive swap byte-identical"
+    "offered=4000 delivered=3744 drops=0 vanished=256 in_flight=0 \
+     mods=6 rows=3 div=0 upcalls=4 samples=-1 p50=0 p99=0 \
+     events=[2.1503999999999999e-05 flow_mods mods=1 dirty=1 retx=1 \
+     evicted=1 div=0 up=1; 5.376e-05 flow_mods mods=1 dirty=1 retx=1 \
+     evicted=1 div=0 up=1; 6.4511999999999995e-05 swap naive mods=4 \
+     dirty=2 retx=2 evicted=2 div=0 up=2] upgrade=naive shadow=0 mods=4 \
+     evicted=2 burst=2 offered=3680 delivered=3424 lost=256 \
+     recovery=78516.399999999616"
+    (reconfig_golden ~naive:true ())
+
+let golden_latency () =
+  check Alcotest.string "latency rung and NDR probe byte-identical"
+    "delivered=5000 n=5000 sum=12696833.333332593 \
+     p50=2517.2199609478134 p99=5152.9992504609936 \
+     max=5166.6666666672681 | ndr offered=20000 delivered=8928"
+    (latency_golden ())
+
+let golden_mc () =
+  check Alcotest.string "tiny exploration and mutation catches identical"
+    "explored=300 pruned=35 clean\ndouble_grant: explored=6 pruned=0 \
+     frame-conservation@2/t1 len=3 mc1 mode=tiny seed=0 \
+     mut=double_grant sched=221\nsecond_claim: explored=1 pruned=0 \
+     ring-sanity@0/t3 len=1 mc1 mode=tiny seed=0 mut=second_claim \
+     sched=3\nleak_frame: explored=79 pruned=0 frame-conservation@3/t0 \
+     len=4 mc1 mode=tiny seed=0 mut=leak_frame sched=0220\nlose_packet: \
+     explored=1 pruned=0 packet-conservation@2/t0 len=3 mc1 mode=tiny \
+     seed=0 mut=lose_packet sched=000\noverflow_queue: explored=1 \
+     pruned=0 queue-bounds@0/t0 len=1 mc1 mode=tiny seed=0 \
+     mut=overflow_queue sched=0\nring_rewind: explored=1 pruned=0 \
+     ring-sanity@1/t3 len=2 mc1 mode=tiny seed=0 mut=ring_rewind \
+     sched=03\nuntraced_charge: explored=1 pruned=0 \
+     trace-accounting@1/t0 len=2 mc1 mode=tiny seed=0 \
+     mut=untraced_charge sched=00"
+    (mc_golden ())
+
+
 let () =
   Alcotest.run "ovs_engine"
     [
@@ -271,6 +464,16 @@ let () =
           Alcotest.test_case "golden legacy" `Quick golden_legacy;
           Alcotest.test_case "golden pvp" `Quick golden_pvp;
           Alcotest.test_case "repeatable" `Quick vt_repeatable;
+        ] );
+      ( "phase-goldens",
+        [
+          Alcotest.test_case "chaos pmd_crash 2-PMD" `Quick golden_chaos_pmd;
+          Alcotest.test_case "chaos pkt_mangle afxdp" `Quick golden_chaos_afxdp;
+          Alcotest.test_case "reconfig two-phase" `Quick
+            golden_reconfig_two_phase;
+          Alcotest.test_case "reconfig naive" `Quick golden_reconfig_naive;
+          Alcotest.test_case "latency rung + ndr probe" `Quick golden_latency;
+          Alcotest.test_case "mc tiny" `Quick golden_mc;
         ] );
       ( "handle",
         [ Alcotest.test_case "dispatch" `Quick handle_dispatch ] );

@@ -116,6 +116,19 @@ let test_noop_padding () =
   Alcotest.(check bool) "padded schedule still clean" true
     (Mc.run_schedule Mc.Tiny padded = None)
 
+(* A packet-conservation violation carries the rig ledger's books: the
+   phase, every moved drop counter and the unaccounted remainder. *)
+let test_packet_violation_names_books () =
+  match (Mc.explore ~mutation:Mc.M_lose_packet Mc.Tiny).Mc.o_violation with
+  | None -> Alcotest.fail "lose_packet not caught"
+  | Some (v, _) ->
+      Alcotest.(check string) "oracle" "packet-conservation"
+        (Mc.oracle_name v.Mc.v_oracle);
+      Alcotest.(check string) "detail is the ledger diff"
+        "phase mc: offered 16 = delivered 4 + drops 1 [dp.dropped +1] + in \
+         flight 10 + 1 unaccounted"
+        v.Mc.v_detail
+
 let () =
   Alcotest.run "ovs_mc"
     [
@@ -130,6 +143,8 @@ let () =
           Alcotest.test_case "deterministic rerun" `Quick
             test_deterministic_rerun;
           Alcotest.test_case "no-op padding replays" `Quick test_noop_padding;
+          Alcotest.test_case "packet violation names the books" `Quick
+            test_packet_violation_names_books;
         ] );
       ( "mutations",
         List.map

@@ -358,6 +358,76 @@ let test_rr_deterministic () =
   let b = Rr.run ~seed:3 (Rr.interhost_path c Rr.Rr_kernel) in
   check (Alcotest.float 1e-9) "deterministic" a.Rr.p99_us b.Rr.p99_us
 
+(* -- the conservation ledger: one drop counter moves per cause -- *)
+
+module Ledger = Scenario.Ledger
+module Chaos = Ovs_trafficgen.Chaos
+
+(* The phase's books conserve and exactly [counter] moved. *)
+let check_one_counter counter (books : Ledger.diff) =
+  let moved = List.filter (fun (_, n) -> n <> 0) books.Ledger.d_drops in
+  check
+    Alcotest.(list string)
+    (Printf.sprintf "only %s moved (%s)" counter (Ledger.render books))
+    [ counter ] (List.map fst moved);
+  check Alcotest.bool
+    (Printf.sprintf "books conserve (%s)" (Ledger.render books))
+    true (Ledger.conserved books)
+
+(* offer past the NIC ring's capacity with no poll, then drain *)
+let test_ledger_nic_overflow () =
+  let r = Scenario.setup (Scenario.config ~kind:Dpif.Kernel ()) in
+  let ledger = Scenario.reset r "overflow" in
+  let extra = 100 in
+  for _ = 1 to r.Scenario.r_phy0.Ovs_netdev.Netdev.queue_capacity + extra do
+    Ledger.offer ledger r (Pktgen.next r.Scenario.r_gen)
+  done;
+  Scenario.quiesce r;
+  let books = Ledger.diff ledger r in
+  check_one_counter "phy0.rx_dropped" books;
+  check Alcotest.int "the overflow is the drop count" extra (Ledger.drops books)
+
+let chaos_books plan leg =
+  let spec = List.find (fun s -> s.Chaos.s_name = plan) Chaos.catalog in
+  let cfg = { (Chaos.leg_config spec leg) with Scenario.measure = 8_000 } in
+  (Scenario.run_chaos cfg spec.Chaos.s_plan).Scenario.c_ledger
+
+let test_ledger_umem_exhaust () =
+  check_one_counter "xsk.rx_dropped_no_frame"
+    (chaos_books "umem_exhaust" Chaos.Afxdp_leg)
+
+let test_ledger_mangled_drop () =
+  check_one_counter "dp.dropped" (chaos_books "pkt_mangle" Chaos.Kernel_leg)
+
+(* a guest whose virtual NIC is down drops every bounced packet *)
+let test_ledger_vdev_overflow () =
+  let r =
+    Scenario.setup
+      (Scenario.config ~kind:Dpif.Dpdk
+         ~topology:(Scenario.PVP Scenario.Vm_vhost) ())
+  in
+  List.iter (fun (d, _) -> d.Ovs_netdev.Netdev.up <- false) r.Scenario.r_vdevs;
+  let ledger = Scenario.reset r "vdev" in
+  Scenario.drive ~ledger r 320;
+  Scenario.quiesce r;
+  let books = Ledger.diff ledger r in
+  check_one_counter "vdev.rx_dropped" books;
+  check Alcotest.int "every offered packet dropped at the guest" 320
+    (Ledger.drops books)
+
+(* a leak the books cannot place is named, with its phase *)
+let test_ledger_names_a_leak () =
+  let r = Scenario.setup (Scenario.config ~kind:Dpif.Kernel ()) in
+  let ledger = Scenario.reset r "leaky" in
+  Ledger.offer ledger r (Pktgen.next r.Scenario.r_gen);
+  ignore (Ovs_netdev.Netdev.dequeue r.Scenario.r_phy0 ~queue:0 ~max:1);
+  let books = Ledger.diff ledger r in
+  check Alcotest.int "one packet unaccounted" 1 (Ledger.unaccounted books);
+  check Alcotest.string "rendered books"
+    "phase leaky: offered 1 = delivered 0 + drops 0 [no drop counter \
+     moved] + in flight 0 + 1 unaccounted"
+    (Ledger.render books)
+
 let () =
   Alcotest.run "ovs_trafficgen"
     [
@@ -389,6 +459,15 @@ let () =
           Alcotest.test_case "fig9 vhost beats tap" `Slow test_fig9_pvp_vhost_beats_tap;
           Alcotest.test_case "fig9 pcp xdp wins" `Slow test_fig9_pcp_xdp_wins;
           Alcotest.test_case "fig12 scaling and gap" `Slow test_fig12_scaling_and_gap;
+        ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "nic ring overflow" `Quick test_ledger_nic_overflow;
+          Alcotest.test_case "umem exhaust" `Quick test_ledger_umem_exhaust;
+          Alcotest.test_case "strict_match mangled drop" `Quick
+            test_ledger_mangled_drop;
+          Alcotest.test_case "vdev overflow" `Quick test_ledger_vdev_overflow;
+          Alcotest.test_case "names a leak" `Quick test_ledger_names_a_leak;
         ] );
       ( "tcp_model",
         [
