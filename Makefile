@@ -1,5 +1,5 @@
 # Tier-1 verification in one command.
-.PHONY: all check build test smoke bench chaos ccache mc multicore latency ndr policy scale reconfig clean
+.PHONY: all check build test smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff clean
 
 all: build
 
@@ -83,6 +83,14 @@ scale:
 # domains. Writes BENCH_reconfig.json.
 reconfig:
 	dune exec bench/main.exe -- reconfig --json
+
+# Charged-time regression diff against another revision: every
+# deterministic bench experiment's stdout on REV vs the working tree
+# (wall-clock lines exempt); exits nonzero on any difference. Not part
+# of check: a change that moves charged numbers on purpose shows them
+# here. Usage: make charged-diff REV=<rev>
+charged-diff:
+	scripts/charged-diff.sh $(REV)
 
 check: build test smoke chaos ccache mc multicore latency ndr policy scale reconfig
 

@@ -11,6 +11,7 @@ module Costs = Ovs_sim.Costs
 module Dpif = Ovs_datapath.Dpif
 module Engine = Ovs_datapath.Engine
 module Scenario = Ovs_trafficgen.Scenario
+module Ledger = Scenario.Ledger
 
 let section title = Fmt.pr "@.=== %s ===@." title
 
@@ -377,17 +378,13 @@ let ablations () =
    poll-mode cores and read the per-PMD pmd-stats-show breakdown. *)
 let pmd_exp () =
   section "PMD runtime: per-PMD stats and 1->4 core scaling (AF_XDP, 64B)";
-  let legacy = Scenario.run (Scenario.config ~gbps:25. ()) in
-  let parity = Scenario.run (Scenario.config ~gbps:25. ~n_pmds:1 ~n_rxqs:1 ()) in
-  row "single-queue parity: legacy loop %.2f Mpps | PMD runtime (1 pmd) %.2f Mpps@."
-    legacy.Scenario.rate_mpps parity.Scenario.rate_mpps;
-  row "@.%-8s %12s %10s@." "n_pmds" "aggregate" "per-core";
+  row "%-8s %12s %10s@." "n_pmds" "aggregate" "per-core";
   let rates =
     List.map
       (fun n_pmds ->
         let r =
           Scenario.run
-            (Scenario.config ~gbps:100. ~n_flows:512 ~n_pmds ~n_rxqs:4 ())
+            (Scenario.config ~gbps:100. ~n_flows:512 ~n_pmds ~queues:4 ())
         in
         row "%-8d %10.2f M %8.2f M@." n_pmds r.Scenario.rate_mpps
           (r.Scenario.rate_mpps /. float_of_int n_pmds);
@@ -458,6 +455,7 @@ let emit file v =
 let chaos_json rows =
   let run (r : Chaos.row) =
     let c = r.Chaos.row_res in
+    let books = c.Scenario.c_ledger in
     Json.(
       Obj
         [ str "plan" r.Chaos.row_plan;
@@ -465,11 +463,12 @@ let chaos_json rows =
           num 4 "baseline_mpps" c.Scenario.c_baseline_mpps;
           num 4 "faulted_mpps" c.Scenario.c_faulted_mpps;
           num 4 "post_mpps" c.Scenario.c_post_mpps;
-          int "offered" c.Scenario.c_offered;
-          int "delivered" c.Scenario.c_delivered; int "drops" c.Scenario.c_drops;
-          int "pressure_rejects" c.Scenario.c_pressure_rejects;
-          int "in_flight" c.Scenario.c_in_flight;
-          bool "conserved" c.Scenario.c_conserved;
+          int "offered" books.Ledger.d_offered;
+          int "delivered" books.Ledger.d_delivered;
+          int "drops" (Ledger.drops books);
+          int "pressure_rejects" books.Ledger.d_rejected;
+          int "in_flight" books.Ledger.d_in_flight;
+          bool "conserved" (Ledger.conserved books);
           ( "recovery_ns",
             match c.Scenario.c_recovery_ns with
             | Some ns -> Fixed (0, ns)
@@ -838,8 +837,8 @@ let multicore_rows () =
           stats.Engine.s_offered stats.Engine.s_delivered stats.Engine.s_dropped;
       let vt =
         Scenario.run
-          (Scenario.config ~n_pmds:n ~n_rxqs:(Int.max n 1) ~queues:(Int.max n 1)
-             ~n_flows:256 ~measure:multicore_target ())
+          (Scenario.config ~n_pmds:n ~queues:n ~n_flows:256
+             ~measure:multicore_target ())
       in
       (n, stats, vt.Scenario.rate_mpps))
     [ 1; 2; 4; 8 ]
@@ -896,17 +895,14 @@ module Pktgen = Ovs_trafficgen.Pktgen
    off), the rate ladder, and the NDR probes. *)
 let lat_leg_config which ?(latency = true) ?(n_flows = 64)
     ?(offered_mpps = 0.) ?(burst = None) () =
-  let base ~kind ~n_pmds ~n_rxqs ~queues =
-    Scenario.config ~kind ~n_pmds ~n_rxqs ~queues ~n_flows ~latency
-      ~offered_mpps ~burst ()
+  let base ~kind ~queues =
+    Scenario.config ~kind ~queues ~n_flows ~latency ~offered_mpps ~burst ()
   in
   match which with
-  | `Kernel -> base ~kind:Dpif.Kernel ~n_pmds:0 ~n_rxqs:0 ~queues:1
-  | `Ebpf -> base ~kind:Dpif.Kernel_ebpf ~n_pmds:0 ~n_rxqs:0 ~queues:1
-  | `Afxdp ->
-      base ~kind:(Dpif.Afxdp Dpif.afxdp_default) ~n_pmds:0 ~n_rxqs:0 ~queues:1
-  | `Pmd ->
-      base ~kind:(Dpif.Afxdp Dpif.afxdp_default) ~n_pmds:2 ~n_rxqs:2 ~queues:2
+  | `Kernel -> base ~kind:Dpif.Kernel ~queues:1
+  | `Ebpf -> base ~kind:Dpif.Kernel_ebpf ~queues:1
+  | `Afxdp -> base ~kind:(Dpif.Afxdp Dpif.afxdp_default) ~queues:1
+  | `Pmd -> base ~kind:(Dpif.Afxdp Dpif.afxdp_default) ~queues:2
 
 let lat_legs = [ ("kernel", `Kernel); ("ebpf", `Ebpf); ("afxdp", `Afxdp);
                  ("pmd", `Pmd) ]
@@ -1772,14 +1768,15 @@ let reconfig_json (runs : Scenario.reconfig_result list)
           num 0 "recovery_ns" u.Reconfig.up_recovery_ns ])
   in
   let run (r : Scenario.reconfig_result) =
+    let books = r.Scenario.rc_ledger in
     Json.(
       Obj
         ([ str "plan" r.Scenario.rc_plan; str "leg" r.Scenario.rc_leg;
-           int "offered" r.Scenario.rc_offered;
-           int "delivered" r.Scenario.rc_delivered;
-           int "drops" r.Scenario.rc_drops;
-           int "vanished" r.Scenario.rc_vanished;
-           bool "conserved" r.Scenario.rc_conserved;
+           int "offered" books.Ledger.d_offered;
+           int "delivered" books.Ledger.d_delivered;
+           int "drops" (Ledger.drops books);
+           int "vanished" (Ledger.unaccounted books);
+           bool "conserved" (Ledger.conserved books);
            int "flow_mods" r.Scenario.rc_flow_mods;
            int "ovsdb_rows" r.Scenario.rc_ovsdb_rows;
            int "divergences" r.Scenario.rc_divergences;
@@ -1832,9 +1829,10 @@ let reconfig_exp () =
   row "%-8s %-16s %8s %9s %6s %9s %9s %5s %7s@." "leg" "plan" "offered"
     "delivered" "drops" "vanished" "flow_mods" "div" "upcalls";
   let report (r : Scenario.reconfig_result) =
+    let books = r.Scenario.rc_ledger in
     row "%-8s %-16s %8d %9d %6d %9d %9d %5d %7d@." r.Scenario.rc_leg
-      r.Scenario.rc_plan r.Scenario.rc_offered r.Scenario.rc_delivered
-      r.Scenario.rc_drops r.Scenario.rc_vanished r.Scenario.rc_flow_mods
+      r.Scenario.rc_plan books.Ledger.d_offered books.Ledger.d_delivered
+      (Ledger.drops books) (Ledger.unaccounted books) r.Scenario.rc_flow_mods
       r.Scenario.rc_divergences r.Scenario.rc_upcalls;
     List.iter
       (fun (e : Scenario.churn_event) ->
@@ -1855,12 +1853,13 @@ let reconfig_exp () =
       (fun (name, kind) ->
         let r = run ~naive:false ~latency:(name = "dpdk") kind in
         report r;
-        if not r.Scenario.rc_conserved then
+        let books = r.Scenario.rc_ledger in
+        if not (Ledger.conserved books) then
           fail_check
             "reconfig %s two-phase: %d packets vanished, %d in flight (want \
              0, 0): %s"
-            name r.Scenario.rc_vanished r.Scenario.rc_in_flight
-            (Scenario.Ledger.render r.Scenario.rc_ledger);
+            name (Ledger.unaccounted books) books.Ledger.d_in_flight
+            (Ledger.render books);
         (match r.Scenario.rc_upgrade with
         | None -> fail_check "reconfig %s two-phase: no upgrade report" name
         | Some u ->
@@ -1876,10 +1875,10 @@ let reconfig_exp () =
   (* -- the naive in-place swap: the storm and the loss are the point -- *)
   let naive = run ~naive:true ~latency:false Dpif.Dpdk in
   report naive;
-  if naive.Scenario.rc_vanished <= 0 then
+  let vanished = Ledger.unaccounted naive.Scenario.rc_ledger in
+  if vanished <= 0 then
     fail_check "reconfig naive: expected a loss window, saw %d vanished: %s"
-      naive.Scenario.rc_vanished
-      (Scenario.Ledger.render naive.Scenario.rc_ledger);
+      vanished (Ledger.render naive.Scenario.rc_ledger);
   (match naive.Scenario.rc_upgrade with
   | None -> fail_check "reconfig naive: no upgrade report"
   | Some u ->

@@ -234,8 +234,7 @@ let bind_output t =
 
 (** Add a device to the datapath; attachment is inferred from the device
     kind and the datapath flavor. Returns the port number. *)
-let add_port ?(queues_override = None) t (dev : Ovs_netdev.Netdev.t) : int =
-  ignore queues_override;
+let add_port t (dev : Ovs_netdev.Netdev.t) : int =
   let no = t.next_port in
   t.next_port <- t.next_port + 1;
   dev.Ovs_netdev.Netdev.port_no <- no;
@@ -513,7 +512,6 @@ let reset_measurement t =
 let kind t = t.kind
 let costs t = t.costs
 let ports t = List.rev t.ports  (* in add order *)
-let stats = counters
 let serialized_tx t = t.serialized_tx
 let active_queues t = t.active_queues
 let latency t = t.latency
@@ -577,6 +575,3 @@ let tracer t = Dp_core.tracer t.core
 (** Run one packet straight through the datapath core (no port/driver
     model) — what ofproto/trace uses to walk an injected packet. *)
 let process t charge pkt = Dp_core.process t.core charge pkt
-
-(** [set_xdp_program] under its appctl-flavored name. *)
-let replace_xdp_prog = set_xdp_program

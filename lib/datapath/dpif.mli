@@ -55,7 +55,7 @@ type t
 val create :
   ?costs:Ovs_sim.Costs.t -> kind:kind -> pipeline:Ovs_ofproto.Pipeline.t -> unit -> t
 
-val add_port : ?queues_override:int option -> t -> Ovs_netdev.Netdev.t -> int
+val add_port : t -> Ovs_netdev.Netdev.t -> int
 (** Attach a device (attachment inferred from its kind and the datapath
     flavor; AF_XDP physical ports get a umem, per-queue XSKs and the
     default redirect program). Returns the port number. *)
@@ -84,9 +84,6 @@ val umem_pool : t -> port_no:int -> Ovs_xsk.Umempool.t option
 val conntrack : t -> Ovs_conntrack.Conntrack.t
 
 val counters : t -> Dp_core.counters
-
-val stats : t -> Dp_core.counters
-(** Alias of {!counters}, the appctl-flavored name. *)
 
 val serialized_tx : t -> Ovs_sim.Time.ns
 (** Accumulated kernel tx-queue critical-section time: a rate floor the
@@ -132,9 +129,6 @@ val set_active_queues : t -> int -> unit
 val set_xdp_program : t -> port_no:int -> Ovs_ebpf.Xdp.t -> unit
 (** Swap the XDP program on an AF_XDP physical port without restarting
     OVS (Secs 3.4/3.5). *)
-
-val replace_xdp_prog : t -> port_no:int -> Ovs_ebpf.Xdp.t -> unit
-(** Alias of {!set_xdp_program}, the appctl-flavored name. *)
 
 val set_emc_enabled : t -> bool -> unit
 val set_smc_enabled : t -> bool -> unit

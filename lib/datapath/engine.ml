@@ -1,26 +1,20 @@
-(** The execution-engine abstraction: {e how} the PMD dataplane runs,
-    separated from {e what} it runs.
+(** The execution engines' shared readout: {e how} the PMD dataplane
+    runs, separated from {e what} it runs.
 
-    Two implementations share this interface:
+    Two engines report through these types:
     - {!Engine_vt} — the virtual-time scheduler the simulator has always
       used: one OS thread, per-context charged nanoseconds, deterministic
-      to the byte. The schedule explorer ([lib/mc]) builds on its private
-      step API.
+      to the byte. The schedule explorer ([lib/mc]) builds on the
+      {!Pmd} runtime behind it.
     - {!Engine_domains} — real parallelism: each PMD context is an OCaml
       [Domain.t], rings carry [Atomic.t] SPSC cursors, the umempool takes
       a real [Mutex.t], and throughput is wall-clock Mpps.
 
-    Callers hold a {!handle} (a first-class module packed with its state)
-    and drive it through {!start}/{!step}/{!stop}/{!stats}; which engine
-    is behind the handle is a configuration choice ({!mode}). *)
+    A run picks one by {!mode} and calls that engine directly. *)
 
 type mode = [ `Vt  (** virtual time, single thread *) | `Domains of int ]
 (** [`Domains n] runs [n] PMD domains (plus an injector and a
     revalidator domain). *)
-
-let mode_name = function
-  | `Vt -> "vt"
-  | `Domains n -> Printf.sprintf "domains:%d" n
 
 (** Per-execution-unit load readout: a PMD context's (or domain's) share
     of the work. *)
@@ -51,28 +45,3 @@ type stats = {
 
 let mpps ~delivered ~wall_ns =
   if wall_ns <= 0. then 0. else float_of_int delivered /. wall_ns *. 1e3
-
-(** What every engine implements. [start] arms the engine (spawns domains
-    in the parallel implementation; a no-op in virtual time). [step]
-    advances it — one poll sweep in virtual time, a progress probe under
-    domains (which run on their own) — returning packets newly processed.
-    [stop] quiesces, joins workers, and returns final stats. *)
-module type S = sig
-  type t
-
-  val name : string
-  val start : t -> unit
-  val step : t -> int
-  val stats : t -> stats
-  val stop : t -> stats
-end
-
-(** An engine packed with its state — the handle callers drive without
-    knowing which implementation is behind it. *)
-type handle = Handle : (module S with type t = 'a) * 'a -> handle
-
-let name (Handle ((module E), _)) = E.name
-let start (Handle ((module E), t)) = E.start t
-let step (Handle ((module E), t)) = E.step t
-let stats (Handle ((module E), t)) = E.stats t
-let stop (Handle ((module E), t)) = E.stop t

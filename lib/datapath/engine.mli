@@ -1,16 +1,13 @@
-(** The execution-engine abstraction: {e how} the PMD dataplane runs,
-    separated from {e what} it runs. Two implementations share it —
-    {!Engine_vt} (the deterministic virtual-time scheduler; the schedule
-    explorer's substrate) and {!Engine_domains} (real parallelism on
-    OCaml domains, measured in wall-clock Mpps). Callers select one via
-    {!mode} and drive it through a {!handle} without knowing which is
-    behind it. *)
+(** The execution engines' shared readout: {e how} the PMD dataplane
+    runs, separated from {e what} it runs. {!Engine_vt} (the
+    deterministic virtual-time scheduler; the schedule explorer's
+    substrate) and {!Engine_domains} (real parallelism on OCaml domains,
+    measured in wall-clock Mpps) both report {!stats}; a run picks one
+    by {!mode} and calls it directly. *)
 
 type mode = [ `Vt  (** virtual time, single thread *) | `Domains of int ]
 (** [`Domains n] runs [n] PMD domains (plus an injector and a
     revalidator domain). *)
-
-val mode_name : mode -> string
 
 (** Per-execution-unit load readout. *)
 type unit_load = {
@@ -40,25 +37,3 @@ type stats = {
 
 val mpps : delivered:int -> wall_ns:float -> float
 (** Delivered packets over nanoseconds, in millions per second. *)
-
-(** What every engine implements: [start] arms it, [step] advances it
-    (returning packets newly processed), [stop] quiesces and returns
-    final stats. *)
-module type S = sig
-  type t
-
-  val name : string
-  val start : t -> unit
-  val step : t -> int
-  val stats : t -> stats
-  val stop : t -> stats
-end
-
-(** An engine packed with its state. *)
-type handle = Handle : (module S with type t = 'a) * 'a -> handle
-
-val name : handle -> string
-val start : handle -> unit
-val step : handle -> int
-val stats : handle -> stats
-val stop : handle -> stats

@@ -590,7 +590,7 @@ let check_conservation t =
       egr_rings
   end
 
-(* -- the Engine interface -- *)
+(* -- driving the engine: start, step, stats, stop -- *)
 
 (* Wrap a worker body with lifetime measurement, coverage flushing and a
    crash backstop (a worker exception becomes a recorded violation, and
@@ -694,13 +694,3 @@ let stop t =
       let s = snapshot t ~wall_ns in
       t.final <- Some s;
       s
-
-let handle t = Engine.Handle ((module struct
-  type nonrec t = t
-
-  let name = name
-  let start = start
-  let step = step
-  let stats = stats
-  let stop = stop
-end), t)

@@ -90,6 +90,3 @@ val violations : t -> string list
 val ct_conns : t -> int
 (** Total tracked connections across the per-PMD private tables (0 when
     [ct] is unarmed). Exact after {!stop}; a racy probe before. *)
-
-val handle : t -> Engine.handle
-(** Pack as a generic engine handle. *)

@@ -1,13 +1,11 @@
 (** The virtual-time execution engine: the deterministic single-thread
-    scheduler the simulator has always used, now packaged behind the
-    {!Engine} interface.
+    scheduler the simulator has always used.
 
-    This module is a thin wrapper — one {!step} is exactly the poll sweep
-    the traffic rig ran before the redesign: every PMD (or legacy
-    per-queue context) polls once. It charges the same virtual
-    nanoseconds in the same order, so charged cycles are byte-identical
-    to the pre-engine scheduler (pinned by the determinism test in
-    [test/test_engine.ml]).
+    One {!step} is one poll sweep over the phy leg. On a userspace
+    datapath that is the poll-mode runtime's main-loop iteration (every
+    PMD polls each of its rxqs once); on the kernel flavours, which have
+    no PMD, it is one softirq poll per queue. Charged cycles are pinned
+    byte for byte by the determinism goldens in [test/test_engine.ml].
 
     The schedule explorer ([lib/mc]) takes the poll-mode runtime from
     {!runtime} and schedules {!Pmd}'s single-phase steps itself. *)
@@ -18,25 +16,13 @@ type t = {
   dp : Dpif.t;
   machine : Cpu.t;
   softirq : Cpu.ctx array;  (** kernel-side context per queue *)
-  legacy : Cpu.ctx array;
-      (** one-context-per-queue loop (pre-O1); empty when [rt] is set *)
-  rt : Pmd.t option;  (** the poll-mode runtime, when [n_pmds >= 1] *)
+  rt : Pmd.t option;  (** the poll-mode runtime; [None] on kernel flavours *)
   port_no : int;
-  queues : int;
   mutable offered : int;  (** maintained by the owner via {!note_offered} *)
-  ct_sweep_budget : int option;
-      (** when set, each {!step} runs one bounded conntrack expiry
-          sweep with this per-step budget — the PMD-amortized lazy
-          expiry. [None] (the default) changes nothing: charged cycles
-          stay byte-identical to the pre-subsystem engine. *)
 }
 
-let name = "vt"
-
-let create ~dp ~machine ~softirq ~legacy ~rt ~port_no ~queues
-    ?ct_sweep_budget () =
-  { dp; machine; softirq; legacy; rt; port_no; queues; offered = 0;
-    ct_sweep_budget }
+let create ~dp ~machine ~softirq ~rt ~port_no () =
+  { dp; machine; softirq; rt; port_no; offered = 0 }
 
 let runtime t = t.rt
 
@@ -44,32 +30,21 @@ let runtime t = t.rt
     the conservation triangle (offered = delivered + dropped + queued). *)
 let note_offered t n = t.offered <- t.offered + n
 
-let start _ = ()
-
-(* One poll sweep over the pmd leg — byte-identical to the pre-engine
-   rig loop: the runtime's poll_all, or one Dpif.poll per legacy queue
-   context, in queue order. *)
+(* One poll sweep over the phy leg: the runtime's poll_all, or one
+   softirq poll per queue in queue order (kernel flavours charge only
+   the softirq context, so it doubles as the unused [pmd] argument). *)
 let step t =
-  let polled =
-    match t.rt with
-    | Some rt -> Pmd.poll_all rt
-    | None ->
-        let polled = ref 0 in
-        for q = 0 to t.queues - 1 do
+  match t.rt with
+  | Some rt -> Pmd.poll_all rt
+  | None ->
+      let polled = ref 0 in
+      Array.iteri
+        (fun q s ->
           polled :=
             !polled
-            + Dpif.poll t.dp ~softirq:t.softirq.(q) ~pmd:t.legacy.(q)
-                ~port_no:t.port_no ~queue:q ()
-        done;
-        !polled
-  in
-  (match t.ct_sweep_budget with
-  | Some budget ->
-      ignore
-        (Ovs_conntrack.Conntrack.sweep_bounded (Dpif.conntrack t.dp)
-           ~now:(Dpif.now t.dp) ~budget)
-  | None -> ());
-  polled
+            + Dpif.poll t.dp ~softirq:s ~pmd:s ~port_no:t.port_no ~queue:q ())
+        t.softirq;
+      !polled
 
 let stats t =
   let c = Dpif.counters t.dp in
@@ -94,13 +69,12 @@ let stats t =
                  ul_packets = 0;
                  ul_busy_ns = Cpu.busy ctx;
                })
-             (Array.sub t.legacy 0 (Int.min t.queues (Array.length t.legacy))))
+             t.softirq)
   in
   let delivered = c.Dp_core.sent in
   {
-    Engine.s_engine = name;
-    s_units =
-      (match t.rt with Some rt -> Pmd.n_pmds rt | None -> t.queues);
+    Engine.s_engine = "vt";
+    s_units = List.length units_detail;
     s_offered = t.offered;
     s_delivered = delivered;
     s_dropped = c.Dp_core.dropped;
@@ -110,15 +84,3 @@ let stats t =
     s_units_detail = units_detail;
     s_latency = Some (Dpif.latency t.dp);
   }
-
-let stop t = stats t
-
-let handle t = Engine.Handle ((module struct
-  type nonrec t = t
-
-  let name = name
-  let start = start
-  let step = step
-  let stats = stats
-  let stop = stop
-end), t)

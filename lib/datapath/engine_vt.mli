@@ -1,29 +1,23 @@
 (** The virtual-time execution engine: the deterministic single-thread
-    scheduler behind the {!Engine} interface. One {!step} is the
-    pre-redesign poll sweep, charging byte-identical virtual nanoseconds
-    (pinned by the determinism test). *)
+    scheduler. One {!step} is one poll sweep over the phy leg — the
+    {!Pmd} runtime's main-loop iteration on a userspace datapath, one
+    softirq poll per queue on the kernel flavours — charging
+    byte-identical virtual nanoseconds (pinned by the determinism
+    goldens). *)
 
 type t
-
-val name : string
 
 val create :
   dp:Dpif.t ->
   machine:Ovs_sim.Cpu.t ->
   softirq:Ovs_sim.Cpu.ctx array ->
-  legacy:Ovs_sim.Cpu.ctx array ->
   rt:Pmd.t option ->
   port_no:int ->
-  queues:int ->
-  ?ct_sweep_budget:int ->
   unit ->
   t
-(** [legacy] holds the one-context-per-queue loop's contexts (used when
-    [rt] is [None]); with [rt] set, steps go through the poll-mode
-    runtime. With [ct_sweep_budget] set, every {!step} also runs one
-    bounded conntrack expiry sweep with that per-step budget (the
-    PMD-amortized lazy expiry); unset, nothing changes and charged
-    cycles stay byte-identical to the pre-subsystem engine. *)
+(** [softirq.(q)] is the kernel-side context of queue [q] of [port_no].
+    Steps go through [rt] when it is set (every userspace datapath);
+    [None] is for the kernel flavours, which have no PMD. *)
 
 val runtime : t -> Pmd.t option
 (** The poll-mode runtime behind this engine, if any — for introspection
@@ -33,10 +27,9 @@ val runtime : t -> Pmd.t option
 val note_offered : t -> int -> unit
 (** Record packets the traffic rig offered, for the stats readout. *)
 
-val start : t -> unit
 val step : t -> int
-val stats : t -> Engine.stats
-val stop : t -> Engine.stats
+(** One poll sweep; returns packets dequeued. *)
 
-val handle : t -> Engine.handle
-(** Pack as a generic engine handle. *)
+val stats : t -> Engine.stats
+(** The readout: one unit per PMD, or per softirq queue on the kernel
+    flavours. *)

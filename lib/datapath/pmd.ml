@@ -7,8 +7,8 @@
     fast-path misses land in a bounded per-PMD upcall queue that the PMD
     drains into the shared slow path after each burst (real dpif-netdev
     PMD threads handle their own upcalls inline, which is why the drain
-    charges the PMD's own context — total work is identical to the
-    single-context path, so [n_pmds = 1] reproduces its rates).
+    charges the PMD's own context). Every userspace run goes through
+    this loop; the default is one PMD per rxq.
 
     Per-PMD counters mirror [ovs-appctl dpif-netdev/pmd-stats-show]: hits
     per cache tier, misses, lost (upcall-queue overflow) and busy cycles;
@@ -131,10 +131,10 @@ let apply_assignment t (a : Rxq_sched.assignment) =
   claim_xsks t
 
 let create ?(upcall_capacity = 512) ?(retry_capacity = 256) ?(max_retries = 3)
-    ~dp ~machine ~softirq ~port_no ~n_rxqs ~n_pmds () =
+    ~dp ~machine ~softirq ~port_no ~queues ~n_pmds () =
   if n_pmds <= 0 then invalid_arg "Pmd.create: n_pmds must be positive";
-  if n_rxqs <= 0 then invalid_arg "Pmd.create: n_rxqs must be positive";
-  if Array.length softirq < n_rxqs then
+  if queues <= 0 then invalid_arg "Pmd.create: queues must be positive";
+  if Array.length softirq < queues then
     invalid_arg "Pmd.create: need one softirq ctx per rxq";
   let pmds =
     Array.init n_pmds (fun i ->
@@ -155,14 +155,14 @@ let create ?(upcall_capacity = 512) ?(retry_capacity = 256) ?(max_retries = 3)
       softirq;
       pmds;
       port_no;
-      n_rxqs;
+      n_rxqs = queues;
       upcall_capacity;
       retry_capacity;
       max_retries;
       batch = (Dpif.afxdp_opts dp).Dpif.batch_size;
     }
   in
-  apply_assignment t (Rxq_sched.round_robin ~n_queues:n_rxqs ~n_pmds);
+  apply_assignment t (Rxq_sched.round_robin ~n_queues:queues ~n_pmds);
   t
 
 let n_pmds t = Array.length t.pmds
@@ -289,41 +289,28 @@ let count_poll pmd (rxq : rxq) ~busy0 n =
   rxq.rxq_cycles <- rxq.rxq_cycles +. (Cpu.busy pmd.ctx -. busy0);
   rxq.rxq_packets <- rxq.rxq_packets + n
 
-(** Poll one of [pmd]'s rxqs: one burst through the datapath, then a
-    retry pass and a drain of the upcall queue — the fused main-loop
-    iteration, equivalent to the {!step_poll}/{!step_retry}/{!step_drain}
-    sequence run back to back. Returns packets dequeued. A dead or
-    stalled PMD does nothing; its rxqs back up. *)
-let poll_rxq t pmd (rxq : rxq) =
-  if not (runnable pmd) then 0
-  else begin
-    let busy0 = Cpu.busy pmd.ctx in
-    Dpif.set_upcall_hook t.dp (Some (upcall_hook_for t pmd));
-    let n =
-      attributed t pmd (fun () ->
-          let n =
-            Dpif.poll t.dp
-              ~softirq:t.softirq.(rxq.rxq_queue)
-              ~pmd:pmd.ctx ~max:t.batch ~port_no:rxq.rxq_port
-              ~queue:rxq.rxq_queue ()
-          in
-          process_retries t pmd;
-          drain_upcalls t pmd;
-          n)
-    in
-    Dpif.set_upcall_hook t.dp None;
-    count_poll pmd rxq ~busy0 n;
-    n
-  end
+(* Run [f] with [pmd]'s upcall hook installed and its counter deltas
+   attributed to [pmd]: the bracket every datapath call a PMD makes
+   goes through. *)
+let hooked t pmd f =
+  Dpif.set_upcall_hook t.dp (Some (upcall_hook_for t pmd));
+  let r = attributed t pmd f in
+  Dpif.set_upcall_hook t.dp None;
+  r
+
+(* one burst of up to [batch] packets from [rxq] through the datapath *)
+let burst t pmd (rxq : rxq) =
+  hooked t pmd (fun () ->
+      Dpif.poll t.dp
+        ~softirq:t.softirq.(rxq.rxq_queue)
+        ~pmd:pmd.ctx ~max:t.batch ~port_no:rxq.rxq_port ~queue:rxq.rxq_queue ())
 
 (** {1 Schedule-explorer steps}
 
     The three phases of a PMD main-loop iteration as separately
     schedulable actions for {!Ovs_mc}: each installs and removes the
     upcall hook around itself and does its own counter attribution, so
-    any interleaving of steps across PMDs is a well-formed execution —
-    [step_poll; step_retry; step_drain] on one PMD reproduces
-    {!poll_rxq} exactly. *)
+    any interleaving of steps across PMDs is a well-formed execution. *)
 
 (** One burst from one rxq through the datapath — no retry pass, no
     drain; misses accumulate in the PMD's bounded queues. *)
@@ -331,15 +318,7 @@ let step_poll t pmd (rxq : rxq) =
   if not (runnable pmd) then 0
   else begin
     let busy0 = Cpu.busy pmd.ctx in
-    Dpif.set_upcall_hook t.dp (Some (upcall_hook_for t pmd));
-    let n =
-      attributed t pmd (fun () ->
-          Dpif.poll t.dp
-            ~softirq:t.softirq.(rxq.rxq_queue)
-            ~pmd:pmd.ctx ~max:t.batch ~port_no:rxq.rxq_port
-            ~queue:rxq.rxq_queue ())
-    in
-    Dpif.set_upcall_hook t.dp None;
+    let n = burst t pmd rxq in
     count_poll pmd rxq ~busy0 n;
     n
   end
@@ -351,10 +330,24 @@ let step_retry t pmd = if runnable pmd then process_retries t pmd
     stays installed while draining so a recirculated fresh miss
     re-enqueues instead of being mis-counted. *)
 let step_drain t pmd =
-  if runnable pmd then begin
-    Dpif.set_upcall_hook t.dp (Some (upcall_hook_for t pmd));
-    attributed t pmd (fun () -> drain_upcalls t pmd);
-    Dpif.set_upcall_hook t.dp None
+  if runnable pmd then hooked t pmd (fun () -> drain_upcalls t pmd)
+
+(** Poll one of [pmd]'s rxqs: the fused main-loop iteration, built from
+    the same pieces as [step_poll; step_retry; step_drain] and charging,
+    counting and forwarding exactly as that sequence does. The one
+    difference is the rxq's [rxq_cycles]: here it brackets the poll, the
+    retry pass and the drain (the load cycles-based rebalancing sorts
+    on), where {!step_poll} counts only the burst. Returns packets
+    dequeued. A dead or stalled PMD does nothing; its rxqs back up. *)
+let poll_rxq t pmd (rxq : rxq) =
+  if not (runnable pmd) then 0
+  else begin
+    let busy0 = Cpu.busy pmd.ctx in
+    let n = burst t pmd rxq in
+    process_retries t pmd;
+    hooked t pmd (fun () -> drain_upcalls t pmd);
+    count_poll pmd rxq ~busy0 n;
+    n
   end
 
 (* Crash transitions (fault injection): a PMD crash is a process crash —

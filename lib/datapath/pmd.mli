@@ -4,8 +4,8 @@
     {!Rxq_sched} assignments. Each PMD is its own {!Ovs_sim.Cpu.ctx} with
     batched polling (batch size from the datapath's [afxdp_opts]) and a
     bounded upcall queue draining into the shared slow path on the PMD's
-    own core — so total charged work matches the single-context path and
-    [n_pmds = 1] reproduces its rates. Per-PMD counters mirror
+    own core. Every userspace run is driven by this loop. Per-PMD
+    counters mirror
     [dpif-netdev/pmd-stats-show]; {!assignment} is pmd-rxq-show. *)
 
 (** One receive queue as a PMD sees it. *)
@@ -41,11 +41,11 @@ val create :
   machine:Ovs_sim.Cpu.t ->
   softirq:Ovs_sim.Cpu.ctx array ->
   port_no:int ->
-  n_rxqs:int ->
+  queues:int ->
   n_pmds:int ->
   unit ->
   t
-(** Build a runtime polling [n_rxqs] queues of [port_no], sharded
+(** Build a runtime polling [queues] rx queues of [port_no], sharded
     round-robin over [n_pmds] fresh PMD contexts created on [machine].
     [softirq.(q)] is the kernel-side context for queue [q].
     [upcall_capacity] (default 512) bounds each PMD's upcall queue;
@@ -60,7 +60,10 @@ val create :
 val poll_rxq : t -> pmd -> rxq -> int
 (** One burst from one rxq through the datapath, then a retry pass and a
     drain of the PMD's upcall queue — the fused main-loop iteration.
-    Returns packets dequeued. *)
+    Equal to [step_poll; step_retry; step_drain] in every charge, counter
+    and forwarded packet, except the rxq's [rxq_cycles]: here it covers
+    the poll, the retry pass and the drain, where {!step_poll} counts
+    only the burst. Returns packets dequeued. *)
 
 val poll_all : t -> int
 (** One main-loop iteration for every PMD (each polls each of its rxqs
@@ -73,7 +76,7 @@ val poll_all : t -> int
     removes the upcall hook around itself and does its own counter
     attribution, so any interleaving of steps across PMDs is a
     well-formed execution; [step_poll; step_retry; step_drain] on one
-    PMD reproduces {!poll_rxq} exactly. *)
+    PMD reproduces {!poll_rxq} except for [rxq_cycles]. *)
 
 val step_poll : t -> pmd -> rxq -> int
 (** One burst from one rxq through the datapath — no retry pass, no

@@ -225,7 +225,7 @@ let build ?mutation mode =
   let opts = { Dpif.afxdp_default with Dpif.frames_per_queue } in
   let cfg =
     Scenario.config ~kind:(Dpif.Afxdp opts) ~n_flows:8 ~queues:2 ~n_pmds:2
-      ~n_rxqs:2 ~trace:true ~upcall_capacity:real_capacity
+      ~trace:true ~upcall_capacity:real_capacity
       ~retry_capacity:real_capacity ()
   in
   let rig = Scenario.setup cfg in

@@ -15,9 +15,10 @@ module Faults = Ovs_faults.Faults
 module Dpif = Ovs_datapath.Dpif
 module Netdev = Ovs_netdev.Netdev
 
-(** The datapath legs a plan can run against. [Pmd_leg] is AF_XDP under
-    the poll-mode runtime (two PMD cores) — the only leg with PMD
-    threads to stall, crash and restart. *)
+(** The datapath legs a plan can run against. [Afxdp_leg] is AF_XDP with
+    one PMD on one rx queue; [Pmd_leg] is AF_XDP with two PMDs over two
+    rx queues — the leg the PMD stall, crash and upcall-storm plans
+    target. *)
 type leg = Kernel_leg | Afxdp_leg | Pmd_leg
 
 let leg_name = function
@@ -99,17 +100,15 @@ let catalog =
 let leg_config (s : spec) leg =
   (* latency is armed on every leg so each run also proves timestamp
      conservation under faults: samples recorded == packets delivered *)
-  let base ~kind ~n_pmds ~n_rxqs ~queues =
-    Scenario.config ~kind ~n_pmds ~n_rxqs ~queues ~n_flows:64 ~measure:20_000
+  let base ~kind ~queues =
+    Scenario.config ~kind ~queues ~n_flows:64 ~measure:20_000
       ~rx_policy:s.s_rx_policy ~strict_match:s.s_strict
       ~ct_zone:s.s_ct_zone ~latency:true ()
   in
   match leg with
-  | Kernel_leg -> base ~kind:Dpif.Kernel ~n_pmds:0 ~n_rxqs:0 ~queues:1
-  | Afxdp_leg ->
-      base ~kind:(Dpif.Afxdp Dpif.afxdp_default) ~n_pmds:0 ~n_rxqs:0 ~queues:1
-  | Pmd_leg ->
-      base ~kind:(Dpif.Afxdp Dpif.afxdp_default) ~n_pmds:2 ~n_rxqs:2 ~queues:2
+  | Kernel_leg -> base ~kind:Dpif.Kernel ~queues:1
+  | Afxdp_leg -> base ~kind:(Dpif.Afxdp Dpif.afxdp_default) ~queues:1
+  | Pmd_leg -> base ~kind:(Dpif.Afxdp Dpif.afxdp_default) ~queues:2
 
 (** One chaos run, judged. *)
 type row = {
@@ -129,7 +128,8 @@ let judge plan leg (res : Scenario.chaos_result) =
   in
   let latency_ok =
     res.Scenario.c_latency_count < 0
-    || res.Scenario.c_latency_count = res.Scenario.c_delivered
+    || res.Scenario.c_latency_count
+       = res.Scenario.c_ledger.Scenario.Ledger.d_delivered
   in
   {
     row_plan = plan;
@@ -137,7 +137,8 @@ let judge plan leg (res : Scenario.chaos_result) =
     row_res = res;
     row_recovered = recovered;
     row_latency_ok = latency_ok;
-    row_pass = res.Scenario.c_conserved && recovered && latency_ok;
+    row_pass =
+      Scenario.Ledger.conserved res.Scenario.c_ledger && recovered && latency_ok;
   }
 
 let run_one (s : spec) leg =
@@ -159,20 +160,22 @@ let render rows =
   List.iter
     (fun r ->
       let c = r.row_res in
+      let books = c.Scenario.c_ledger in
+      let offered = books.Scenario.Ledger.d_offered
+      and delivered = books.Scenario.Ledger.d_delivered in
       add "%-13s %-7s %9.3f %9.3f %9.3f  %9d %7d %6d %10s  %s\n" r.row_plan
         (leg_name r.row_leg) c.Scenario.c_baseline_mpps
-        c.Scenario.c_faulted_mpps c.Scenario.c_post_mpps c.Scenario.c_offered
-        c.Scenario.c_drops
-        (c.Scenario.c_offered - c.Scenario.c_delivered)
+        c.Scenario.c_faulted_mpps c.Scenario.c_post_mpps offered
+        (Scenario.Ledger.drops books) (offered - delivered)
         (match c.Scenario.c_recovery_ns with
         | Some ns -> Fmt.str "%a" Time.pp_ns ns
         | None -> "-")
         (if r.row_pass then "PASS"
-         else if not c.Scenario.c_conserved then
-           Printf.sprintf "LEAK (%s)" (Scenario.Ledger.render c.Scenario.c_ledger)
+         else if not (Scenario.Ledger.conserved books) then
+           Printf.sprintf "LEAK (%s)" (Scenario.Ledger.render books)
          else if not r.row_latency_ok then
            Printf.sprintf "STAMP-LEAK (%d samples, %d delivered)"
-             c.Scenario.c_latency_count c.Scenario.c_delivered
+             c.Scenario.c_latency_count delivered
          else "DEGRADED"))
     rows;
   Buffer.contents b

@@ -45,8 +45,8 @@ type result = {
   packets : int;
   line_limited : bool;
   pmds : Ovs_datapath.Pmd.report list;
-      (** per-PMD breakdowns when the poll-mode runtime drove the run
-          ([n_pmds >= 1] on a userspace datapath); empty otherwise *)
+      (** per-PMD breakdowns on a userspace datapath (every one runs
+          the poll-mode runtime); empty on the kernel flavours *)
   busy_ns : Ovs_sim.Time.ns;
       (** summed busy time across every execution context — the charged
           total a stage trace's per-stage sums must reproduce *)
@@ -88,16 +88,10 @@ type config = {
           learned classifier tier between SMC and dpcls *)
   mix : Pktgen.mix;  (** flow-choice distribution over the template set *)
   n_pmds : int;
-      (** >= 1 drives the run through the {!Ovs_datapath.Pmd} runtime with
-          that many PMD cores; 0 (the default) keeps the legacy
-          one-context-per-queue loop. That loop stays because running it
-          as [n_pmds = queues] is exact only for unfaulted runs at the
-          default 32-packet batches: on a prototype of that mapping the
-          tx-batch ablation at batch 1 moved from 2.63 to 2.31 Mpps, the
-          chaos pkt_mangle/ct_pressure faulted rates moved in the third
-          decimal, the naive-swap recovery ratio moved from 4.76e-01 to
-          4.62e-01 — and the kernel legs have no PMD at all. *)
-  n_rxqs : int;  (** rxqs for the PMD runtime; 0 means [queues] *)
+      (** PMD cores the {!Ovs_datapath.Pmd} runtime shards the [queues]
+          rx queues over on a userspace datapath; 0 (the default) means
+          one PMD per rx queue. The kernel flavours have no PMD and
+          ignore it. *)
   trace : bool;  (** attach a per-stage cycle tracer to the datapath *)
   faults : Faults.plan option;
       (** arm this fault plan over the measurement ({!run_chaos}) *)
@@ -128,10 +122,6 @@ type config = {
           offers at line rate *)
   burst : Pktgen.onoff option;
       (** bursty on-off generator mode for the paced driver *)
-  ct_sweep_budget : int option;
-      (** amortized conntrack expiry: each engine step also runs one
-          bounded cursor sweep with this budget. [None] (default)
-          keeps runs byte-identical to the pre-subsystem engine. *)
 }
 
 let default_config =
@@ -148,7 +138,6 @@ let default_config =
     ccache = false;
     mix = Pktgen.Uniform;
     n_pmds = 0;
-    n_rxqs = 0;
     trace = false;
     faults = None;
     rx_policy = Netdev.Rx_drop;
@@ -160,7 +149,6 @@ let default_config =
     latency = false;
     offered_mpps = 0.;
     burst = None;
-    ct_sweep_budget = None;
   }
 
 (** Builder over {!default_config}, so call sites survive new fields. *)
@@ -170,7 +158,7 @@ let config ?(kind = default_config.kind) ?(topology = default_config.topology)
     ?(warmup = default_config.warmup) ?(measure = default_config.measure)
     ?(cache = default_config.cache) ?(ccache = default_config.ccache)
     ?(mix = default_config.mix) ?(n_pmds = default_config.n_pmds)
-    ?(n_rxqs = default_config.n_rxqs) ?(trace = default_config.trace)
+    ?(trace = default_config.trace)
     ?(faults = default_config.faults) ?(rx_policy = default_config.rx_policy)
     ?(strict_match = default_config.strict_match)
     ?(ct_zone = default_config.ct_zone)
@@ -178,12 +166,10 @@ let config ?(kind = default_config.kind) ?(topology = default_config.topology)
     ?(retry_capacity = default_config.retry_capacity)
     ?(engine = default_config.engine) ?(latency = default_config.latency)
     ?(offered_mpps = default_config.offered_mpps)
-    ?(burst = default_config.burst)
-    ?(ct_sweep_budget = default_config.ct_sweep_budget) () =
+    ?(burst = default_config.burst) () =
   { kind; topology; n_flows; frame_len; queues; gbps; warmup; measure; cache;
-    ccache; mix; n_pmds; n_rxqs; trace; faults; rx_policy; strict_match;
-    ct_zone; upcall_capacity; retry_capacity; engine; latency; offered_mpps;
-    burst; ct_sweep_budget }
+    ccache; mix; n_pmds; trace; faults; rx_policy; strict_match; ct_zone;
+    upcall_capacity; retry_capacity; engine; latency; offered_mpps; burst }
 
 let is_userspace = function
   | Dpif.Dpdk | Dpif.Afxdp _ -> true
@@ -204,8 +190,7 @@ type rig = {
   r_queues : int;
   r_opts : Dpif.afxdp_opts;
   r_sirq : Cpu.ctx array;
-  r_pmds : Cpu.ctx array;  (** legacy one-ctx-per-queue loop *)
-  r_rt : Pmd.t option;
+  r_rt : Pmd.t option;  (** the PMD runtime; [None] on the kernel flavours *)
   r_guest : Cpu.ctx;
   r_vdevs : (Netdev.t * int) list;
       (** virtual endpoints in hop order (one for PVP/PCP, 2–4 for
@@ -224,12 +209,10 @@ let setup (cfg : config) : rig =
   let costs = Costs.default in
   let machine = Cpu.create () in
   (* the kernel datapath gets every hyperthread's worth of RSS queues *)
-  let use_pmd_rt = cfg.n_pmds >= 1 && is_userspace cfg.kind in
   let queues =
     match cfg.kind with
     | Dpif.Kernel | Dpif.Kernel_ebpf -> Int.max cfg.queues (if cfg.n_flows > 1 then 16 else 1)
-    | Dpif.Dpdk | Dpif.Afxdp _ ->
-        if use_pmd_rt && cfg.n_rxqs > 0 then cfg.n_rxqs else cfg.queues
+    | Dpif.Dpdk | Dpif.Afxdp _ -> cfg.queues
   in
   let phy0 = Netdev.create ~name:"eth0" ~queues ~gbps:cfg.gbps () in
   let phy1 = Netdev.create ~name:"eth1" ~queues ~gbps:cfg.gbps () in
@@ -253,18 +236,16 @@ let setup (cfg : config) : rig =
   (* execution contexts *)
   let sirq = Array.init queues (fun i -> Cpu.ctx machine (Printf.sprintf "softirq%d" i)) in
   let opts = match cfg.kind with Dpif.Afxdp o -> o | _ -> Dpif.afxdp_default in
-  (* legacy loop: one PMD context per queue; the poll-mode runtime
-     shards the same queues over cfg.n_pmds cores instead *)
-  let pmds =
-    if use_pmd_rt then [||]
-    else Array.init queues (fun i -> Cpu.ctx machine (Printf.sprintf "pmd%d" i))
-  in
+  (* the poll-mode runtime shards the rx queues over cfg.n_pmds cores,
+     one per queue by default *)
   let rt =
-    if use_pmd_rt then
+    if is_userspace cfg.kind then
       Some
         (Pmd.create ~upcall_capacity:cfg.upcall_capacity
            ~retry_capacity:cfg.retry_capacity ~dp ~machine ~softirq:sirq
-           ~port_no:p0 ~n_rxqs:queues ~n_pmds:cfg.n_pmds ())
+           ~port_no:p0 ~queues
+           ~n_pmds:(if cfg.n_pmds >= 1 then cfg.n_pmds else queues)
+           ())
     else None
   in
   let guest = Cpu.ctx machine "guest" in
@@ -440,24 +421,21 @@ let setup (cfg : config) : rig =
     r_queues = queues;
     r_opts = opts;
     r_sirq = sirq;
-    r_pmds = pmds;
     r_rt = rt;
     r_guest = guest;
     r_vdevs = vdevs;
     r_pmd_v = pmd_v;
     r_loadgen = loadgen;
     r_gen = gen;
-    r_eng =
-      Engine_vt.create ~dp ~machine ~softirq:sirq ~legacy:pmds ~rt ~port_no:p0
-        ~queues ?ct_sweep_budget:cfg.ct_sweep_budget ();
+    r_eng = Engine_vt.create ~dp ~machine ~softirq:sirq ~rt ~port_no:p0 ();
   }
 
 let batch = 32
 
 (* One poll sweep over the rig: the engine advances the phy leg (every
-   PMD — or legacy per-queue context — polls once; byte-identical to the
-   pre-engine loop), plus every virtual endpoint's return port, in hop
-   order. *)
+   PMD polls each of its rxqs once; on the kernel flavours each queue's
+   softirq polls once), plus every virtual endpoint's return port, in
+   hop order. *)
 let poll_sweep (r : rig) =
   ignore (Engine_vt.step r.r_eng : int);
   match r.r_pmd_v with
@@ -799,12 +777,6 @@ let ndr_probe (r : rig) ~rate_pps n : Ndr.probe_result =
 
 (* -- the real-parallelism leg: [`Domains n] -- *)
 
-(** Drive the P2P scenario through {!Ovs_datapath.Engine_domains}: the
-    generator's pre-built templates become the injector's wire frames,
-    [cfg.measure] packets are offered, and the readout is wall-clock
-    Mpps. Returns the engine stats and any oracle violations (empty with
-    [oracles:false], the default). Only P2P is meaningful here — the
-    virtual endpoints are virtual-time constructs. *)
 (* The P2P rig on real domains: the generator's pre-built templates
    become the injector's wire frames. *)
 let domains_config ?(oracles = false) ?lock ?frames_per_queue ?ring_size
@@ -828,6 +800,12 @@ let domains_config ?(oracles = false) ?lock ?frames_per_queue ?ring_size
     ~latency:cfg.latency ?lock ?frames_per_queue ?ring_size ~translate
     ~templates ()
 
+(** Drive the P2P scenario through {!Ovs_datapath.Engine_domains}: the
+    generator's pre-built templates become the injector's wire frames,
+    [cfg.measure] packets are offered, and the readout is wall-clock
+    Mpps. Returns the engine stats and any oracle violations (empty with
+    [oracles:false], the default). Only P2P is meaningful here — the
+    virtual endpoints are virtual-time constructs. *)
 let run_multicore ?oracles ?lock ?frames_per_queue ?ring_size (cfg : config)
     ~n_domains () : Engine.stats * string list =
   let eng =
@@ -888,9 +866,7 @@ let run (cfg : config) : result =
        is_userspace cfg.kind && r.r_opts.Dpif.pmd_threads
        && cfg.topology <> PCP Ct_xdp
      then
-       (match rt with
-       | Some rt -> Pmd.ctxs rt
-       | None -> Array.to_list (Array.sub r.r_pmds 0 r.r_queues))
+       (match rt with Some rt -> Pmd.ctxs rt | None -> [])
        @ (match r.r_pmd_v with Some p -> [ p ] | None -> [])
      else [])
     @
@@ -926,13 +902,6 @@ type chaos_result = {
   c_baseline_mpps : float;
   c_faulted_mpps : float;  (** includes the drain: degraded throughput *)
   c_post_mpps : float;
-  c_offered : int;  (** packets charged to the faulted phase *)
-  c_delivered : int;
-  c_drops : int;  (** accounted drops, summed over every drop counter *)
-  c_pressure_rejects : int;
-      (** refused uncounted under [Rx_backpressure]; never offered *)
-  c_in_flight : int;  (** packets still queued after the drain (want 0) *)
-  c_conserved : bool;  (** offered = delivered + drops, in flight = 0 *)
   c_recovery_ns : Time.ns option;
       (** duration of the last completed unhealthy episode *)
   c_restarts : int;  (** PMD restarts performed by the health monitor *)
@@ -943,8 +912,12 @@ type chaos_result = {
       (** sojourn samples the sketch recorded over the faulted phase, or
           -1 with latency off. Conservation demands exactly one sample
           per delivered packet: a mangled or crash-killed packet that
-          leaked its timestamp would make this exceed [c_delivered]. *)
-  c_ledger : Ledger.diff;  (** the faulted phase's books, counter by counter *)
+          leaked its timestamp would make this exceed the ledger's
+          delivered count. *)
+  c_ledger : Ledger.diff;
+      (** the faulted phase's books, counter by counter: offered,
+          delivered, each drop counter, the [Rx_backpressure] rejects and
+          what is left in flight after the drain ({!Ledger.conserved}) *)
 }
 
 (* Advance the fault clock to [now] and run the window-open side effects
@@ -1025,12 +998,6 @@ let run_chaos (cfg : config) (plan : Faults.plan) : chaos_result =
     c_baseline_mpps = baseline_pps /. 1e6;
     c_faulted_mpps = faulted_pps /. 1e6;
     c_post_mpps = post_pps /. 1e6;
-    c_offered = books.Ledger.d_offered;
-    c_delivered = books.Ledger.d_delivered;
-    c_drops = Ledger.drops books;
-    c_pressure_rejects = books.Ledger.d_rejected;
-    c_in_flight = books.Ledger.d_in_flight;
-    c_conserved = Ledger.conserved books;
     c_recovery_ns = Health.last_recovery health;
     c_restarts = restarts;
     c_repairs = Health.repairs health;
@@ -1063,20 +1030,15 @@ type churn_event = {
 
 (** One reconfiguration run: [cfg.measure] packets offered while the
     plan's events fire on the virtual clock. Conservation is the same
-    exact bookkeeping as {!run_chaos}, with one addition: [rc_vanished]
-    counts packets that are neither delivered nor in any drop counter —
-    table-miss packets translated against an incomplete classifier emit
-    no actions and vanish uncounted, which is precisely the naive swap's
-    loss window. A hitless run has [rc_vanished = 0] and conserves. *)
+    exact bookkeeping as {!run_chaos}: {!Ledger.unaccounted} of
+    [rc_ledger] counts packets that are neither delivered nor in any drop
+    counter — table-miss packets translated against an incomplete
+    classifier emit no actions and vanish uncounted, which is precisely
+    the naive swap's loss window. A hitless run vanishes nothing and
+    conserves. *)
 type reconfig_result = {
   rc_plan : string;
   rc_leg : string;
-  rc_offered : int;
-  rc_delivered : int;
-  rc_drops : int;
-  rc_vanished : int;  (** offered - delivered - drops: the loss window *)
-  rc_in_flight : int;
-  rc_conserved : bool;  (** delivered + drops = offered, nothing in flight *)
   rc_events : churn_event list;
   rc_flow_mods : int;  (** FLOW_MODs that travelled the wire *)
   rc_ovsdb_rows : int;  (** churn rows round-tripped through the database *)
@@ -1306,12 +1268,6 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
   {
     rc_plan = plan.Reconfig.plan_name;
     rc_leg = Dpif.kind_name cfg.kind;
-    rc_offered = books.Ledger.d_offered;
-    rc_delivered = books.Ledger.d_delivered;
-    rc_drops = Ledger.drops books;
-    rc_vanished = Ledger.unaccounted books;
-    rc_in_flight = books.Ledger.d_in_flight;
-    rc_conserved = Ledger.conserved books;
     rc_events = List.rev !events;
     rc_flow_mods = !flow_mods;
     rc_ovsdb_rows = ovsdb_rows;

@@ -1,12 +1,13 @@
-(* Tests for the execution-engine redesign: Engine_vt byte-determinism
-   (golden values captured on the pre-engine scheduler), the generic
-   handle dispatch, the cross-domain primitives (atomic SPSC ring, Spscq,
+(* Tests for the execution engines: Engine_vt byte-determinism (golden
+   values captured on the pre-engine scheduler), the Engine_vt stats
+   readout, the cross-domain primitives (atomic SPSC ring, Spscq,
    contended umempool, domain-safe coverage), and the Engine_domains
    parallel rig with its invariant oracles armed. *)
 
 module Scenario = Ovs_trafficgen.Scenario
 module Engine = Ovs_datapath.Engine
 module Engine_vt = Ovs_datapath.Engine_vt
+module Dpif = Ovs_datapath.Dpif
 module Engine_domains = Ovs_datapath.Engine_domains
 module Ring = Ovs_xsk.Ring
 module Spscq = Ovs_xsk.Spscq
@@ -31,17 +32,17 @@ let fingerprint (r : Scenario.result) =
 let golden_pmd2 () =
   let r =
     Scenario.run
-      (Scenario.config ~n_pmds:2 ~n_rxqs:2 ~queues:2 ~n_flows:8 ~measure:8_000
-         ())
+      (Scenario.config ~n_pmds:2 ~queues:2 ~n_flows:8 ~measure:8_000 ())
   in
   check Alcotest.string "pmd runtime charged cycles byte-identical"
     "rate=10.01975802346978 wall=798422.47500001499 \
      busy=2419150.0000000279 packets=8000"
     (fingerprint r)
 
-let golden_legacy () =
+(* the default userspace run: one PMD per rx queue *)
+let golden_one_pmd_per_queue () =
   let r = Scenario.run (Scenario.config ~queues:2 ~n_flows:16 ~measure:8_000 ()) in
-  check Alcotest.string "legacy loop charged cycles byte-identical"
+  check Alcotest.string "one PMD per queue charged cycles byte-identical"
     "rate=8.8928405213835227 wall=899600.07500003872 \
      busy=2419150.0000000279 packets=8000"
     (fingerprint r)
@@ -64,19 +65,28 @@ let vt_repeatable () =
   in
   check Alcotest.string "two runs, same fingerprint" (go ()) (go ())
 
-(* -- the generic handle: dispatch reaches the vt engine -- *)
+(* -- the vt engine's readout: one unit per PMD, or per softirq queue -- *)
 
-let handle_dispatch () =
+let vt_stats_units () =
   let rig = Scenario.setup (Scenario.config ~n_pmds:2 ~queues:2 ~n_flows:4 ()) in
-  let h = Engine_vt.handle rig.Scenario.r_eng in
-  check Alcotest.string "handle name" "vt" (Engine.name h);
-  Engine.start h;
+  let eng = rig.Scenario.r_eng in
   (* no traffic yet: a sweep polls empty queues *)
-  check Alcotest.int "empty sweep" 0 (Engine.step h);
-  let s = Engine.stats h in
+  check Alcotest.int "empty sweep" 0 (Engine_vt.step eng);
+  let s = Engine_vt.stats eng in
   check Alcotest.string "stats engine" "vt" s.Engine.s_engine;
   check Alcotest.int "units = pmds" 2 s.Engine.s_units;
-  check Alcotest.int "unit detail rows" 2 (List.length s.Engine.s_units_detail)
+  check Alcotest.int "unit detail rows" 2 (List.length s.Engine.s_units_detail);
+  (* the kernel flavours have no PMD: one unit per softirq queue *)
+  let k = Scenario.setup (Scenario.config ~kind:Dpif.Kernel ~n_flows:4 ()) in
+  check Alcotest.bool "kernel: no PMD runtime" true
+    (Option.is_none k.Scenario.r_rt);
+  check Alcotest.int "empty kernel sweep" 0 (Engine_vt.step k.Scenario.r_eng);
+  let ks = Engine_vt.stats k.Scenario.r_eng in
+  check Alcotest.int "kernel units = softirq queues" k.Scenario.r_queues
+    ks.Engine.s_units;
+  check Alcotest.int "one softirq per queue"
+    (Array.length k.Scenario.r_sirq)
+    ks.Engine.s_units
 
 (* -- plain and atomic rings: one API, same behavior --
 
@@ -270,18 +280,19 @@ let domains_via_run () =
 
 module Chaos = Ovs_trafficgen.Chaos
 module Reconfig = Ovs_ofproto.Reconfig
-module Dpif = Ovs_datapath.Dpif
 module Q = Ovs_sim.Quantiles
 module Mc = Ovs_mc.Mc
+module Ledger = Scenario.Ledger
 
 let chaos_fingerprint (c : Scenario.chaos_result) =
+  let books = c.Scenario.c_ledger in
   Printf.sprintf
     "base=%.17g fault=%.17g post=%.17g offered=%d delivered=%d drops=%d \
      rejects=%d in_flight=%d recovery=%s restarts=%d repairs=%d fired=[%s] \
      samples=%d"
     c.Scenario.c_baseline_mpps c.Scenario.c_faulted_mpps c.Scenario.c_post_mpps
-    c.Scenario.c_offered c.Scenario.c_delivered c.Scenario.c_drops
-    c.Scenario.c_pressure_rejects c.Scenario.c_in_flight
+    books.Ledger.d_offered books.Ledger.d_delivered (Ledger.drops books)
+    books.Ledger.d_rejected books.Ledger.d_in_flight
     (match c.Scenario.c_recovery_ns with
     | Some ns -> Printf.sprintf "%.17g" ns
     | None -> "-")
@@ -302,12 +313,13 @@ let reconfig_fingerprint (r : Scenario.reconfig_result) =
       e.Scenario.e_dirty e.Scenario.e_retx e.Scenario.e_evicted
       e.Scenario.e_divergences e.Scenario.e_upcalls
   in
+  let books = r.Scenario.rc_ledger in
   Printf.sprintf
     "offered=%d delivered=%d drops=%d vanished=%d in_flight=%d mods=%d \
      rows=%d div=%d upcalls=%d samples=%d p50=%.17g p99=%.17g events=[%s] \
      upgrade=%s"
-    r.Scenario.rc_offered r.Scenario.rc_delivered r.Scenario.rc_drops
-    r.Scenario.rc_vanished r.Scenario.rc_in_flight r.Scenario.rc_flow_mods
+    books.Ledger.d_offered books.Ledger.d_delivered (Ledger.drops books)
+    (Ledger.unaccounted books) books.Ledger.d_in_flight r.Scenario.rc_flow_mods
     r.Scenario.rc_ovsdb_rows r.Scenario.rc_divergences r.Scenario.rc_upcalls
     r.Scenario.rc_lat_count r.Scenario.rc_p50_ns r.Scenario.rc_p99_ns
     (String.concat "; " (List.map event r.Scenario.rc_events))
@@ -399,7 +411,7 @@ let golden_chaos_pmd () =
 
 let golden_chaos_afxdp () =
   check Alcotest.string "pkt_mangle on the AF_XDP leg byte-identical"
-    "base=7.2429324822888246 fault=5.7325883494495686 \
+    "base=7.2429324822888246 fault=5.7306673252916251 \
      post=7.2429324822888246 offered=8000 delivered=6430 drops=1570 \
      rejects=0 in_flight=0 recovery=- restarts=0 repairs=0 \
      fired=[truncate:1173,corrupt:930] samples=6430"
@@ -408,13 +420,13 @@ let golden_chaos_afxdp () =
 let golden_reconfig_two_phase () =
   check Alcotest.string "two-phase swap byte-identical"
     "offered=4000 delivered=4000 drops=0 vanished=0 in_flight=0 mods=5 \
-     rows=3 div=0 upcalls=3 samples=4000 p50=239944.25684337845 \
+     rows=3 div=0 upcalls=3 samples=4000 p50=244767.13640593024 \
      p99=402551.82147479517 events=[2.1503999999999999e-05 flow_mods \
      mods=1 dirty=1 retx=1 evicted=1 div=0 up=1; 5.376e-05 flow_mods \
      mods=1 dirty=1 retx=1 evicted=1 div=0 up=1; 6.4511999999999995e-05 \
      swap two-phase mods=3 dirty=0 retx=0 evicted=1 div=0 up=1] \
-     upgrade=two-phase shadow=3 mods=3 evicted=1 burst=1 offered=3680 \
-     delivered=3680 lost=0 recovery=29432.600000000093"
+     upgrade=two-phase shadow=3 mods=3 evicted=1 burst=1 offered=3712 \
+     delivered=3712 lost=0 recovery=30889.600000000093"
     (reconfig_golden ~naive:false ())
 
 let golden_reconfig_naive () =
@@ -425,8 +437,8 @@ let golden_reconfig_naive () =
      evicted=1 div=0 up=1; 5.376e-05 flow_mods mods=1 dirty=1 retx=1 \
      evicted=1 div=0 up=1; 6.4511999999999995e-05 swap naive mods=4 \
      dirty=2 retx=2 evicted=2 div=0 up=2] upgrade=naive shadow=0 mods=4 \
-     evicted=2 burst=2 offered=3680 delivered=3424 lost=256 \
-     recovery=78516.399999999616"
+     evicted=2 burst=2 offered=3712 delivered=3456 lost=256 \
+     recovery=81430.399999999499"
     (reconfig_golden ~naive:true ())
 
 let golden_latency () =
@@ -461,7 +473,8 @@ let () =
       ( "vt-determinism",
         [
           Alcotest.test_case "golden pmd2" `Quick golden_pmd2;
-          Alcotest.test_case "golden legacy" `Quick golden_legacy;
+          Alcotest.test_case "golden one PMD per queue" `Quick
+            golden_one_pmd_per_queue;
           Alcotest.test_case "golden pvp" `Quick golden_pvp;
           Alcotest.test_case "repeatable" `Quick vt_repeatable;
         ] );
@@ -475,8 +488,11 @@ let () =
           Alcotest.test_case "latency rung + ndr probe" `Quick golden_latency;
           Alcotest.test_case "mc tiny" `Quick golden_mc;
         ] );
-      ( "handle",
-        [ Alcotest.test_case "dispatch" `Quick handle_dispatch ] );
+      ( "vt-stats",
+        [
+          Alcotest.test_case "units per PMD or softirq queue" `Quick
+            vt_stats_units;
+        ] );
       ( "spsc",
         [
           QCheck_alcotest.to_alcotest ring_flavor_equiv;

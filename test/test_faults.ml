@@ -173,12 +173,14 @@ let chaos_spec name =
 let check_plan name leg () =
   let r = Chaos.run_one (chaos_spec name) leg in
   let c = r.Chaos.row_res in
+  let books = c.Scenario.c_ledger in
   Alcotest.(check bool)
-    (Printf.sprintf "%s/%s: conserved (offered %d = delivered %d + drops %d)"
-       name (Chaos.leg_name leg) c.Scenario.c_offered c.Scenario.c_delivered
-       c.Scenario.c_drops)
-    true c.Scenario.c_conserved;
-  Alcotest.(check int) "nothing left in flight" 0 c.Scenario.c_in_flight;
+    (Printf.sprintf "%s/%s: conserved (%s)" name (Chaos.leg_name leg)
+       (Scenario.Ledger.render books))
+    true
+    (Scenario.Ledger.conserved books);
+  Alcotest.(check int) "nothing left in flight" 0
+    books.Scenario.Ledger.d_in_flight;
   Alcotest.(check bool) "post-recovery within 1% of baseline" true
     r.Chaos.row_recovered;
   Alcotest.(check bool) "the plan actually fired" true
@@ -199,7 +201,7 @@ let megaflows dp =
 
 let test_crash_restart_megaflows () =
   let cfg =
-    Scenario.config ~n_flows:64 ~n_pmds:2 ~n_rxqs:2 ~queues:2 ~measure:20_000 ()
+    Scenario.config ~n_flows:64 ~n_pmds:2 ~queues:2 ~measure:20_000 ()
   in
   let r = Scenario.setup cfg in
   let dp = r.Scenario.r_dp and machine = r.Scenario.r_machine in
@@ -263,7 +265,7 @@ let test_appctl_faults () =
   Alcotest.(check bool) "clear disarms" true (Faults.armed_plan () = None)
 
 let test_appctl_health_show () =
-  let cfg = Scenario.config ~n_flows:8 ~n_pmds:2 ~n_rxqs:2 ~queues:2 () in
+  let cfg = Scenario.config ~n_flows:8 ~n_pmds:2 ~queues:2 () in
   let r = Scenario.setup cfg in
   Scenario.drive r 500;
   let health =

@@ -23,7 +23,7 @@ let fixture () =
   let opts = { Dpif.afxdp_default with Dpif.frames_per_queue = 128 } in
   let cfg =
     Scenario.config ~kind:(Dpif.Afxdp opts) ~n_flows:8 ~queues:2 ~n_pmds:2
-      ~n_rxqs:2 ~trace:true ()
+      ~trace:true ()
   in
   let rig = Scenario.setup cfg in
   let rt =

@@ -129,7 +129,7 @@ let stamp_conservation plan leg () =
   check Alcotest.int
     (Printf.sprintf "%s/%s: sojourn samples = delivered packets" plan
        (Chaos.leg_name leg))
-    c.Scenario.c_delivered c.Scenario.c_latency_count;
+    c.Scenario.c_ledger.Scenario.Ledger.d_delivered c.Scenario.c_latency_count;
   check Alcotest.bool "row judged conserving" true row.Chaos.row_latency_ok;
   check Alcotest.bool "run passes end to end" true row.Chaos.row_pass
 

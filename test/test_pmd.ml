@@ -1,5 +1,6 @@
 (* Tests for the poll-mode runtime: rxq sharding, per-PMD counter
-   attribution, bounded upcall queues, and single-context parity. *)
+   attribution, bounded upcall queues, and the schedule-explorer steps
+   reproducing the fused main loop. *)
 
 module Dpif = Ovs_datapath.Dpif
 module Dp_core = Ovs_datapath.Dp_core
@@ -7,6 +8,8 @@ module Pmd = Ovs_datapath.Pmd
 module Netdev = Ovs_netdev.Netdev
 module Scenario = Ovs_trafficgen.Scenario
 module Cpu = Ovs_sim.Cpu
+module Faults = Ovs_faults.Faults
+module Time = Ovs_sim.Time
 module B = Ovs_packet.Build
 
 let check = Alcotest.check
@@ -38,7 +41,7 @@ let make_rig ?(queues = 4) () =
 
 let make_rt ?upcall_capacity ?(queues = 4) ~n_pmds (r : rig) =
   Pmd.create ?upcall_capacity ~dp:r.dp ~machine:r.machine ~softirq:r.softirq
-    ~port_no:r.p0 ~n_rxqs:queues ~n_pmds ()
+    ~port_no:r.p0 ~queues ~n_pmds ()
 
 (* every (port, queue) appears exactly once, on a valid pmd id *)
 let check_partition ~queues ~n_pmds rt =
@@ -124,18 +127,107 @@ let test_upcall_overflow_counts_lost () =
   check Alcotest.int "no deadlock, burst forwarded" 32
     (r.phy1.Netdev.stats.Netdev.tx_packets - tx0)
 
-let test_n_pmds_1_matches_legacy_rate () =
-  let legacy = Scenario.run (Scenario.config ~gbps:25. ()) in
-  let rt = Scenario.run (Scenario.config ~gbps:25. ~n_pmds:1 ~n_rxqs:1 ()) in
-  Alcotest.(check (float 0.01))
-    "PMD runtime reproduces the single-context rate" legacy.Scenario.rate_mpps
-    rt.Scenario.rate_mpps;
-  check Alcotest.int "one PMD report" 1 (List.length rt.Scenario.pmds)
+(* The schedule explorer drives a PMD through step_poll, step_retry and
+   step_drain; its findings hold for the real loop only if those steps
+   are poll_all. Twin 2-PMD/2-rxq rigs see the same traffic under an
+   upcall-storm window (so parked upcalls take the retry path): one runs
+   poll_all, the other the three steps per rxq. After every sweep the
+   Dp_core counters, the per-PMD stats (all but rxq_cycles), each
+   context's charged busy ns and the delivered count must agree. *)
+let test_steps_are_the_loop () =
+  let storm =
+    Faults.plan ~name:"steps" ~seed:7
+      [
+        {
+          Faults.f_name = "storm";
+          f_action = Faults.Upcall_storm;
+          f_start = Time.us 30.;
+          f_stop = Time.us 50.;
+        };
+      ]
+  in
+  let snapshot (r : rig) rt =
+    let c = Dpif.counters r.dp in
+    let pmd p =
+      let s = Pmd.stats_of p in
+      Printf.sprintf
+        "rx=%d emc=%d smc=%d mf=%d miss=%d lost=%d retried=%d polls=%d idle=%d"
+        s.Pmd.rx_packets s.Pmd.emc_hits s.Pmd.smc_hits s.Pmd.megaflow_hits
+        s.Pmd.miss s.Pmd.lost s.Pmd.retried s.Pmd.polls s.Pmd.idle_polls
+    in
+    let busy (ctx : Cpu.ctx) =
+      Printf.sprintf "%s=%.17g" ctx.Cpu.name (Cpu.busy ctx)
+    in
+    String.concat " | "
+      ([
+         Printf.sprintf
+           "packets=%d passes=%d upcalls=%d emc=%d smc=%d dpcls=%d \
+            dropped=%d sent=%d delivered=%d"
+           c.Dp_core.packets c.Dp_core.passes c.Dp_core.upcalls
+           c.Dp_core.emc_hits c.Dp_core.smc_hits c.Dp_core.dpcls_hits
+           c.Dp_core.dropped c.Dp_core.sent
+           r.phy1.Netdev.stats.Netdev.tx_packets;
+       ]
+      @ List.map pmd (Pmd.pmds rt)
+      @ List.map busy r.machine.Cpu.ctxs)
+  in
+  let run sweep =
+    let r = make_rig ~queues:2 () in
+    let rt = make_rt ~queues:2 ~n_pmds:2 r in
+    Faults.arm storm;
+    let pmd_wall () =
+      List.fold_left (fun a p -> Float.max a (Cpu.busy (Pmd.pmd_ctx p))) 0.
+        (Pmd.pmds rt)
+    in
+    let trail = ref [] in
+    let sweep () =
+      sweep rt;
+      trail := snapshot r rt :: !trail
+    in
+    for round = 0 to 39 do
+      (* the storm begins with a cache flush, as in the chaos rig: every
+         packet misses into the refusing upcall queue *)
+      if Faults.tick (pmd_wall ()) <> [] then Dpif.flush_caches r.dp;
+      for i = 0 to 15 do
+        ignore
+          (Netdev.rss_enqueue r.phy0
+             (B.udp ~src_port:(3000 + (round mod 4 * 16) + i) ())
+            : bool)
+      done;
+      sweep ()
+    done;
+    ignore (Faults.tick (Time.ms 1.) : Faults.fault list);
+    for _ = 1 to 8 do
+      sweep ()
+    done;
+    Faults.disarm ();
+    let retried =
+      List.fold_left (fun a p -> a + (Pmd.stats_of p).Pmd.retried) 0 (Pmd.pmds rt)
+    in
+    (List.rev !trail, retried, r.phy1.Netdev.stats.Netdev.tx_packets)
+  in
+  let fused, retried, sent = run (fun rt -> ignore (Pmd.poll_all rt : int)) in
+  let stepped, _, _ =
+    run (fun rt ->
+        Pmd.handle_crashes rt;
+        List.iter
+          (fun p ->
+            List.iter
+              (fun rxq ->
+                ignore (Pmd.step_poll rt p rxq : int);
+                Pmd.step_retry rt p;
+                Pmd.step_drain rt p)
+              (Pmd.rxqs_of p))
+          (Pmd.pmds rt))
+  in
+  Alcotest.(check bool) "the storm parked upcalls for retry" true (retried > 0);
+  Alcotest.(check bool) "traffic was forwarded" true (sent > 0);
+  check Alcotest.(list string) "identical after every sweep" fused stepped
 
 let test_scaling_and_reports () =
   let run n_pmds =
     Scenario.run
-      (Scenario.config ~gbps:100. ~n_flows:512 ~n_pmds ~n_rxqs:4 ~warmup:2000
+      (Scenario.config ~gbps:100. ~n_flows:512 ~n_pmds ~queues:4 ~warmup:2000
          ~measure:10_000 ())
   in
   let r1 = run 1 and r4 = run 4 in
@@ -187,8 +279,8 @@ let () =
             test_per_pmd_totals_match_aggregate;
           Alcotest.test_case "upcall overflow -> lost, no deadlock" `Quick
             test_upcall_overflow_counts_lost;
-          Alcotest.test_case "n_pmds=1 reproduces legacy rates" `Quick
-            test_n_pmds_1_matches_legacy_rate;
+          Alcotest.test_case "poll_all = step_poll; step_retry; step_drain"
+            `Quick test_steps_are_the_loop;
           Alcotest.test_case "scaling + appctl reports" `Quick
             test_scaling_and_reports;
           Alcotest.test_case "coverage counters fire" `Quick
