@@ -49,15 +49,6 @@ type tcp_state =
   | Time_wait
   | Closed
 
-let tcp_state_name = function
-  | Syn_sent -> "SYN_SENT"
-  | Syn_recv -> "SYN_RECV"
-  | Established -> "ESTABLISHED"
-  | Fin_wait -> "FIN_WAIT"
-  | Close_wait -> "CLOSE_WAIT"
-  | Time_wait -> "TIME_WAIT"
-  | Closed -> "CLOSED"
-
 type proto_state = Tcp of tcp_state | Udp_single | Udp_multiple | Icmp_active
 
 type nat_action = {
@@ -119,8 +110,6 @@ let create ?(shards = 1) () =
     committed = 0;
     limit_drops = 0;
   }
-
-let n_shards t = Array.length t.shards
 
 (* Direction-symmetric shard choice: XOR of the two endpoint hashes is
    commutative, so a tuple and its reverse always land in the same
@@ -469,35 +458,6 @@ let evict_to_limit t ~zone ~limit =
       |> List.filteri (fun i _ -> i < excess)
     in
     List.iter (remove_conn t) victims;
-    List.length victims
-  end
-
-(** Enforce one zone limit across several conntrack instances — the
-    per-PMD sharding story, where each PMD domain owns a private table
-    but nf_conncount semantics are per zone, not per PMD. Victims are
-    the globally oldest connections regardless of which instance holds
-    them. Returns the total evicted. *)
-let evict_to_limit_multi ts ~zone ~limit =
-  let total = List.fold_left (fun acc t -> acc + zone_count t ~zone) 0 ts in
-  let excess = total - limit in
-  if excess <= 0 then 0
-  else begin
-    let candidates = ref [] in
-    List.iter
-      (fun t ->
-        iter_conns t (fun conn ->
-            if conn.orig.zone = zone then candidates := (t, conn) :: !candidates))
-      ts;
-    let victims =
-      List.sort
-        (fun (_, a) (_, b) ->
-          match compare a.created_at b.created_at with
-          | 0 -> compare a.orig b.orig
-          | c -> c)
-        !candidates
-      |> List.filteri (fun i _ -> i < excess)
-    in
-    List.iter (fun (t, conn) -> remove_conn t conn) victims;
     List.length victims
   end
 

@@ -29,8 +29,6 @@ type tcp_state =
   | Time_wait
   | Closed
 
-val tcp_state_name : tcp_state -> string
-
 type proto_state = Tcp of tcp_state | Udp_single | Udp_multiple | Icmp_active
 
 type nat_action = {
@@ -55,8 +53,6 @@ val create : ?shards:int -> unit -> t
     5-tuple hash: a tuple and its reverse always land in the same
     shard, so per-PMD engines can treat each shard as domain-private
     and keep the hit path lock-free. *)
-
-val n_shards : t -> int
 
 val set_zone_limit : t -> zone:int -> limit:int -> unit
 (** Cap committed connections in a zone (nf_conncount). *)
@@ -106,11 +102,5 @@ val evict_to_limit : t -> zone:int -> limit:int -> int
     until [zone] holds at most [limit] — early_drop under table
     pressure; the [Ct_pressure] fault's window-open side effect.
     Returns the number evicted. *)
-
-val evict_to_limit_multi : t list -> zone:int -> limit:int -> int
-(** {!evict_to_limit} across several conntrack instances at once (the
-    per-PMD private-table layout): victims are the globally oldest
-    connections in [zone] regardless of owning instance. Returns the
-    total evicted. *)
 
 val timeout_of : proto_state -> Ovs_sim.Time.ns

@@ -43,37 +43,25 @@
       the ring-cursor [Atomic.set] and acquired by the matching
       [Atomic.get] (see DESIGN.md for the memory-model argument).
 
-    With [oracles] armed, the schedule explorer's invariants run as
-    runtime assertions on the live parallel execution: ring cursor
-    monotonicity and occupancy (checked from each ring's owning side),
-    XSK single-claimant ownership, upcall-queue bounds, and — at stop,
-    once every domain has joined — umem frame conservation (every frame
-    owned exactly once) and packet conservation (offered = delivered +
-    dropped, nothing in flight). Violations are collected, not thrown,
-    so a failing run still reports. *)
+    Every stop, once every domain has joined, checks the run's books
+    ({!Engine.books}: offered = delivered + drops, nothing in flight) and
+    takes a census of both umems (every frame owned exactly once, the
+    {!Ovs_xsk.Audit} check the schedule explorer runs after each step).
+    With [oracles] armed, each poll also runs the explorer's ring check
+    ({!Ovs_xsk.Audit.check_ring}, from each ring's consuming domain), XSK
+    single-claimant ownership and the upcall-queue bound. Violations are
+    collected, not thrown, so a failing run still reports. *)
 
 module Ring = Ovs_xsk.Ring
 module Umem = Ovs_xsk.Umem
 module Umempool = Ovs_xsk.Umempool
 module Xsk = Ovs_xsk.Xsk
+module Audit = Ovs_xsk.Audit
 module Spscq = Ovs_xsk.Spscq
 module Emc = Ovs_flow.Emc
 module FK = Ovs_packet.Flow_key
 module Buffer = Ovs_packet.Buffer
 module Coverage = Ovs_sim.Coverage
-
-(** Per-PMD connection tracking: each PMD domain owns a private
-    [Conntrack.t] (no locks on the hit path — only its domain ever
-    touches it) and amortizes expiry with a bounded cursor sweep every
-    poll iteration. The per-zone limit, an nf_conncount property of
-    the whole switch rather than one PMD, is enforced across the
-    private tables with {!Ovs_conntrack.Conntrack.evict_to_limit_multi}
-    at stop. *)
-type ct_opts = {
-  ct_zone : int;
-  ct_limit : int option;  (** enforced cross-shard at stop *)
-  ct_sweep_budget : int;  (** entries examined per poll iteration *)
-}
 
 type config = {
   n_domains : int;  (** PMD domains (an injector and a revalidator ride along) *)
@@ -88,35 +76,37 @@ type config = {
   ring_size : int;
   upcall_capacity : int;  (** per-PMD bound on the upcall queue *)
   emc_entries : int;
-  oracles : bool;  (** arm the runtime invariant assertions *)
+  oracles : bool;
+      (** arm the per-poll invariant checks; the stop-time checks always
+          run *)
   latency : bool;
       (** stamp each injected frame with a monotonic wall-clock birth and
           record per-packet sojourn times into per-domain sketches *)
   translate : FK.t -> bool;
       (** the slow path's verdict for a missed flow: forward or drop *)
-  ct : ct_opts option;
-      (** arm per-PMD connection tracking; [None] (default) creates no
-          tables and adds no per-packet work *)
 }
 
 let config ?(n_domains = 2) ?(frame_len = 64) ?(target = 100_000)
     ?(batch = 32) ?(lock = Umempool.Spinlock_batched) ?(frames_per_queue = 2048)
     ?(ring_size = 1024) ?(upcall_capacity = 512) ?(emc_entries = 8192)
     ?(oracles = false) ?(latency = false) ?(translate = fun _ -> true)
-    ?ct ~templates () =
+    ~templates () =
   if n_domains < 1 then invalid_arg "Engine_domains.config: n_domains < 1";
   if Array.length templates = 0 then
     invalid_arg "Engine_domains.config: no templates";
   { n_domains; templates; frame_len; target; batch; lock; frames_per_queue;
-    ring_size; upcall_capacity; emc_entries; oracles; latency; translate; ct }
+    ring_size; upcall_capacity; emc_entries; oracles; latency; translate }
 
-(* Owner-written worker counters, read by the main domain after join. *)
+(* Owner-written worker counters, read by the main domain after join:
+   the books' only source besides the XSKs' own counters. *)
 type wstats = {
   w_name : string;
-  mutable w_packets : int;
-  mutable w_delivered : int;
-  mutable w_dropped : int;
+  mutable w_packets : int;  (** the injector's count is the offered load *)
   mutable w_upcalls : int;
+  mutable w_verdict_drop : int;  (** the flow's verdict is drop *)
+  mutable w_egress_full : int;  (** egress pool exhausted or tx ring full *)
+  mutable w_upcall_lost : int;  (** the bounded upcall queue was full *)
+  mutable w_orphaned : int;  (** offered to a queue whose PMD had exited *)
   mutable w_busy_ns : float;  (** measured domain lifetime *)
 }
 
@@ -133,53 +123,36 @@ type t = {
   egr_xsks : Xsk.t array;  (** one per PMD plus one for the revalidator *)
   upq : upcall Spscq.t array;  (** PMD k -> revalidator *)
   resp : (FK.t * bool) Spscq.t array;  (** revalidator -> PMD k installs *)
-  a_offered : int Atomic.t;
-  a_delivered : int Atomic.t;
-  a_dropped : int Atomic.t;
-  a_upcalls : int Atomic.t;
+  a_delivered : int Atomic.t;  (** the {!step} probe's running count *)
   inj_done : bool Atomic.t;
   pmd_done : bool Atomic.t array;
   viol_mu : Mutex.t;
   mutable violations : string list;
-  cts : Ovs_conntrack.Conntrack.t array;
-      (** per-PMD private connection tables (length [n_domains] when
-          [cfg.ct] is armed, empty otherwise): each is created here but
-          only ever touched by its owning PMD domain while it runs *)
+  fill_watch : Audit.tracked array;  (** checked by the injector *)
+  rx_watch : Audit.tracked array;  (** queue k's, checked by PMD k *)
+  ing_census : Audit.census;
+  egr_census : Audit.census;
   ws : wstats array;  (** PMDs 0..n-1, revalidator n, injector n+1 *)
   lat : Ovs_sim.Quantiles.t array;
       (** per-domain sojourn sketches (PMDs 0..n-1, revalidator n):
-          owner-written, merged into one readout at snapshot time *)
+          owner-written, merged into one readout at stop *)
   mutable workers : unit Domain.t list;
   mutable started : bool;
   mutable t_start : float;
   mutable last_seen : int;  (** step's delivered watermark *)
-  mutable final : Engine.stats option;
+  mutable final : (Engine.stats * Engine.books) option;
 }
 
 let name = "domains"
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
-let viol t fmt =
-  Printf.ksprintf
-    (fun s ->
-      Mutex.lock t.viol_mu;
-      t.violations <- s :: t.violations;
-      Mutex.unlock t.viol_mu)
-    fmt
+let record t s =
+  Mutex.protect t.viol_mu (fun () -> t.violations <- s :: t.violations)
 
-let violations t =
-  Mutex.lock t.viol_mu;
-  let v = List.rev t.violations in
-  Mutex.unlock t.viol_mu;
-  v
+let viol t fmt = Printf.ksprintf (record t) fmt
 
-(* Total tracked connections across the per-PMD tables. Exact after
-   stop (every owning domain joined); a racy progress probe before. *)
-let ct_conns t =
-  Array.fold_left
-    (fun acc c -> acc + Ovs_conntrack.Conntrack.active_conns c)
-    0 t.cts
+let violations t = Mutex.protect t.viol_mu (fun () -> List.rev t.violations)
 
 let create (cfg : config) : t =
   let n = cfg.n_domains in
@@ -216,8 +189,9 @@ let create (cfg : config) : t =
           else if i = n then "revalidator"
           else "injector"
         in
-        { w_name = nm; w_packets = 0; w_delivered = 0; w_dropped = 0;
-          w_upcalls = 0; w_busy_ns = 0. })
+        { w_name = nm; w_packets = 0; w_upcalls = 0; w_verdict_drop = 0;
+          w_egress_full = 0; w_upcall_lost = 0; w_orphaned = 0;
+          w_busy_ns = 0. })
   in
   {
     cfg;
@@ -229,19 +203,25 @@ let create (cfg : config) : t =
     egr_xsks;
     upq = Array.init n (fun _ -> Spscq.create ~capacity:cfg.upcall_capacity);
     resp = Array.init n (fun _ -> Spscq.create ~capacity:cfg.upcall_capacity);
-    a_offered = Atomic.make 0;
     a_delivered = Atomic.make 0;
-    a_dropped = Atomic.make 0;
-    a_upcalls = Atomic.make 0;
     inj_done = Atomic.make false;
     pmd_done = Array.init n (fun _ -> Atomic.make false);
     viol_mu = Mutex.create ();
     violations = [];
-    cts =
-      (match cfg.ct with
-      | Some _ ->
-          Array.init n (fun _ -> Ovs_conntrack.Conntrack.create ())
-      | None -> [||]);
+    fill_watch =
+      Array.map
+        (fun (x : Xsk.t) ->
+          Audit.track (Printf.sprintf "q%d.fill" x.Xsk.queue_id) x.Xsk.fill)
+        ing_xsks;
+    rx_watch =
+      Array.map
+        (fun (x : Xsk.t) ->
+          Audit.track (Printf.sprintf "q%d.rx" x.Xsk.queue_id) x.Xsk.rx)
+        ing_xsks;
+    ing_census =
+      Audit.census ~label:"ingress" ing_pool (Audit.xsk_rings ing_xsks);
+    egr_census =
+      Audit.census ~label:"egress" egr_pool (Audit.xsk_rings egr_xsks);
     ws;
     lat = Array.init (n + 1) (fun _ -> Ovs_sim.Quantiles.create ());
     workers = [];
@@ -256,21 +236,7 @@ let create (cfg : config) : t =
 let backoff spins =
   if spins < 64 then Domain.cpu_relax () else Unix.sleepf 0.0002
 
-(* -- runtime oracles (armed by cfg.oracles) -- *)
-
-(* Cursor sanity from the ring's consuming side: monotone, never ahead of
-   the producer, occupancy within the ring. [last] is the caller-local
-   previous consumer cursor. *)
-let check_ring t label r last =
-  if t.cfg.oracles then begin
-    let p = Ring.prod_idx r and c = Ring.cons_idx r in
-    if c < !last then viol t "%s consumer rewound (%d -> %d)" label !last c;
-    if c > p then viol t "%s consumer ahead of producer (%d > %d)" label c p;
-    if p - c > Ring.size r then
-      viol t "%s holds %d descriptors in a %d-slot ring" label (p - c)
-        (Ring.size r);
-    last := c
-  end
+(* -- per-poll oracles (armed by cfg.oracles) -- *)
 
 let check_owner t k xsk =
   if t.cfg.oracles then begin
@@ -279,9 +245,10 @@ let check_owner t k xsk =
         xsk.Xsk.queue_id o k
   end
 
-let check_qbound t label q =
+let check_qbound t k =
+  let q = t.upq.(k) in
   if t.cfg.oracles && Spscq.length q > Spscq.capacity q then
-    viol t "%s holds %d > capacity %d" label (Spscq.length q)
+    viol t "pmd%d.upq holds %d > capacity %d" k (Spscq.length q)
       (Spscq.capacity q)
 
 (* -- the injector domain: the kernel side of every queue -- *)
@@ -290,19 +257,15 @@ let injector_body t () =
   let cfg = t.cfg in
   let ws = t.ws.(cfg.n_domains + 1) in
   let n_tpl = Array.length cfg.templates in
-  let fill_cons = Array.map (fun x -> ref (Ring.cons_idx x.Xsk.fill)) t.ing_xsks in
   let sent = ref 0 in
   while !sent < cfg.target do
     let q = !sent mod cfg.n_domains in
     let xsk = t.ing_xsks.(q) in
-    if Atomic.get t.pmd_done.(q) then begin
+    ws.w_packets <- ws.w_packets + 1;
+    if Atomic.get t.pmd_done.(q) then
       (* owner crashed or exited early: account the rest of this queue's
          share as drops rather than wedging the run *)
-      Atomic.incr t.a_offered;
-      Atomic.incr t.a_dropped;
-      ws.w_dropped <- ws.w_dropped + 1;
-      incr sent
-    end
+      ws.w_orphaned <- ws.w_orphaned + 1
     else begin
       (* NIC-style backpressure: wait (bounded) for a fill frame and rx
          space instead of dropping instantly — the dataplane's capacity is
@@ -316,19 +279,14 @@ let injector_body t () =
         backoff !spins;
         incr spins
       done;
-      check_ring t (Printf.sprintf "q%d.fill" q) xsk.Xsk.fill fill_cons.(q);
+      if cfg.oracles then Audit.check_ring (record t) t.fill_watch.(q);
       let tpl = cfg.templates.(!sent mod n_tpl) in
       let birth_ns = if cfg.latency then now_ns () else -1. in
-      let ok = Xsk.kernel_rx xsk ~birth_ns tpl ~len:cfg.frame_len in
-      Atomic.incr t.a_offered;
-      ws.w_packets <- ws.w_packets + 1;
-      if not ok then begin
-        (* counted at the XSK (rx_dropped_no_frame / ring_full) *)
-        Atomic.incr t.a_dropped;
-        ws.w_dropped <- ws.w_dropped + 1
-      end;
-      incr sent
-    end
+      (* a refused packet is counted at the XSK (rx_dropped_no_frame /
+         rx_dropped_ring_full) *)
+      ignore (Xsk.kernel_rx xsk ~birth_ns tpl ~len:cfg.frame_len : bool)
+    end;
+    incr sent
   done;
   Atomic.set t.inj_done true
 
@@ -355,10 +313,6 @@ let pmd_body t k () =
   let xsk = t.ing_xsks.(k) in
   let egr = t.egr_xsks.(k) in
   let emc : bool Emc.t = Emc.create ~entries:cfg.emc_entries () in
-  (* this PMD's private connection table: no locks on the hit path —
-     nothing else reads it until the domain has been joined *)
-  let ct = match cfg.ct with Some _ -> Some t.cts.(k) | None -> None in
-  let rx_cons = ref (Ring.cons_idx xsk.Xsk.rx) in
   Xsk.set_owner xsk ~pmd:k;
   ignore (Xsk.refill xsk 0 : int);
   let running = ref true in
@@ -374,7 +328,7 @@ let pmd_body t k () =
     in
     drain_resp ();
     check_owner t k xsk;
-    check_ring t (Printf.sprintf "q%d.rx" k) xsk.Xsk.rx rx_cons;
+    if cfg.oracles then Audit.check_ring (record t) t.rx_watch.(k);
     let burst = Xsk.rx_burst xsk ~max:cfg.batch in
     match burst with
     | [] ->
@@ -394,30 +348,10 @@ let pmd_body t k () =
         let consumed = List.length burst in
         ws.w_packets <- ws.w_packets + consumed;
         let recycle = ref [] in
-        let delivered = ref 0 and dropped = ref 0 and upcalled = ref 0 in
-        (* amortized expiry: one bounded cursor sweep per poll
-           iteration, fixed work regardless of table size *)
-        (match (ct, cfg.ct) with
-        | Some c, Some opts ->
-            ignore
-              (Ovs_conntrack.Conntrack.sweep_bounded c ~now:(now_ns ())
-                 ~budget:opts.ct_sweep_budget)
-        | _ -> ());
+        let delivered = ref 0 in
         List.iter
           (fun (frame, (buf : Buffer.t)) ->
             let key = FK.extract buf in
-            (match (ct, cfg.ct) with
-            | Some c, Some opts ->
-                let now = now_ns () in
-                let v =
-                  Ovs_conntrack.Conntrack.track ~buf c ~now
-                    ~zone:opts.ct_zone key
-                in
-                if v.Ovs_conntrack.Conntrack.conn = None then
-                  ignore
-                    (Ovs_conntrack.Conntrack.commit c ~now ~zone:opts.ct_zone
-                       key)
-            | _ -> ());
             match Emc.lookup emc key with
             | Some true ->
                 if
@@ -430,36 +364,29 @@ let pmd_body t k () =
                     Ovs_sim.Quantiles.add t.lat.(k)
                       (Float.max 0. (now_ns () -. birth))
                 end
-                else incr dropped;
+                else ws.w_egress_full <- ws.w_egress_full + 1;
                 recycle := frame :: !recycle
             | Some false ->
-                incr dropped;
+                ws.w_verdict_drop <- ws.w_verdict_drop + 1;
                 recycle := frame :: !recycle
             | None ->
                 if Spscq.try_push t.upq.(k) (frame, buf.Buffer.len, key) then begin
                   (* frame ownership moves to the revalidator *)
-                  check_qbound t (Printf.sprintf "pmd%d.upq" k) t.upq.(k);
-                  incr upcalled
+                  check_qbound t k;
+                  ws.w_upcalls <- ws.w_upcalls + 1
                 end
                 else begin
                   (* bounded queue full: the upcall is lost, the packet
                      dropped — same contract as the VT PMD's lost counter *)
-                  incr dropped;
+                  ws.w_upcall_lost <- ws.w_upcall_lost + 1;
                   recycle := frame :: !recycle
                 end)
           burst;
         if !recycle <> [] then Xsk.release_batch xsk !recycle;
         ignore (Xsk.refill xsk consumed : int);
         ignore (Xsk.flush_tx egr : int);
-        ws.w_delivered <- ws.w_delivered + !delivered;
-        ws.w_dropped <- ws.w_dropped + !dropped;
-        ws.w_upcalls <- ws.w_upcalls + !upcalled;
         if !delivered > 0 then
-          ignore (Atomic.fetch_and_add t.a_delivered !delivered : int);
-        if !dropped > 0 then
-          ignore (Atomic.fetch_and_add t.a_dropped !dropped : int);
-        if !upcalled > 0 then
-          ignore (Atomic.fetch_and_add t.a_upcalls !upcalled : int)
+          ignore (Atomic.fetch_and_add t.a_delivered !delivered : int)
   done;
   ignore (Xsk.flush_tx egr : int);
   Atomic.set t.pmd_done.(k) true
@@ -481,9 +408,10 @@ let reval_body t () =
           ws.w_packets <- ws.w_packets + 1;
           let fwd = cfg.translate key in
           let src_start = Umem.frame_offset t.ing_umem frame in
-          let ok = fwd && transmit_egress t egr ~src_start ~len in
-          if ok then begin
-            ws.w_delivered <- ws.w_delivered + 1;
+          if not fwd then ws.w_verdict_drop <- ws.w_verdict_drop + 1
+          else if not (transmit_egress t egr ~src_start ~len) then
+            ws.w_egress_full <- ws.w_egress_full + 1
+          else begin
             Atomic.incr t.a_delivered;
             (* birth rides the ingress frame's metadata area — the slow
                path's extra queueing is part of its sojourn *)
@@ -491,10 +419,6 @@ let reval_body t () =
             if birth >= 0. then
               Ovs_sim.Quantiles.add t.lat.(cfg.n_domains)
                 (Float.max 0. (now_ns () -. birth))
-          end
-          else begin
-            ws.w_dropped <- ws.w_dropped + 1;
-            Atomic.incr t.a_dropped
           end;
           (* the ingress frame goes back to the shared pool — the "any
              thread returns frames to any pool" contention of Sec 3.2 *)
@@ -520,75 +444,34 @@ let reval_body t () =
   done;
   ignore (Xsk.flush_tx egr : int)
 
-(* -- quiescent-state oracles, run at stop after every join -- *)
+(* -- the books, read at stop after every join -- *)
 
-let check_conservation t =
-  if t.cfg.oracles then begin
-    (* packet conservation: offered = delivered + dropped, nothing in
-       flight once every domain has exited *)
-    let offered = Atomic.get t.a_offered in
-    let delivered = Atomic.get t.a_delivered in
-    let dropped = Atomic.get t.a_dropped in
-    if offered <> delivered + dropped then
-      viol t "packet conservation: offered %d <> delivered %d + dropped %d"
-        offered delivered dropped;
-    let in_flight =
-      Array.fold_left (fun a x -> a + Ring.available x.Xsk.rx) 0 t.ing_xsks
+(* Every offered packet ends delivered (sent from an egress socket), in
+   a drop counter — the ingress sockets' under the rig ledger's names,
+   then the engine's own causes — or still in flight. *)
+let read_books t =
+  let sum f = Array.fold_left (fun a w -> a + f w) 0 t.ws in
+  let xsks f xs = Array.fold_left (fun a x -> a + f x) 0 xs in
+  let ingress f = xsks f t.ing_xsks in
+  {
+    Engine.d_phase = name;
+    d_offered = t.ws.(t.cfg.n_domains + 1).w_packets;
+    d_rejected = 0;
+    d_delivered = xsks (fun x -> x.Xsk.tx_sent) t.egr_xsks;
+    d_drops =
+      [
+        ("xsk.rx_dropped_no_frame", ingress (fun x -> x.Xsk.rx_dropped_no_frame));
+        ("xsk.rx_dropped_ring_full", ingress (fun x -> x.Xsk.rx_dropped_ring_full));
+        ("domains.verdict_drop", sum (fun w -> w.w_verdict_drop));
+        ("domains.egress_full", sum (fun w -> w.w_egress_full));
+        ("domains.upcall_lost", sum (fun w -> w.w_upcall_lost));
+        ("domains.queue_orphaned", sum (fun w -> w.w_orphaned));
+      ];
+    d_in_flight =
+      ingress (fun x -> Ring.available x.Xsk.rx)
       + Array.fold_left (fun a q -> a + Spscq.length q) 0 t.upq
-      + Array.fold_left (fun a x -> a + Ring.available x.Xsk.tx) 0 t.egr_xsks
-    in
-    if in_flight <> 0 then viol t "%d packets still in flight at stop" in_flight;
-    (* umem frame conservation: every frame owned exactly once *)
-    let side label n_frames pool (rings : (string * Ring.t) list) =
-      let stamp = Array.make n_frames false in
-      let seen = ref 0 in
-      let visit where f =
-        if f < 0 || f >= n_frames then
-          viol t "%s: frame %d out of range (%s)" label f where
-        else if stamp.(f) then
-          viol t "%s: frame %d owned twice (second owner: %s)" label f where
-        else begin
-          stamp.(f) <- true;
-          incr seen
-        end
-      in
-      List.iter (visit "pool free stack") (Umempool.free_frames pool);
-      List.iter (visit "leak quarantine") (Umempool.leaked_frames pool);
-      List.iter
-        (fun (where, r) ->
-          List.iter (fun (d : Ring.desc) -> visit where d.Ring.addr)
-            (Ring.pending r))
-        rings;
-      if !seen <> n_frames then
-        viol t "%s: %d of %d frames accounted for" label !seen n_frames
-    in
-    let ing_rings =
-      Array.to_list t.ing_xsks
-      |> List.concat_map (fun (x : Xsk.t) ->
-             let q = x.Xsk.queue_id in
-             [
-               (Printf.sprintf "q%d fill ring" q, x.Xsk.fill);
-               (Printf.sprintf "q%d comp ring" q, x.Xsk.comp);
-               (Printf.sprintf "q%d rx ring" q, x.Xsk.rx);
-               (Printf.sprintf "q%d tx ring" q, x.Xsk.tx);
-             ])
-    in
-    side "ingress" (t.cfg.frames_per_queue * t.cfg.n_domains) t.ing_pool
-      ing_rings;
-    let egr_rings =
-      Array.to_list t.egr_xsks
-      |> List.concat_map (fun (x : Xsk.t) ->
-             let q = x.Xsk.queue_id in
-             [
-               (Printf.sprintf "egr q%d fill ring" q, x.Xsk.fill);
-               (Printf.sprintf "egr q%d comp ring" q, x.Xsk.comp);
-               (Printf.sprintf "egr q%d rx ring" q, x.Xsk.rx);
-               (Printf.sprintf "egr q%d tx ring" q, x.Xsk.tx);
-             ])
-    in
-    side "egress" (t.cfg.frames_per_queue * (t.cfg.n_domains + 1)) t.egr_pool
-      egr_rings
-  end
+      + xsks (fun x -> Ring.available x.Xsk.tx) t.egr_xsks;
+  }
 
 (* -- driving the engine: start, step, stats, stop -- *)
 
@@ -636,15 +519,15 @@ let step t =
   t.last_seen <- d;
   delta
 
-let snapshot t ~wall_ns =
-  let delivered = Atomic.get t.a_delivered in
+let stats_of t (books : Engine.books) ~wall_ns =
+  let delivered = books.Engine.d_delivered in
   {
     Engine.s_engine = name;
     s_units = t.cfg.n_domains;
-    s_offered = Atomic.get t.a_offered;
+    s_offered = books.Engine.d_offered;
     s_delivered = delivered;
-    s_dropped = Atomic.get t.a_dropped;
-    s_upcalls = Atomic.get t.a_upcalls;
+    s_dropped = Engine.drops books;
+    s_upcalls = Array.fold_left (fun a w -> a + w.w_upcalls) 0 t.ws;
     s_wall_ns = wall_ns;
     s_mpps = Engine.mpps ~delivered ~wall_ns;
     s_units_detail =
@@ -657,8 +540,7 @@ let snapshot t ~wall_ns =
              });
     s_latency =
       (if t.cfg.latency then begin
-         (* fold the owner-written per-domain sketches into one readout;
-            exact after stop (workers joined), a progress sample before *)
+         (* fold the owner-written per-domain sketches into one readout *)
          let merged = Ovs_sim.Quantiles.create () in
          Array.iter (fun s -> Ovs_sim.Quantiles.merge ~into:merged s) t.lat;
          Some merged
@@ -666,31 +548,24 @@ let snapshot t ~wall_ns =
        else None);
   }
 
-let stats t =
-  match t.final with
-  | Some s -> s
-  | None ->
-      snapshot t
-        ~wall_ns:(if t.started then now_ns () -. t.t_start else 0.)
-
 let stop t =
   match t.final with
-  | Some s -> s
+  | Some (s, _) -> s
   | None ->
       if not t.started then invalid_arg "Engine_domains.stop: not started";
       List.iter Domain.join t.workers;
       let wall_ns = now_ns () -. t.t_start in
       t.workers <- [];
-      (* every domain joined: the private tables are safe to touch from
-         here. The per-zone limit is a switch-wide property, so enforce
-         it across all PMD tables at once (globally oldest first). *)
-      (match t.cfg.ct with
-      | Some { ct_zone; ct_limit = Some limit; _ } ->
-          ignore
-            (Ovs_conntrack.Conntrack.evict_to_limit_multi
-               (Array.to_list t.cts) ~zone:ct_zone ~limit)
-      | Some _ | None -> ());
-      check_conservation t;
-      let s = snapshot t ~wall_ns in
-      t.final <- Some s;
+      (* every domain joined: the counters, rings and pools hold still *)
+      let books = read_books t in
+      if not (Engine.conserved books) then record t (Engine.render books);
+      Audit.check_frames (record t) t.ing_census;
+      Audit.check_frames (record t) t.egr_census;
+      let s = stats_of t books ~wall_ns in
+      t.final <- Some (s, books);
       s
+
+let books t =
+  match t.final with
+  | Some (_, b) -> b
+  | None -> invalid_arg "Engine_domains.books: not stopped"

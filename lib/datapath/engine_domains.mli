@@ -7,17 +7,6 @@
     virtual cycles. See the [.ml] header and DESIGN.md for the topology
     and memory-model argument. *)
 
-type ct_opts = {
-  ct_zone : int;
-  ct_limit : int option;
-      (** per-zone cap (nf_conncount), enforced across the per-PMD
-          private tables at {!stop} via [evict_to_limit_multi] *)
-  ct_sweep_budget : int;
-      (** bounded-expiry work per poll iteration (entries examined) *)
-}
-(** Per-PMD connection tracking: each PMD domain owns a private
-    [Ovs_conntrack.Conntrack.t] — no locks on the hit path. *)
-
 type config = {
   n_domains : int;  (** PMD domains (an injector and a revalidator ride along) *)
   templates : Bytes.t array;
@@ -31,16 +20,15 @@ type config = {
   ring_size : int;
   upcall_capacity : int;  (** per-PMD bound on the upcall queue *)
   emc_entries : int;
-  oracles : bool;  (** arm the runtime invariant assertions *)
+  oracles : bool;
+      (** arm the per-poll invariant checks (ring cursors, XSK owner,
+          upcall-queue bound); the stop-time checks always run *)
   latency : bool;
       (** stamp each injected frame with a monotonic wall-clock birth and
           record per-packet sojourn times into per-domain sketches,
           merged into [s_latency] at snapshot time *)
   translate : Ovs_packet.Flow_key.t -> bool;
       (** the slow path's verdict for a missed flow: forward or drop *)
-  ct : ct_opts option;
-      (** arm per-PMD connection tracking; [None] (default) creates no
-          tables and adds no per-packet work *)
 }
 
 val config :
@@ -56,7 +44,6 @@ val config :
   ?oracles:bool ->
   ?latency:bool ->
   ?translate:(Ovs_packet.Flow_key.t -> bool) ->
-  ?ct:ct_opts ->
   templates:Bytes.t array ->
   unit ->
   config
@@ -75,18 +62,21 @@ val step : t -> int
 (** Progress probe: packets delivered since the last probe. The domains
     advance on their own; [step] never blocks. *)
 
-val stats : t -> Engine.stats
-(** Live snapshot before {!stop}; the final readout after. *)
-
 val stop : t -> Engine.stats
-(** Join every domain (blocking until the pipeline drains), then run the
-    quiescent-state oracles (frame and packet conservation) if armed,
-    and return final stats. Idempotent. *)
+(** Join every domain (blocking until the pipeline drains), read the
+    run's {!books} and check them, take a frame census of both umems
+    ({!Ovs_xsk.Audit.check_frames}), and return final stats. Unbalanced
+    books are recorded as their {!Engine.render}. Idempotent. *)
+
+val books : t -> Engine.books
+(** The run's books, read after every domain joined: offered packets,
+    packets sent from the egress sockets, and the drops — the ingress
+    sockets' [xsk.rx_dropped_no_frame] / [xsk.rx_dropped_ring_full] and
+    the engine's [domains.verdict_drop], [domains.egress_full],
+    [domains.upcall_lost] and [domains.queue_orphaned].
+    @raise Invalid_argument before {!stop}. *)
 
 val violations : t -> string list
-(** Invariant violations the armed oracles recorded, oldest first. Empty
-    on a clean run. Complete only after {!stop}. *)
-
-val ct_conns : t -> int
-(** Total tracked connections across the per-PMD private tables (0 when
-    [ct] is unarmed). Exact after {!stop}; a racy probe before. *)
+(** Invariant violations recorded, oldest first: the armed per-poll
+    checks' and the stop-time books and frame census. Empty on a clean
+    run. Complete only after {!stop}. *)

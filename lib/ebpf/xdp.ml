@@ -53,7 +53,5 @@ let run t (costs : Ovs_sim.Costs.t) (pkt : Ovs_packet.Buffer.t) :
 let install_in_prog_array t (arr : Maps.t) ~slot =
   ignore (Maps.update arr (Int64.of_int slot) (Int64.of_int t.prog_id))
 
-let instruction_count t = Array.length t.prog
-
 let mean_insns_per_run t =
   if t.runs = 0 then 0. else float_of_int t.total_insns /. float_of_int t.runs

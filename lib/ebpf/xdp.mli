@@ -26,6 +26,4 @@ val run : t -> Ovs_sim.Costs.t -> Ovs_packet.Buffer.t -> Vm.action * Ovs_sim.Tim
 val install_in_prog_array : t -> Maps.t -> slot:int -> unit
 (** Make this program tail-callable from others through a [Prog_array]. *)
 
-val instruction_count : t -> int
-
 val mean_insns_per_run : t -> float

@@ -19,7 +19,9 @@ module Ring = Ovs_xsk.Ring
 module Umem = Ovs_xsk.Umem
 module Umempool = Ovs_xsk.Umempool
 module Xsk = Ovs_xsk.Xsk
+module Audit = Ovs_xsk.Audit
 module Dpif = Ovs_datapath.Dpif
+module Engine = Ovs_datapath.Engine
 module Pmd = Ovs_datapath.Pmd
 module Health = Ovs_datapath.Health
 module Faults = Ovs_faults.Faults
@@ -162,14 +164,7 @@ type port_view = {
   pv_pool : Umempool.t;
   pv_umem : Umem.t;
   pv_xsks : Xsk.t array;
-  pv_stamp : int array;  (** per-frame epoch stamps, frame oracle *)
-}
-
-type tracked_ring = {
-  tr_label : string;
-  tr_ring : Ring.t;
-  mutable tr_prod : int;
-  mutable tr_cons : int;
+  pv_census : Audit.census;  (** the frame oracle's view of this port *)
 }
 
 type model = {
@@ -178,14 +173,13 @@ type model = {
   health : Health.t;
   by_id : (int * Pmd.pmd) list;  (** pmd id -> runtime pmd *)
   ports : port_view array;  (** p0 first *)
-  rings : tracked_ring array;
+  rings : Audit.tracked array;
   scripts : step array array;
   pcs : int array;
   mutable now : Time.ns;  (** the fault/health virtual clock *)
   quantum : Time.ns;
   ledger : Scenario.Ledger.t;  (** the packet-conservation books *)
   mut : mutation option;
-  mutable epoch : int;
 }
 
 let fault_plan mode =
@@ -243,35 +237,28 @@ let build ?mutation mode =
   for _ = 1 to n_preload do
     Scenario.Ledger.offer ledger rig (Pktgen.next rig.Scenario.r_gen)
   done;
-  let view port_no =
+  let view label port_no =
     match
       ( Dpif.umem_pool rig.Scenario.r_dp ~port_no,
         Dpif.xsks rig.Scenario.r_dp ~port_no )
     with
     | Some pool, Some xsks ->
-        let umem = xsks.(0).Xsk.umem in
         {
           pv_pool = pool;
-          pv_umem = umem;
+          pv_umem = xsks.(0).Xsk.umem;
           pv_xsks = xsks;
-          pv_stamp = Array.make umem.Umem.n_frames 0;
+          pv_census = Audit.census ~label pool (Audit.xsk_rings xsks);
         }
     | _ -> failwith "Mc.build: port has no XSK attach"
   in
-  let ports = [| view rig.Scenario.r_p0; view rig.Scenario.r_p1 |] in
+  let ports = [| view "p0" rig.Scenario.r_p0; view "p1" rig.Scenario.r_p1 |] in
   let rings =
     Array.of_list
       (List.concat
          (List.mapi
             (fun i pv ->
-              let p l = Printf.sprintf "p%d.%s" i l in
               let track label r =
-                {
-                  tr_label = p label;
-                  tr_ring = r;
-                  tr_prod = Ring.prod_idx r;
-                  tr_cons = Ring.cons_idx r;
-                }
+                Audit.track (Printf.sprintf "p%d.%s" i label) r
               in
               track "fill" pv.pv_umem.Umem.fill
               :: track "comp" pv.pv_umem.Umem.completion
@@ -299,7 +286,6 @@ let build ?mutation mode =
     quantum = Time.us 100.;
     ledger;
     mut = mutation;
-    epoch = 0;
   }
 
 let pmd_of m id = List.assoc id m.by_id
@@ -392,25 +378,7 @@ let fail o fmt = Printf.ksprintf (fun s -> raise (Violated (o, s))) fmt
 
 (* SPSC index monotonicity plus single-claimant XSK ownership. *)
 let check_rings m =
-  Array.iter
-    (fun tr ->
-      let r = tr.tr_ring in
-      let prod = Ring.prod_idx r and cons = Ring.cons_idx r in
-      if prod < tr.tr_prod then
-        fail O_ring "%s producer rewound (%d -> %d)" tr.tr_label tr.tr_prod
-          prod;
-      if cons < tr.tr_cons then
-        fail O_ring "%s consumer rewound (%d -> %d)" tr.tr_label tr.tr_cons
-          cons;
-      if cons > prod then
-        fail O_ring "%s consumer ahead of producer (%d > %d)" tr.tr_label cons
-          prod;
-      if prod - cons > Ring.size r then
-        fail O_ring "%s holds %d descriptors in a %d-slot ring" tr.tr_label
-          (prod - cons) (Ring.size r);
-      tr.tr_prod <- prod;
-      tr.tr_cons <- cons)
-    m.rings;
+  Array.iter (Audit.check_ring (fun s -> raise (Violated (O_ring, s)))) m.rings;
   List.iter
     (fun (_, q, pmd) ->
       let owner = Xsk.owner m.ports.(0).pv_xsks.(q) in
@@ -420,56 +388,11 @@ let check_rings m =
     (Pmd.assignment m.rt)
 
 (* Every umem frame has exactly one owner: pool free stack, leak
-   quarantine, or one of the fill/completion/rx/tx rings. Epoch-stamped
-   so the check allocates nothing and never clears the stamp array. *)
+   quarantine, or one of the fill/completion/rx/tx rings. *)
 let check_frames m =
-  Array.iteri
-    (fun pi pv ->
-      m.epoch <- m.epoch + 1;
-      let epoch = m.epoch in
-      let n_frames = pv.pv_umem.Umem.n_frames in
-      let count = ref 0 in
-      let visit where f =
-        if f < 0 || f >= n_frames then
-          fail O_frames "p%d: frame %d out of range (%s)" pi f where
-        else if pv.pv_stamp.(f) = epoch then
-          fail O_frames "p%d: frame %d owned twice (second owner: %s)" pi f
-            where
-        else begin
-          pv.pv_stamp.(f) <- epoch;
-          incr count
-        end
-      in
-      let visit_ring where (r : Ring.t) =
-        for i = 0 to Ring.available r - 1 do
-          visit where (Ring.peek r i).Ring.addr
-        done
-      in
-      let pool = pv.pv_pool in
-      for i = 0 to pool.Umempool.top - 1 do
-        visit "pool free stack" pool.Umempool.free.(i)
-      done;
-      List.iter (visit "leak quarantine") pool.Umempool.leaked;
-      visit_ring "fill ring" pv.pv_umem.Umem.fill;
-      visit_ring "completion ring" pv.pv_umem.Umem.completion;
-      Array.iter
-        (fun (x : Xsk.t) ->
-          visit_ring
-            (Printf.sprintf "q%d rx ring" x.Xsk.queue_id)
-            x.Xsk.rx;
-          visit_ring
-            (Printf.sprintf "q%d tx ring" x.Xsk.queue_id)
-            x.Xsk.tx)
-        pv.pv_xsks;
-      if !count <> n_frames then begin
-        (* name a missing frame for the report *)
-        let missing = ref (-1) in
-        Array.iteri
-          (fun f st -> if !missing < 0 && st <> epoch then missing := f)
-          pv.pv_stamp;
-        fail O_frames "p%d: %d of %d frames accounted (frame %d unowned)" pi
-          !count n_frames !missing
-      end)
+  Array.iter
+    (fun pv ->
+      Audit.check_frames (fun s -> raise (Violated (O_frames, s))) pv.pv_census)
     m.ports
 
 (* The per-PMD upcall and retry queues respect the declared bound. *)
@@ -489,8 +412,8 @@ let check_queues m =
    after every step, on the rig's ledger. *)
 let check_packets m =
   let books = Scenario.Ledger.diff m.ledger m.rig in
-  if Scenario.Ledger.unaccounted books <> 0 then
-    fail O_packets "%s" (Scenario.Ledger.render books)
+  if Engine.unaccounted books <> 0 then
+    fail O_packets "%s" (Engine.render books)
 
 (* Per-stage cycle sums reproduce the charged busy total. *)
 let check_trace m =

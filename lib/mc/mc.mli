@@ -21,6 +21,9 @@
     - trace accounting: the per-stage cycle sums equal the charged busy
       total.
 
+    The ring-cursor and frame checks are {!Ovs_xsk.Audit}'s, the code the
+    domains engine runs too.
+
     State is destructively mutated, so exploration is stateless-style:
     every schedule re-executes from a fresh model instance, which is what
     makes a violating schedule a {e replayable artifact} — a mode, a seed

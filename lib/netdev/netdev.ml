@@ -56,7 +56,6 @@ type t = {
       (** where transmitted packets go (the wire, a peer, a VM) *)
   mutable peer : t option;  (** veth peer / wire peer *)
   mutable xdp_progs : Ovs_ebpf.Xdp.t option array;  (** per rx queue *)
-  mutable xsks : Ovs_xsk.Xsk.t option array;  (** per rx queue *)
   mutable port_no : int;  (** assigned by the datapath when added *)
   stats : stats;
   mutable mac : Ovs_packet.Mac.t;
@@ -83,7 +82,6 @@ let create ?(kind = Physical) ?(driver = Kernel_driver) ?(queues = 1)
     tx_sink = None;
     peer = None;
     xdp_progs = Array.make queues None;
-    xsks = Array.make queues None;
     port_no = -1;
     stats = fresh_stats ();
     mac;
@@ -202,9 +200,6 @@ let attach_xdp_all t prog =
   Array.iteri (fun i _ -> t.xdp_progs.(i) <- Some prog) t.xdp_progs
 
 let detach_xdp t ~queue = t.xdp_progs.(queue) <- None
-
-(** Bind an AF_XDP socket to a queue. *)
-let bind_xsk t ~queue xsk = t.xsks.(queue) <- Some xsk
 
 let pp ppf t =
   Fmt.pf ppf "%s[%s,%dq,%.0fG,%s]" t.name

@@ -56,7 +56,6 @@ type t = {
       (** where transmitted packets go (the wire, a peer, a VM) *)
   mutable peer : t option;  (** veth peer / wire peer *)
   mutable xdp_progs : Ovs_ebpf.Xdp.t option array;  (** per rx queue *)
-  mutable xsks : Ovs_xsk.Xsk.t option array;  (** per rx queue *)
   mutable port_no : int;  (** assigned by the datapath when added *)
   stats : stats;
   mutable mac : Ovs_packet.Mac.t;
@@ -128,8 +127,5 @@ val attach_xdp_all : t -> Ovs_ebpf.Xdp.t -> unit
 (** Attach to every queue (the Intel model). *)
 
 val detach_xdp : t -> queue:int -> unit
-
-val bind_xsk : t -> queue:int -> Ovs_xsk.Xsk.t -> unit
-(** Bind an AF_XDP socket to a queue. *)
 
 val pp : Format.formatter -> t -> unit

@@ -13,6 +13,7 @@
 module Time = Ovs_sim.Time
 module Faults = Ovs_faults.Faults
 module Dpif = Ovs_datapath.Dpif
+module Engine = Ovs_datapath.Engine
 module Netdev = Ovs_netdev.Netdev
 
 (** The datapath legs a plan can run against. [Afxdp_leg] is AF_XDP with
@@ -129,7 +130,7 @@ let judge plan leg (res : Scenario.chaos_result) =
   let latency_ok =
     res.Scenario.c_latency_count < 0
     || res.Scenario.c_latency_count
-       = res.Scenario.c_ledger.Scenario.Ledger.d_delivered
+       = res.Scenario.c_ledger.Engine.d_delivered
   in
   {
     row_plan = plan;
@@ -138,7 +139,7 @@ let judge plan leg (res : Scenario.chaos_result) =
     row_recovered = recovered;
     row_latency_ok = latency_ok;
     row_pass =
-      Scenario.Ledger.conserved res.Scenario.c_ledger && recovered && latency_ok;
+      Engine.conserved res.Scenario.c_ledger && recovered && latency_ok;
   }
 
 let run_one (s : spec) leg =
@@ -161,18 +162,18 @@ let render rows =
     (fun r ->
       let c = r.row_res in
       let books = c.Scenario.c_ledger in
-      let offered = books.Scenario.Ledger.d_offered
-      and delivered = books.Scenario.Ledger.d_delivered in
+      let offered = books.Engine.d_offered
+      and delivered = books.Engine.d_delivered in
       add "%-13s %-7s %9.3f %9.3f %9.3f  %9d %7d %6d %10s  %s\n" r.row_plan
         (leg_name r.row_leg) c.Scenario.c_baseline_mpps
         c.Scenario.c_faulted_mpps c.Scenario.c_post_mpps offered
-        (Scenario.Ledger.drops books) (offered - delivered)
+        (Engine.drops books) (offered - delivered)
         (match c.Scenario.c_recovery_ns with
         | Some ns -> Fmt.str "%a" Time.pp_ns ns
         | None -> "-")
         (if r.row_pass then "PASS"
-         else if not (Scenario.Ledger.conserved books) then
-           Printf.sprintf "LEAK (%s)" (Scenario.Ledger.render books)
+         else if not (Engine.conserved books) then
+           Printf.sprintf "LEAK (%s)" (Engine.render books)
          else if not r.row_latency_ok then
            Printf.sprintf "STAMP-LEAK (%d samples, %d delivered)"
              c.Scenario.c_latency_count delivered

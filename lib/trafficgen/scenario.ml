@@ -106,10 +106,6 @@ type config = {
   retry_capacity : int;
       (** per-PMD retry queue bound — the schedule explorer shrinks both
           so its bounded-queue oracle bites at tiny packet counts *)
-  engine : Engine.mode;
-      (** which execution engine drives the PMD leg: [`Vt] (default) is
-          the deterministic virtual-time scheduler; [`Domains n] runs the
-          P2P rig on [n] real OCaml domains and measures wall-clock Mpps *)
   latency : bool;
       (** arm per-packet sojourn-time measurement: the generator becomes
           a paced line-rate core ([offered_mpps]), stamps each packet's
@@ -145,7 +141,6 @@ let default_config =
     ct_zone = None;
     upcall_capacity = 512;
     retry_capacity = 256;
-    engine = `Vt;
     latency = false;
     offered_mpps = 0.;
     burst = None;
@@ -164,12 +159,12 @@ let config ?(kind = default_config.kind) ?(topology = default_config.topology)
     ?(ct_zone = default_config.ct_zone)
     ?(upcall_capacity = default_config.upcall_capacity)
     ?(retry_capacity = default_config.retry_capacity)
-    ?(engine = default_config.engine) ?(latency = default_config.latency)
+    ?(latency = default_config.latency)
     ?(offered_mpps = default_config.offered_mpps)
     ?(burst = default_config.burst) () =
   { kind; topology; n_flows; frame_len; queues; gbps; warmup; measure; cache;
     ccache; mix; n_pmds; trace; faults; rx_policy; strict_match; ct_zone;
-    upcall_capacity; retry_capacity; engine; latency; offered_mpps; burst }
+    upcall_capacity; retry_capacity; latency; offered_mpps; burst }
 
 let is_userspace = function
   | Dpif.Dpdk | Dpif.Afxdp _ -> true
@@ -464,12 +459,13 @@ let in_flight (r : rig) =
     | Some rt -> List.fold_left (fun a p -> a + Pmd.queued p) 0 (Pmd.pmds rt)
     | None -> 0)
 
-(** The conservation ledger: the one definition of where an offered
-    packet can end up. A ledger records every drop counter when its phase
-    opens, counts the packets the phase offers, and reports each
-    counter's movement against that record — so a failed conservation
-    check names the counter that moved, by how much, and in which phase.
-    {!in_flight} is its in-flight term. *)
+(** The rig's conservation ledger. A ledger records every drop counter
+    when its phase opens, counts the packets the phase offers, and keeps
+    the phase's books ({!Ovs_datapath.Engine.books}, the one definition of
+    where an offered packet can end up) as each counter's movement
+    against that record — so a failed conservation check names the
+    counter that moved, by how much, and in which phase. {!in_flight} is
+    its in-flight term. *)
 module Ledger = struct
   type t = {
     phase : string;
@@ -477,18 +473,6 @@ module Ledger = struct
     tx0 : int;
     mutable offered : int;
     mutable rejected : int;
-  }
-
-  (** A phase's books: [offered = delivered + drops + in_flight] when
-      nothing vanished. *)
-  type diff = {
-    d_phase : string;
-    d_offered : int;
-    d_rejected : int;
-        (** refused uncounted under [Rx_backpressure]: never offered *)
-    d_delivered : int;
-    d_drops : (string * int) list;  (** each drop counter's delta *)
-    d_in_flight : int;
   }
 
   (* every place the rig counts a drop: the ingress NIC, the datapath's
@@ -532,9 +516,11 @@ module Ledger = struct
 
   let delivered l r = tx r - l.tx0
 
+  (** The phase's books so far, each drop counter as its movement since
+      the phase opened. *)
   let diff l (r : rig) =
     {
-      d_phase = l.phase;
+      Engine.d_phase = l.phase;
       d_offered = l.offered;
       d_rejected = l.rejected;
       d_delivered = delivered l r;
@@ -542,29 +528,6 @@ module Ledger = struct
         List.map2 (fun (c, v0) (_, v) -> (c, v - v0)) l.base (counters r);
       d_in_flight = in_flight r;
     }
-
-  let drops d = List.fold_left (fun a (_, n) -> a + n) 0 d.d_drops
-
-  (** Offered packets neither delivered, nor in a drop counter, nor
-      still in flight. *)
-  let unaccounted d = d.d_offered - d.d_delivered - drops d - d.d_in_flight
-
-  (** Exact conservation: nothing unaccounted, nothing left in flight. *)
-  let conserved d = unaccounted d = 0 && d.d_in_flight = 0
-
-  let render d =
-    Printf.sprintf
-      "phase %s: offered %d = delivered %d + drops %d [%s] + in flight %d%s"
-      d.d_phase d.d_offered d.d_delivered (drops d)
-      (match List.filter (fun (_, n) -> n <> 0) d.d_drops with
-      | [] -> "no drop counter moved"
-      | moved ->
-          String.concat ", "
-            (List.map (fun (c, n) -> Printf.sprintf "%s %+d" c n) moved))
-      d.d_in_flight
-      (match unaccounted d with
-      | 0 -> ""
-      | u -> Printf.sprintf " + %d unaccounted" u)
 end
 
 (* -- the phase driver: reset, offer, poll, drain -- *)
@@ -775,7 +738,7 @@ let ndr_probe (r : rig) ~rate_pps n : Ndr.probe_result =
   let delivered, _ = measure_latency r ~rate_pps n in
   { Ndr.offered = n; delivered }
 
-(* -- the real-parallelism leg: [`Domains n] -- *)
+(* -- the real-parallelism leg: the P2P rig on Engine_domains -- *)
 
 (* The P2P rig on real domains: the generator's pre-built templates
    become the injector's wire frames. *)
@@ -803,9 +766,10 @@ let domains_config ?(oracles = false) ?lock ?frames_per_queue ?ring_size
 (** Drive the P2P scenario through {!Ovs_datapath.Engine_domains}: the
     generator's pre-built templates become the injector's wire frames,
     [cfg.measure] packets are offered, and the readout is wall-clock
-    Mpps. Returns the engine stats and any oracle violations (empty with
-    [oracles:false], the default). Only P2P is meaningful here — the
-    virtual endpoints are virtual-time constructs. *)
+    Mpps. Returns the engine stats and the violations the engine recorded:
+    the stop-time books and frame census always, the per-poll checks
+    with [oracles:true]. Only P2P is meaningful here — the virtual
+    endpoints are virtual-time constructs. *)
 let run_multicore ?oracles ?lock ?frames_per_queue ?ring_size (cfg : config)
     ~n_domains () : Engine.stats * string list =
   let eng =
@@ -818,34 +782,7 @@ let run_multicore ?oracles ?lock ?frames_per_queue ?ring_size (cfg : config)
   let stats = Engine_domains.stop eng in
   (stats, Engine_domains.violations eng)
 
-(* Adapt engine stats to the scenario result shape: wall-clock rate, no
-   virtual-time CPU breakdown (domains burn real cores; the Table 4
-   accounting belongs to the [`Vt] engine). *)
-let result_of_engine_stats (s : Engine.stats) : result =
-  let machine = Cpu.create () in
-  {
-    rate_mpps = s.Engine.s_mpps;
-    wall_ns = s.Engine.s_wall_ns;
-    cpu = Cpu.breakdown ~poll_floor:[] machine ~wall:1.;
-    packets = s.Engine.s_delivered;
-    line_limited = false;
-    pmds = [];
-    busy_ns =
-      List.fold_left
-        (fun a (u : Engine.unit_load) -> a +. u.Engine.ul_busy_ns)
-        0. s.Engine.s_units_detail;
-    stage_trace = None;
-  }
-
 let run (cfg : config) : result =
-  match cfg.engine with
-  | `Domains n ->
-      let stats, viols = run_multicore cfg ~n_domains:n () in
-      List.iter
-        (fun v -> Fmt.epr "[multicore] oracle violation: %s@." v)
-        viols;
-      result_of_engine_stats stats
-  | `Vt ->
   let r = setup cfg in
   let machine = r.r_machine and dp = r.r_dp and rt = r.r_rt in
   (* warm up caches and megaflows, then measure straight on *)
@@ -914,10 +851,10 @@ type chaos_result = {
           per delivered packet: a mangled or crash-killed packet that
           leaked its timestamp would make this exceed the ledger's
           delivered count. *)
-  c_ledger : Ledger.diff;
+  c_ledger : Engine.books;
       (** the faulted phase's books, counter by counter: offered,
           delivered, each drop counter, the [Rx_backpressure] rejects and
-          what is left in flight after the drain ({!Ledger.conserved}) *)
+          what is left in flight after the drain ({!Engine.conserved}) *)
 }
 
 (* Advance the fault clock to [now] and run the window-open side effects
@@ -978,7 +915,7 @@ let run_chaos (cfg : config) (plan : Faults.plan) : chaos_result =
     200_000;
   let books = Ledger.diff ledger r in
   let wall_b = Float.max (Cpu.wall machine) 1. in
-  let faulted_pps = float_of_int books.Ledger.d_delivered /. wall_b *. 1e9 in
+  let faulted_pps = float_of_int books.Engine.d_delivered /. wall_b *. 1e9 in
   let restarts =
     match r.r_rt with
     | Some rt -> List.fold_left (fun a p -> a + Pmd.restarts p) 0 (Pmd.pmds rt)
@@ -1030,7 +967,7 @@ type churn_event = {
 
 (** One reconfiguration run: [cfg.measure] packets offered while the
     plan's events fire on the virtual clock. Conservation is the same
-    exact bookkeeping as {!run_chaos}: {!Ledger.unaccounted} of
+    exact bookkeeping as {!run_chaos}: {!Engine.unaccounted} of
     [rc_ledger] counts packets that are neither delivered nor in any drop
     counter — table-miss packets translated against an incomplete
     classifier emit no actions and vanish uncounted, which is precisely
@@ -1048,7 +985,7 @@ type reconfig_result = {
   rc_lat_count : int;  (** sojourn samples, -1 with latency off *)
   rc_p50_ns : float;
   rc_p99_ns : float;
-  rc_ledger : Ledger.diff;  (** the churn phase's books, counter by counter *)
+  rc_ledger : Engine.books;  (** the churn phase's books, counter by counter *)
 }
 
 (* Everything recorded when a swap begins, so its report can be settled
@@ -1056,7 +993,7 @@ type reconfig_result = {
 type swap_mark = {
   m_style : Reconfig.swap_style;
   m_w0 : Time.ns;
-  m_books : Ledger.diff;  (** the phase's books when the swap began *)
+  m_books : Engine.books;  (** the phase's books when the swap began *)
   m_ups0 : int;
   m_shadow_rules : int;
   m_mods : int;
@@ -1247,9 +1184,9 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
   let upgrade =
     Option.map
       (fun m ->
-        let w_off = books.Ledger.d_offered - m.m_books.Ledger.d_offered in
-        let w_del = books.Ledger.d_delivered - m.m_books.Ledger.d_delivered in
-        let w_drops = Ledger.drops books - Ledger.drops m.m_books in
+        let w_off = books.Engine.d_offered - m.m_books.Engine.d_offered in
+        let w_del = books.Engine.d_delivered - m.m_books.Engine.d_delivered in
+        let w_drops = Engine.drops books - Engine.drops m.m_books in
         {
           Reconfig.up_style = m.m_style;
           up_leg = Dpif.kind_name cfg.kind;
@@ -1286,7 +1223,7 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
     [Atomic.t]; halfway through the offered target the shadow pipeline
     (built through the wire, as always) replaces it in one atomic store.
     PMD domains keep polling throughout — there is no barrier. Returns
-    the engine stats, the oracle violations (armed), and how many
+    the engine stats, the violations (per-poll checks armed), and how many
     packets had been delivered when the cutover landed (proof it
     happened mid-run). Both rule sets must forward the template flows:
     the hitless property under domains is that the atomic pointer swap

@@ -47,7 +47,6 @@ type t = {
       (** producer-side ring operations, for the cost model (owner-written) *)
   mutable cons_ops : int;
       (** consumer-side ring operations, for the cost model (owner-written) *)
-  atomic : bool;
 }
 
 let create ?(atomic = false) ~size () =
@@ -61,11 +60,9 @@ let create ?(atomic = false) ~size () =
     cons = cursor_make ~atomic 0;
     prod_ops = 0;
     cons_ops = 0;
-    atomic;
   }
 
 let size t = t.size
-let is_atomic t = t.atomic
 let prod_idx t = cursor_get t.prod
 let cons_idx t = cursor_get t.cons
 
@@ -142,15 +139,6 @@ let push_burst t ds =
   let p = put p0 ds in
   if p > p0 then cursor_set t.prod p;
   p - p0
-
-(** Snapshot of the descriptors currently pending (oldest first) without
-    consuming them or counting a ring operation — introspection for
-    invariant checkers (the schedule explorer's frame-conservation
-    oracle), not a datapath primitive. Only meaningful at quiescent points
-    on an atomic ring. *)
-let pending t =
-  let c = cursor_get t.cons in
-  List.init (cursor_get t.prod - c) (fun i -> t.entries.((c + i) land t.mask))
 
 (** [peek t i] is the [i]-th pending descriptor (0 = oldest) without
     consuming it. @raise Invalid_argument when fewer than [i+1] pending. *)

@@ -27,7 +27,6 @@ val create : ?atomic:bool -> size:int -> unit -> t
     @raise Invalid_argument on a bad size. *)
 
 val size : t -> int
-val is_atomic : t -> bool
 
 val prod_idx : t -> int
 (** Total descriptors ever produced (monotone, never masked). *)
@@ -67,12 +66,6 @@ val pop_burst : t -> max:int -> desc list
 val push_burst : t -> desc list -> int
 (** Produce a batch; returns how many fit. One ring operation; the
     producer cursor is published once, after the whole batch is written. *)
-
-val pending : t -> desc list
-(** Snapshot of the descriptors currently pending (oldest first), without
-    consuming them and without counting a ring operation — for invariant
-    checkers such as the schedule explorer's frame-conservation oracle.
-    Only meaningful at quiescent points on an atomic ring. *)
 
 val peek : t -> int -> desc
 (** [peek t i] is the [i]-th pending descriptor (0 = oldest) without

@@ -69,8 +69,6 @@ let create ?(contended = false) ~n_frames ~strategy () =
     contended;
   }
 
-let is_contended t = t.contended
-
 let available t = t.top
 
 (* Run [f] as the operation's critical section. In contended mode the
@@ -190,9 +188,6 @@ let leaked_count t = List.length t.leaked
     introspection for invariant checkers, no lock or stats accounting. *)
 let free_frames t = List.init t.top (fun i -> t.free.(t.top - 1 - i))
 
-(** Snapshot of the quarantined frames a leak fault diverted. *)
-let leaked_frames t = t.leaked
-
 (** Return every quarantined frame to the free stack (the health
     monitor's leak repair). Returns how many came back. *)
 let reclaim_leaked t =
@@ -210,11 +205,6 @@ let lock_cost t (costs : Ovs_sim.Costs.t) =
   match t.strategy with
   | Mutex -> costs.Ovs_sim.Costs.mutex_lock
   | Spinlock | Spinlock_batched -> costs.Ovs_sim.Costs.spinlock
-
-(** Total synchronization + allocator cost accumulated so far. *)
-let total_cost t (costs : Ovs_sim.Costs.t) =
-  (float_of_int t.stats.lock_acquisitions *. lock_cost t costs)
-  +. (float_of_int t.stats.frame_ops *. costs.Ovs_sim.Costs.umem_frame_op)
 
 let reset_stats t =
   t.stats.lock_acquisitions <- 0;

@@ -52,8 +52,6 @@ val create : ?contended:bool -> n_frames:int -> strategy:lock_strategy -> unit -
     up in wall-clock time under the domains engine. The default takes no
     lock and is byte-identical to the virtual-time pool it replaces. *)
 
-val is_contended : t -> bool
-
 val available : t -> int
 
 val get : t -> int option
@@ -80,17 +78,11 @@ val free_frames : t -> int list
     accounting — for invariant checkers such as the schedule explorer's
     frame-conservation oracle. *)
 
-val leaked_frames : t -> int list
-(** Snapshot of the quarantine, same introspection-only contract. *)
-
 val reclaim_leaked : t -> int
 (** Return every quarantined frame to the free stack; returns how many
     came back. The health monitor's leak repair. *)
 
 val lock_cost : t -> Ovs_sim.Costs.t -> float
 (** Virtual-time cost of one acquisition under this pool's strategy. *)
-
-val total_cost : t -> Ovs_sim.Costs.t -> float
-(** Accumulated synchronization + allocator cost. *)
 
 val reset_stats : t -> unit

@@ -97,32 +97,31 @@ let refill t n =
     dropped — including frames larger than the umem frame size (AF_XDP of
     this era had no multi-buffer support, so jumbo/TSO frames cannot ride
     an XSK). *)
+let drop_no_frame t =
+  t.rx_dropped_no_frame <- t.rx_dropped_no_frame + 1;
+  Ovs_sim.Coverage.incr cov_rx_no_frame;
+  false
+
 let kernel_rx ?(birth_ns = -1.) t (wire : Bytes.t) ~len =
-  if len > Umem.frame_capacity t.umem then begin
-    t.rx_dropped_no_frame <- t.rx_dropped_no_frame + 1;
-    Ovs_sim.Coverage.incr cov_rx_no_frame;
+  if len > Umem.frame_capacity t.umem then drop_no_frame t
+  else if Ring.is_full t.rx && not (Ring.is_empty t.fill) then begin
+    (* rx ring full, checked before a fill frame is taken: this side only
+       consumes the fill ring, so it could not hand the frame back
+       without becoming the ring's second producer *)
+    t.rx_dropped_ring_full <- t.rx_dropped_ring_full + 1;
+    Ovs_sim.Coverage.incr cov_rx_ring_full;
     false
   end
   else
-  match Ring.pop t.fill with
-  | None ->
-      t.rx_dropped_no_frame <- t.rx_dropped_no_frame + 1;
-      Ovs_sim.Coverage.incr cov_rx_no_frame;
-      false
-  | Some { Ring.addr = frame; _ } ->
-      Umem.dma_into_frame t.umem frame wire ~src_off:0 ~len;
-      Umem.set_birth t.umem frame birth_ns;
-      if Ring.push t.rx { Ring.addr = frame; len } then begin
+    match Ring.pop t.fill with
+    | None -> drop_no_frame t
+    | Some { Ring.addr = frame; _ } ->
+        Umem.dma_into_frame t.umem frame wire ~src_off:0 ~len;
+        Umem.set_birth t.umem frame birth_ns;
+        (* the rx ring has room and this side is its only producer *)
+        ignore (Ring.push t.rx { Ring.addr = frame; len } : bool);
         t.rx_delivered <- t.rx_delivered + 1;
         true
-      end
-      else begin
-        (* rx ring full: frame goes back to the fill ring, packet is lost *)
-        ignore (Ring.push t.fill { Ring.addr = frame; len = 0 });
-        t.rx_dropped_ring_full <- t.rx_dropped_ring_full + 1;
-        Ovs_sim.Coverage.incr cov_rx_ring_full;
-        false
-      end
 
 (** Userspace: receive a burst of packets as zero-copy buffers aliasing
     their umem frames. Each returned pair is (frame index, buffer). *)

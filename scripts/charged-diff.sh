@@ -8,9 +8,12 @@
 # there; the working tree is built in place. Each experiment runs as
 # `bench/main.exe <e> --json` from a scratch directory, so no BENCH_*.json
 # in the tree is overwritten. The exit status of every run is part of the
-# compared output. Only the wall-clock lines differ run to run and are
-# exempt: the `domains2` latency row and the `domains cutover` reconfig
-# line. Exits 1 on any other difference.
+# compared output. Every BENCH_*.json the runs wrote is compared too,
+# with `json.load` equality. Only the wall-clock results differ run to
+# run and are exempt: the `domains2` latency row and the `domains
+# cutover` reconfig line on stdout, and the same two results in the JSON
+# (BENCH_latency.json rows with leg "domains2", BENCH_reconfig.json's
+# `multicore` object). Exits 1 on any other difference.
 set -eu
 
 rev=${1:?usage: charged-diff.sh REV}
@@ -52,6 +55,46 @@ for e in $experiments; do
     status=1
   fi
 done
+
+# the JSON results, loaded; prints the first differing paths per file
+python3 - "$tmp/base" "$tmp/head" "$rev" <<'EOF' || status=1
+import json, os, sys
+
+base, head, rev = sys.argv[1:]
+
+def load(d, name):
+    path = os.path.join(d, name)
+    if not os.path.exists(path):
+        return None
+    j = json.load(open(path))
+    if name == "BENCH_reconfig.json":
+        j.pop("multicore", None)
+    if name == "BENCH_latency.json":
+        j["rows"] = [r for r in j["rows"] if r.get("leg") != "domains2"]
+    return j
+
+def diffs(a, b, path):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            yield from diffs(a.get(k), b.get(k), f"{path}.{k}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from diffs(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield f"{path}: {json.dumps(a)} -> {json.dumps(b)}"
+
+names = sorted({f for d in (base, head) for f in os.listdir(d)
+                if f.startswith("BENCH_") and f.endswith(".json")})
+bad = 0
+for name in names:
+    found = list(diffs(load(base, name), load(head, name), name))
+    if found:
+        bad = 1
+        print(f"{name} differs between {rev} and the working tree:")
+        for line in found[:20]:
+            print(f"  {line}")
+sys.exit(bad)
+EOF
 if [ "$status" -eq 0 ]; then
   echo "charged-diff: no difference against $rev" >&2
 fi

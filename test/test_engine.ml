@@ -265,12 +265,26 @@ let domains_smoke ~n_domains () =
     (n_domains + 2)
     (List.length stats.Engine.s_units_detail)
 
-let domains_via_run () =
-  let r =
-    Scenario.run (Scenario.config ~n_flows:8 ~measure:10_000 ~engine:(`Domains 2) ())
+(* Every verdict is drop: the books balance on the engine's own
+   verdict-drop counter, and stop's census finds every frame home. *)
+let domains_verdict_drop () =
+  let cfg = Scenario.config ~n_flows:8 ~measure:5_000 () in
+  let eng =
+    Engine_domains.create
+      (Scenario.domains_config cfg ~n_domains:2 ~translate:(fun _ -> false))
   in
-  check Alcotest.bool "run dispatches to the domains engine" true
-    (r.Scenario.packets > 0 && r.Scenario.rate_mpps > 0.)
+  Engine_domains.start eng;
+  let stats = Engine_domains.stop eng in
+  let books = Engine_domains.books eng in
+  let text = Engine.render books in
+  check Alcotest.(list string) "no violations" [] (Engine_domains.violations eng);
+  check Alcotest.int "nothing delivered" 0 stats.Engine.s_delivered;
+  check Alcotest.int "offered the full target" 5_000 books.Engine.d_offered;
+  check Alcotest.bool text true (Engine.conserved books);
+  check Alcotest.int "drops = s_dropped" stats.Engine.s_dropped
+    (Engine.drops books);
+  check Alcotest.bool "render names the verdict-drop counter" true
+    (Astring.String.is_infix ~affix:"domains.verdict_drop +" text)
 
 (* -- phase goldens: the chaos, reconfig, latency/NDR and explorer phases --
 
@@ -282,7 +296,6 @@ module Chaos = Ovs_trafficgen.Chaos
 module Reconfig = Ovs_ofproto.Reconfig
 module Q = Ovs_sim.Quantiles
 module Mc = Ovs_mc.Mc
-module Ledger = Scenario.Ledger
 
 let chaos_fingerprint (c : Scenario.chaos_result) =
   let books = c.Scenario.c_ledger in
@@ -291,8 +304,8 @@ let chaos_fingerprint (c : Scenario.chaos_result) =
      rejects=%d in_flight=%d recovery=%s restarts=%d repairs=%d fired=[%s] \
      samples=%d"
     c.Scenario.c_baseline_mpps c.Scenario.c_faulted_mpps c.Scenario.c_post_mpps
-    books.Ledger.d_offered books.Ledger.d_delivered (Ledger.drops books)
-    books.Ledger.d_rejected books.Ledger.d_in_flight
+    books.Engine.d_offered books.Engine.d_delivered (Engine.drops books)
+    books.Engine.d_rejected books.Engine.d_in_flight
     (match c.Scenario.c_recovery_ns with
     | Some ns -> Printf.sprintf "%.17g" ns
     | None -> "-")
@@ -318,8 +331,8 @@ let reconfig_fingerprint (r : Scenario.reconfig_result) =
     "offered=%d delivered=%d drops=%d vanished=%d in_flight=%d mods=%d \
      rows=%d div=%d upcalls=%d samples=%d p50=%.17g p99=%.17g events=[%s] \
      upgrade=%s"
-    books.Ledger.d_offered books.Ledger.d_delivered (Ledger.drops books)
-    (Ledger.unaccounted books) books.Ledger.d_in_flight r.Scenario.rc_flow_mods
+    books.Engine.d_offered books.Engine.d_delivered (Engine.drops books)
+    (Engine.unaccounted books) books.Engine.d_in_flight r.Scenario.rc_flow_mods
     r.Scenario.rc_ovsdb_rows r.Scenario.rc_divergences r.Scenario.rc_upcalls
     r.Scenario.rc_lat_count r.Scenario.rc_p50_ns r.Scenario.rc_p99_ns
     (String.concat "; " (List.map event r.Scenario.rc_events))
@@ -510,6 +523,6 @@ let () =
           Alcotest.test_case "2 domains, oracles" `Quick (domains_smoke ~n_domains:2);
           Alcotest.test_case "4 domains, oracles" `Quick (domains_smoke ~n_domains:4);
           Alcotest.test_case "8 domains, oracles" `Quick (domains_smoke ~n_domains:8);
-          Alcotest.test_case "via Scenario.run" `Quick domains_via_run;
+          Alcotest.test_case "every verdict drop" `Quick domains_verdict_drop;
         ] );
     ]

@@ -10,6 +10,7 @@ module Faults = Ovs_faults.Faults
 module Umempool = Ovs_xsk.Umempool
 module Netdev = Ovs_netdev.Netdev
 module Dpif = Ovs_datapath.Dpif
+module Engine = Ovs_datapath.Engine
 module Pmd = Ovs_datapath.Pmd
 module Health = Ovs_datapath.Health
 module Cpu = Ovs_sim.Cpu
@@ -176,11 +177,11 @@ let check_plan name leg () =
   let books = c.Scenario.c_ledger in
   Alcotest.(check bool)
     (Printf.sprintf "%s/%s: conserved (%s)" name (Chaos.leg_name leg)
-       (Scenario.Ledger.render books))
+       (Engine.render books))
     true
-    (Scenario.Ledger.conserved books);
+    (Engine.conserved books);
   Alcotest.(check int) "nothing left in flight" 0
-    books.Scenario.Ledger.d_in_flight;
+    books.Engine.d_in_flight;
   Alcotest.(check bool) "post-recovery within 1% of baseline" true
     r.Chaos.row_recovered;
   Alcotest.(check bool) "the plan actually fired" true

@@ -10,6 +10,7 @@ module Scenario = Ovs_trafficgen.Scenario
 module Chaos = Ovs_trafficgen.Chaos
 module Q = Ovs_sim.Quantiles
 module Dpif = Ovs_datapath.Dpif
+module Engine = Ovs_datapath.Engine
 
 let check = Alcotest.check
 
@@ -129,7 +130,7 @@ let stamp_conservation plan leg () =
   check Alcotest.int
     (Printf.sprintf "%s/%s: sojourn samples = delivered packets" plan
        (Chaos.leg_name leg))
-    c.Scenario.c_ledger.Scenario.Ledger.d_delivered c.Scenario.c_latency_count;
+    c.Scenario.c_ledger.Engine.d_delivered c.Scenario.c_latency_count;
   check Alcotest.bool "row judged conserving" true row.Chaos.row_latency_ok;
   check Alcotest.bool "run passes end to end" true row.Chaos.row_pass
 

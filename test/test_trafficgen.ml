@@ -6,6 +6,7 @@ module Pktgen = Ovs_trafficgen.Pktgen
 module Tcp_model = Ovs_trafficgen.Tcp_model
 module Rr = Ovs_trafficgen.Rr_model
 module Dpif = Ovs_datapath.Dpif
+module Engine = Ovs_datapath.Engine
 
 let check = Alcotest.check
 
@@ -364,15 +365,15 @@ module Ledger = Scenario.Ledger
 module Chaos = Ovs_trafficgen.Chaos
 
 (* The phase's books conserve and exactly [counter] moved. *)
-let check_one_counter counter (books : Ledger.diff) =
-  let moved = List.filter (fun (_, n) -> n <> 0) books.Ledger.d_drops in
+let check_one_counter counter (books : Engine.books) =
+  let moved = List.filter (fun (_, n) -> n <> 0) books.Engine.d_drops in
   check
     Alcotest.(list string)
-    (Printf.sprintf "only %s moved (%s)" counter (Ledger.render books))
+    (Printf.sprintf "only %s moved (%s)" counter (Engine.render books))
     [ counter ] (List.map fst moved);
   check Alcotest.bool
-    (Printf.sprintf "books conserve (%s)" (Ledger.render books))
-    true (Ledger.conserved books)
+    (Printf.sprintf "books conserve (%s)" (Engine.render books))
+    true (Engine.conserved books)
 
 (* offer past the NIC ring's capacity with no poll, then drain *)
 let test_ledger_nic_overflow () =
@@ -385,7 +386,7 @@ let test_ledger_nic_overflow () =
   Scenario.quiesce r;
   let books = Ledger.diff ledger r in
   check_one_counter "phy0.rx_dropped" books;
-  check Alcotest.int "the overflow is the drop count" extra (Ledger.drops books)
+  check Alcotest.int "the overflow is the drop count" extra (Engine.drops books)
 
 let chaos_books plan leg =
   let spec = List.find (fun s -> s.Chaos.s_name = plan) Chaos.catalog in
@@ -413,7 +414,7 @@ let test_ledger_vdev_overflow () =
   let books = Ledger.diff ledger r in
   check_one_counter "vdev.rx_dropped" books;
   check Alcotest.int "every offered packet dropped at the guest" 320
-    (Ledger.drops books)
+    (Engine.drops books)
 
 (* a leak the books cannot place is named, with its phase *)
 let test_ledger_names_a_leak () =
@@ -422,11 +423,11 @@ let test_ledger_names_a_leak () =
   Ledger.offer ledger r (Pktgen.next r.Scenario.r_gen);
   ignore (Ovs_netdev.Netdev.dequeue r.Scenario.r_phy0 ~queue:0 ~max:1);
   let books = Ledger.diff ledger r in
-  check Alcotest.int "one packet unaccounted" 1 (Ledger.unaccounted books);
+  check Alcotest.int "one packet unaccounted" 1 (Engine.unaccounted books);
   check Alcotest.string "rendered books"
     "phase leaky: offered 1 = delivered 0 + drops 0 [no drop counter \
      moved] + in flight 0 + 1 unaccounted"
-    (Ledger.render books)
+    (Engine.render books)
 
 let () =
   Alcotest.run "ovs_trafficgen"

@@ -199,6 +199,95 @@ let test_xsk_burst_order () =
       | None -> Alcotest.fail "udp parse")
     batch
 
+(* The domains layout: atomic sockets with private fill/completion rings
+   over one umem and one pool, [n] queues, each fill ring stocked. *)
+let domains_layout ?(n = 2) ?(ring_size = 8) () =
+  let n_frames = 16 * n in
+  let umem = Umem.create ~n_frames ~ring_size () in
+  let pool = Umempool.create ~n_frames ~strategy:Umempool.Spinlock_batched () in
+  let xsks =
+    Array.init n (fun q ->
+        Xsk.create ~ring_size ~fill_target:(ring_size / 2) ~atomic:true ~umem
+          ~pool ~queue_id:q ())
+  in
+  Array.iter (fun x -> ignore (Xsk.refill x 0 : int)) xsks;
+  (pool, xsks)
+
+(* every report of one frame census, oldest first *)
+let census_reports pool xsks =
+  let got = ref [] in
+  Audit.check_frames
+    (fun s -> got := s :: !got)
+    (Audit.census ~label:"ingress" pool (Audit.xsk_rings xsks));
+  List.rev !got
+
+let test_xsk_rx_full_keeps_fill () =
+  let pool, xsks = domains_layout ~n:1 ~ring_size:4 () in
+  let xsk = xsks.(0) in
+  let wire = Bytes.make 64 'z' in
+  while not (Ring.is_full xsk.Xsk.rx) do
+    Alcotest.(check bool) "rx" true (Xsk.kernel_rx xsk wire ~len:64);
+    ignore (Xsk.refill xsk 0 : int)
+  done;
+  let fill_prod = Ring.prod_idx xsk.Xsk.fill in
+  Alcotest.(check bool) "a fill frame is ready" false (Ring.is_empty xsk.Xsk.fill);
+  Alcotest.(check bool) "dropped" false (Xsk.kernel_rx xsk wire ~len:64);
+  check Alcotest.int "counted as ring full" 1 xsk.Xsk.rx_dropped_ring_full;
+  check Alcotest.int "nothing produced onto the fill ring" fill_prod
+    (Ring.prod_idx xsk.Xsk.fill);
+  check Alcotest.(list string) "every frame owned once" []
+    (census_reports pool xsks)
+
+(* -- Audit: the shared ring and frame oracles -- *)
+
+let test_audit_clean () =
+  let pool, xsks = domains_layout () in
+  check Alcotest.(list string) "clean census" [] (census_reports pool xsks);
+  check Alcotest.(list string) "private rings listed per queue"
+    [ "q0 fill ring"; "q0 completion ring"; "q1 fill ring";
+      "q1 completion ring"; "q0 rx ring"; "q0 tx ring"; "q1 rx ring";
+      "q1 tx ring" ]
+    (List.map fst (Audit.xsk_rings xsks))
+
+let test_audit_double_owner () =
+  let pool, xsks = domains_layout () in
+  (* a frame still posted on q1's fill ring goes back to the pool too *)
+  let d = Ring.peek xsks.(1).Xsk.fill 0 in
+  Umempool.put pool d.Ring.addr;
+  let reports = census_reports pool xsks in
+  let affix =
+    Printf.sprintf "frame %d owned twice (second owner: q1 fill ring)"
+      d.Ring.addr
+  in
+  Alcotest.(check bool)
+    (String.concat "; " reports)
+    true
+    (List.exists (fun r -> Astring.String.is_infix ~affix r) reports)
+
+let test_audit_unowned () =
+  let pool, xsks = domains_layout () in
+  match Umempool.get pool with
+  | None -> Alcotest.fail "pool empty"
+  | Some f ->
+      check Alcotest.(list string) "the taken frame is named"
+        [ Printf.sprintf "ingress: 31 of 32 frames accounted (frame %d unowned)" f ]
+        (census_reports pool xsks)
+
+let test_audit_rewind () =
+  let _, xsks = domains_layout () in
+  let xsk = xsks.(0) in
+  Alcotest.(check bool) "rx" true (Xsk.kernel_rx xsk (Bytes.make 64 'r') ~len:64);
+  ignore (Xsk.rx_burst xsk ~max:1);
+  let tr = Audit.track "q0.rx" xsk.Xsk.rx in
+  let got = ref [] in
+  let report s = got := s :: !got in
+  Audit.check_ring report tr;
+  check Alcotest.(list string) "quiet ring" [] !got;
+  Ring.corrupt_rewind_cons xsk.Xsk.rx;
+  Audit.check_ring report tr;
+  check Alcotest.(list string) "rewind caught" [ "q0.rx consumer rewound (1 -> 0)" ]
+    !got
+
 (* -- Dp_packet_pool -- *)
 
 let test_metadata_costs () =
@@ -267,7 +356,17 @@ let () =
           Alcotest.test_case "drop without fill" `Quick test_xsk_drop_without_fill;
           Alcotest.test_case "tx kick and recycle" `Quick test_xsk_tx_kick_and_recycle;
           Alcotest.test_case "burst order" `Quick test_xsk_burst_order;
+          Alcotest.test_case "rx ring full leaves the fill ring alone" `Quick
+            test_xsk_rx_full_keeps_fill;
         ] );
       ( "dp_packet_pool",
         [ Alcotest.test_case "metadata costs (O4)" `Quick test_metadata_costs ] );
+      ( "audit",
+        [
+          Alcotest.test_case "clean domains layout" `Quick test_audit_clean;
+          Alcotest.test_case "frame on fill ring and in pool" `Quick
+            test_audit_double_owner;
+          Alcotest.test_case "frame taken from pool" `Quick test_audit_unowned;
+          Alcotest.test_case "rx consumer rewound" `Quick test_audit_rewind;
+        ] );
     ]
