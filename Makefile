@@ -1,5 +1,5 @@
 # Tier-1 verification in one command.
-.PHONY: all check build test smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff clean
+.PHONY: all check build test smoke perf-smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff clean
 
 all: build
 
@@ -13,6 +13,20 @@ test:
 # attribution experiments both exit nonzero on failure.
 smoke:
 	dune exec bench/main.exe -- pmd stages
+
+# The real-time benchmark's correctness pass: every perfbench workload for
+# one second, untraced and traced (the layer walk), failing unless each
+# run reports "all workloads correct" — conservation, the charged-rate
+# oracle, the walk-matches-* counter checks, policy drops, the
+# revalidation oracle and the zone limit. Builds into .bench_build; the
+# last run's report stays in .perf-smoke.out.
+perf-smoke:
+	for trace in 0 1; do \
+	  python3 perfbench/run.py --workload all --seconds 1 --trace $$trace \
+	    > .perf-smoke.out || { cat .perf-smoke.out; exit 1; }; \
+	  cat .perf-smoke.out; \
+	  grep -qx 'all workloads correct' .perf-smoke.out || exit 1; \
+	done
 
 # The chaos bench: every fault plan against every leg, exact packet
 # conservation and post-recovery throughput enforced (exit nonzero on any
@@ -92,7 +106,7 @@ reconfig:
 charged-diff:
 	scripts/charged-diff.sh $(REV)
 
-check: build test smoke chaos ccache mc multicore latency ndr policy scale reconfig
+check: build test smoke perf-smoke chaos ccache mc multicore latency ndr policy scale reconfig
 
 bench:
 	dune exec bench/main.exe

@@ -718,7 +718,7 @@ let ccache_point ~target_rules : ccache_row =
   Dpif.reset_measurement dp;
   replay ();
   let baseline =
-    c.Ovs_datapath.Dp_core.dpcls_cycles
+    c.Ovs_datapath.Dp_core.cycles.Ovs_datapath.Dp_core.dpcls_ns
     /. float_of_int (Int.max 1 c.Ovs_datapath.Dp_core.dpcls_hits)
   in
   let subtables, megaflows, mean_probes = Dpif.dpcls_stats dp in
@@ -730,7 +730,8 @@ let ccache_point ~target_rules : ccache_row =
   let tier_hits = c.Ovs_datapath.Dp_core.ccache_hits
   and cls_hits = c.Ovs_datapath.Dp_core.dpcls_hits in
   let with_ccache =
-    (c.Ovs_datapath.Dp_core.ccache_cycles +. c.Ovs_datapath.Dp_core.dpcls_cycles)
+    let cy = c.Ovs_datapath.Dp_core.cycles in
+    (cy.Ovs_datapath.Dp_core.ccache_ns +. cy.Ovs_datapath.Dp_core.dpcls_ns)
     /. float_of_int (Int.max 1 (tier_hits + cls_hits))
   in
   let keys = List.init n_flows (fun j -> Ovs_packet.Flow_key.extract (flow j)) in

@@ -25,6 +25,16 @@ type flavor = Flavor_userspace | Flavor_kernel | Flavor_kernel_ebpf
 
 type charge_fn = Ovs_sim.Cpu.category -> Ovs_sim.Time.ns -> unit
 
+(* virtual ns spent on the *hits* of each lookup tier — the raw material
+   of dpif/cache-hierarchy-show's mean-cycles-per-hit column. All-float,
+   so crediting a hit adds in place instead of boxing. *)
+type tier_cycles = {
+  mutable emc_ns : float;
+  mutable smc_ns : float;
+  mutable ccache_ns : float;
+  mutable dpcls_ns : float;
+}
+
 type counters = {
   mutable packets : int;
   mutable passes : int;  (** datapath lookups, incl. recirculations *)
@@ -35,12 +45,7 @@ type counters = {
   mutable dpcls_hits : int;
   mutable dropped : int;
   mutable sent : int;
-  (* virtual ns spent on the *hits* of each lookup tier — the raw material
-     of dpif/cache-hierarchy-show's mean-cycles-per-hit column *)
-  mutable emc_cycles : float;
-  mutable smc_cycles : float;
-  mutable ccache_cycles : float;
-  mutable dpcls_cycles : float;
+  cycles : tier_cycles;
 }
 
 (* process-global coverage counters, COVERAGE_INC-style *)
@@ -109,6 +114,9 @@ type t = {
   mutable tracer : Trace.t option;
       (** per-stage cycle attribution + packet-walk recorder; [None]
           (the default) keeps the hot path untraced and allocation-free *)
+  mutable keys : FK.t array;
+      (** flow-key buffers, one per pass in progress ({!next_key}) *)
+  mutable depth : int;  (** passes in progress *)
 }
 
 let fresh_counters () =
@@ -122,10 +130,7 @@ let fresh_counters () =
     dpcls_hits = 0;
     dropped = 0;
     sent = 0;
-    emc_cycles = 0.;
-    smc_cycles = 0.;
-    ccache_cycles = 0.;
-    dpcls_cycles = 0.;
+    cycles = { emc_ns = 0.; smc_ns = 0.; ccache_ns = 0.; dpcls_ns = 0. };
   }
 
 let create ~flavor ~costs ~pipeline () =
@@ -153,6 +158,8 @@ let create ~flavor ~costs ~pipeline () =
     controller = None;
     upcall_hook = None;
     tracer = None;
+    keys = Array.init 4 (fun _ -> FK.create ());
+    depth = 0;
   }
 
 (* -- accessors over the sealed record -- *)
@@ -247,7 +254,11 @@ let tracer t = t.tracer
 let trace_stage t s =
   match t.tracer with Some r -> Trace.set_stage r s | None -> ()
 
-(* the detail thunk is only forced during an active walk *)
+let tracing t = Option.is_some t.tracer
+
+(* The detail thunk is only forced during an active walk. A thunk that
+   captures variables is a closure allocation, so hot-path callers guard
+   it with [tracing]: untraced, they build nothing. *)
 let trace_note t s (detail : unit -> string) =
   match t.tracer with
   | Some r -> if Trace.walking r then Trace.note r s (detail ()) else Trace.set_stage r s
@@ -285,10 +296,11 @@ let reset_counters t =
   c.dpcls_hits <- 0;
   c.dropped <- 0;
   c.sent <- 0;
-  c.emc_cycles <- 0.;
-  c.smc_cycles <- 0.;
-  c.ccache_cycles <- 0.;
-  c.dpcls_cycles <- 0.
+  let cy = c.cycles in
+  cy.emc_ns <- 0.;
+  cy.smc_ns <- 0.;
+  cy.ccache_ns <- 0.;
+  cy.dpcls_ns <- 0.
 
 (** Configure a token-bucket meter (the [meter:N] action's target). *)
 let set_meter t ~id ~rate_pps ~burst =
@@ -318,6 +330,11 @@ let meter_admits t id =
         Coverage.incr cov_meter_drop;
         false
       end
+
+(* Credit a megaflow entry with the virtual ns of a lookup that hit it. *)
+let credit_entry (e : _ Ovs_flow.Dpcls.entry) cost =
+  let cy = e.Ovs_flow.Dpcls.cycles in
+  cy.Ovs_flow.Dpcls.ns <- cy.Ovs_flow.Dpcls.ns +. cost
 
 (** The CPU category fast-path work lands in for this flavor. *)
 let fastpath_category t =
@@ -362,7 +379,7 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
             let cost = c.Ovs_sim.Costs.emc_hit +. cold_penalty t in
             charge cat cost;
             t.counters.emc_hits <- t.counters.emc_hits + 1;
-            t.counters.emc_cycles <- t.counters.emc_cycles +. cost;
+            t.counters.cycles.emc_ns <- t.counters.cycles.emc_ns +. cost;
             Coverage.incr cov_emc_hit;
             trace_note t Trace.St_emc (fun () -> "hit: exact-match cache");
             Some actions
@@ -388,7 +405,7 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
                 in
                 charge cat cost;
                 t.counters.smc_hits <- t.counters.smc_hits + 1;
-                t.counters.smc_cycles <- t.counters.smc_cycles +. cost;
+                t.counters.cycles.smc_ns <- t.counters.cycles.smc_ns +. cost;
                 Coverage.incr cov_smc_hit;
                 trace_note t Trace.St_smc (fun () -> "hit: signature-match cache");
                 Some actions
@@ -417,15 +434,16 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
             | Some (e, mf_mask) ->
                 let cost = work +. cold_penalty t in
                 charge cat cost;
-                e.Ovs_flow.Dpcls.cycles <- e.Ovs_flow.Dpcls.cycles +. cost;
+                credit_entry e cost;
                 t.counters.ccache_hits <- t.counters.ccache_hits + 1;
-                t.counters.ccache_cycles <- t.counters.ccache_cycles +. cost;
+                t.counters.cycles.ccache_ns <- t.counters.cycles.ccache_ns +. cost;
                 Coverage.incr cov_ccache_hit;
-                trace_note t Trace.St_ccache (fun () ->
-                    Printf.sprintf
-                      "hit: computational cache on %s (%d model evals, %d search steps, %d validation%s)"
-                      (masked_fields mf_mask) models steps valids
-                      (if valids = 1 then "" else "s"));
+                if tracing t then
+                  trace_note t Trace.St_ccache (fun () ->
+                      Printf.sprintf
+                        "hit: computational cache on %s (%d model evals, %d search steps, %d validation%s)"
+                        (masked_fields mf_mask) models steps valids
+                        (if valids = 1 then "" else "s"));
                 let actions = e.Ovs_flow.Dpcls.value in
                 (match t.emc with
                 | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
@@ -461,13 +479,14 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
       | Some (e, probes, mf_mask) ->
           let cost = float_of_int probes *. per_probe in
           charge cat cost;
-          e.Ovs_flow.Dpcls.cycles <- e.Ovs_flow.Dpcls.cycles +. cost;
+          credit_entry e cost;
           t.counters.dpcls_hits <- t.counters.dpcls_hits + 1;
-          t.counters.dpcls_cycles <- t.counters.dpcls_cycles +. cost;
+          t.counters.cycles.dpcls_ns <- t.counters.cycles.dpcls_ns +. cost;
           Coverage.incr cov_masked_hit;
-          trace_note t Trace.St_dpcls (fun () ->
-              Printf.sprintf "hit: megaflow on %s (%d subtable probe%s)"
-                (masked_fields mf_mask) probes (if probes = 1 then "" else "s"));
+          if tracing t then
+            trace_note t Trace.St_dpcls (fun () ->
+                Printf.sprintf "hit: megaflow on %s (%d subtable probe%s)"
+                  (masked_fields mf_mask) probes (if probes = 1 then "" else "s"));
           let actions = e.Ovs_flow.Dpcls.value in
           (match t.emc with
           | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
@@ -531,11 +550,12 @@ let slowpath t (charge : charge_fn) (key : FK.t) : Action.odp list =
     | Flavor_userspace -> c.Ovs_sim.Costs.upcall
     | Flavor_kernel | Flavor_kernel_ebpf -> c.Ovs_sim.Costs.netlink_upcall
   in
-  trace_note t Trace.St_upcall (fun () ->
-      match t.flavor with
-      | Flavor_userspace -> "miss in every fast-path tier: translating via ofproto"
-      | Flavor_kernel | Flavor_kernel_ebpf ->
-          "megaflow miss: netlink upcall to ovs-vswitchd");
+  if tracing t then
+    trace_note t Trace.St_upcall (fun () ->
+        match t.flavor with
+        | Flavor_userspace -> "miss in every fast-path tier: translating via ofproto"
+        | Flavor_kernel | Flavor_kernel_ebpf ->
+            "megaflow miss: netlink upcall to ovs-vswitchd");
   let log =
     match t.tracer with
     | Some r when Trace.walking r ->
@@ -591,11 +611,12 @@ let slowpath t (charge : charge_fn) (key : FK.t) : Action.odp list =
     +. (float_of_int result.Ovs_ofproto.Pipeline.tables_visited
        *. c.Ovs_sim.Costs.ofproto_table_lookup));
   let actions = result.Ovs_ofproto.Pipeline.odp_actions in
-  trace_note t Trace.St_install (fun () ->
-      Fmt.str "install megaflow on %s, actions: %a"
-        (masked_fields result.Ovs_ofproto.Pipeline.megaflow_mask)
-        Fmt.(list ~sep:(any ",") Action.pp_odp)
-        actions);
+  if tracing t then
+    trace_note t Trace.St_install (fun () ->
+        Fmt.str "install megaflow on %s, actions: %a"
+          (masked_fields result.Ovs_ofproto.Pipeline.megaflow_mask)
+          Fmt.(list ~sep:(any ",") Action.pp_odp)
+          actions);
   Ovs_flow.Dpcls.insert t.dpcls
     ~mask:result.Ovs_ofproto.Pipeline.megaflow_mask ~key actions;
   (match (t.reval, deps) with
@@ -624,159 +645,178 @@ let slowpath t (charge : charge_fn) (key : FK.t) : Action.odp list =
   | Some _ | None -> ());
   actions
 
+let action_cost t =
+  let c = t.costs in
+  match t.flavor with
+  | Flavor_userspace -> c.Ovs_sim.Costs.action_exec
+  | Flavor_kernel -> c.Ovs_sim.Costs.kmod_action
+  | Flavor_kernel_ebpf -> c.Ovs_sim.Costs.action_exec +. (8. *. c.Ovs_sim.Costs.ebpf_insn)
+
+let action_stage : Action.odp -> Trace.stage = function
+  | Action.Odp_tnl_push _ -> Trace.St_encap
+  | Action.Odp_tnl_pop _ -> Trace.St_decap
+  | Action.Odp_ct _ -> Trace.St_conntrack
+  | Action.Odp_output _ -> Trace.St_tx
+  | _ -> Trace.St_action
+
+(* The key buffer the next pass extracts into: one per pass in progress,
+   so a recirculation (or a packet injected while a pass runs) never
+   overwrites the key of the pass that started it. *)
+let next_key t =
+  if t.depth = Array.length t.keys then
+    t.keys <- Array.append t.keys (Array.init (Array.length t.keys) (fun _ -> FK.create ()));
+  t.keys.(t.depth)
+
 (** Execute datapath actions over the packet, recirculating as needed.
     This is odp-execute: real byte rewrites, real tunnel push/pop, real
     conntrack. *)
 let rec execute t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t)
     (actions : Action.odp list) =
+  match actions with
+  | [] -> ()
+  | act :: rest -> if execute_action t charge pkt key act then execute t charge pkt key rest
+
+(* One action; [false] stops the list (a meter that refused the packet). *)
+and execute_action t charge pkt key act =
   let c = t.costs in
   let cat = fastpath_category t in
-  let action_cost =
-    match t.flavor with
-    | Flavor_userspace -> c.Ovs_sim.Costs.action_exec
-    | Flavor_kernel -> c.Ovs_sim.Costs.kmod_action
-    | Flavor_kernel_ebpf -> c.Ovs_sim.Costs.action_exec +. (8. *. c.Ovs_sim.Costs.ebpf_insn)
-  in
-  let refresh_csums need =
-    if need && not t.csum_offload then
-      charge cat (Ovs_sim.Costs.csum c ~bytes:(Ovs_packet.Buffer.length pkt))
-  in
-  let rec go = function
-    | [] -> ()
-    | act :: rest ->
-      let stage =
-        match act with
-        | Action.Odp_tnl_push _ -> Trace.St_encap
-        | Action.Odp_tnl_pop _ -> Trace.St_decap
-        | Action.Odp_ct _ -> Trace.St_conntrack
-        | Action.Odp_output _ -> Trace.St_tx
-        | _ -> Trace.St_action
-      in
-      trace_note t stage (fun () -> Fmt.str "%a" Action.pp_odp act);
-      charge cat action_cost;
-      match act with
-      | Action.Odp_output port ->
-          t.counters.sent <- t.counters.sent + 1;
-          t.output charge port pkt;
-          go rest
-      | Action.Odp_drop ->
+  if tracing t then trace_note t (action_stage act) (fun () -> Fmt.str "%a" Action.pp_odp act);
+  charge cat (action_cost t);
+  match act with
+  | Action.Odp_output port ->
+      t.counters.sent <- t.counters.sent + 1;
+      t.output charge port pkt;
+      true
+  | Action.Odp_drop ->
+      t.counters.dropped <- t.counters.dropped + 1;
+      Coverage.incr cov_drop;
+      true
+  | Action.Odp_set (f, v) ->
+      (* a rewrite the NIC cannot absorb refreshes the checksums in software *)
+      if Set_field.apply pkt key f v && not t.csum_offload then
+        charge cat (Ovs_sim.Costs.csum c ~bytes:(Ovs_packet.Buffer.length pkt));
+      true
+  | Action.Odp_push_vlan tci ->
+      Ovs_packet.Ethernet.push_vlan pkt ~tci;
+      FK.set key FK.Field.Vlan_tci (tci lor 0x1000);
+      true
+  | Action.Odp_pop_vlan ->
+      Ovs_packet.Ethernet.pop_vlan pkt;
+      FK.set key FK.Field.Vlan_tci 0;
+      true
+  | Action.Odp_tnl_push ts ->
+      pkt.Ovs_packet.Buffer.rss_hash <- FK.rss_hash key;
+      Ovs_packet.Tunnel.encap pkt ts.Action.tnl_kind
+        ~fill_csum:(not t.csum_offload) ~vni:ts.Action.vni
+        ~src_mac:ts.Action.local_mac ~dst_mac:ts.Action.remote_mac
+        ~src_ip:ts.Action.local_ip ~dst_ip:ts.Action.remote_ip ();
+      charge cat
+        (if t.csum_offload then 0.
+         else Ovs_sim.Costs.csum c ~bytes:(Ovs_packet.Buffer.length pkt));
+      t.counters.sent <- t.counters.sent + 1;
+      trace_stage t Trace.St_tx;
+      t.output charge ts.Action.out_port pkt;
+      true
+  | Action.Odp_tnl_pop resume ->
+      (match Ovs_packet.Tunnel.decap pkt with
+      | Some _ ->
+          pkt.Ovs_packet.Buffer.recirc_id <- resume;
+          recirculate t charge pkt
+      | None ->
           t.counters.dropped <- t.counters.dropped + 1;
-          Coverage.incr cov_drop;
-          go rest
-      | Action.Odp_set (f, v) ->
-          let need = Set_field.apply pkt key f v in
-          refresh_csums need;
-          go rest
-      | Action.Odp_push_vlan tci ->
-          Ovs_packet.Ethernet.push_vlan pkt ~tci;
-          FK.set key FK.Field.Vlan_tci (tci lor 0x1000);
-          go rest
-      | Action.Odp_pop_vlan ->
-          Ovs_packet.Ethernet.pop_vlan pkt;
-          FK.set key FK.Field.Vlan_tci 0;
-          go rest
-      | Action.Odp_tnl_push ts ->
-          pkt.Ovs_packet.Buffer.rss_hash <- FK.rss_hash key;
-          Ovs_packet.Tunnel.encap pkt ts.Action.tnl_kind
-            ~fill_csum:(not t.csum_offload) ~vni:ts.Action.vni
-            ~src_mac:ts.Action.local_mac ~dst_mac:ts.Action.remote_mac
-            ~src_ip:ts.Action.local_ip ~dst_ip:ts.Action.remote_ip ();
-          charge cat
-            (if t.csum_offload then 0.
-             else Ovs_sim.Costs.csum c ~bytes:(Ovs_packet.Buffer.length pkt));
-          t.counters.sent <- t.counters.sent + 1;
-          trace_stage t Trace.St_tx;
-          t.output charge ts.Action.out_port pkt;
-          go rest
-      | Action.Odp_tnl_pop resume ->
-          (match Ovs_packet.Tunnel.decap pkt with
-          | Some _ ->
-              pkt.Ovs_packet.Buffer.recirc_id <- resume;
-              recirculate t charge pkt
-          | None ->
-              t.counters.dropped <- t.counters.dropped + 1;
-              Coverage.incr cov_decap_drop);
-          go rest
-      | Action.Odp_ct { zone; commit; nat; resume_table } -> begin
-          let ct = t.conntrack in
-          let verdict = Ovs_conntrack.Conntrack.track ~buf:pkt ct ~now:t.now ~zone key in
-          let conn =
-            if commit && verdict.Ovs_conntrack.Conntrack.conn = None then begin
-              let nat' =
-                match nat with
-                | None -> None
-                | Some { Action.snat; dnat } ->
-                    Some { Ovs_conntrack.Conntrack.nat_src = snat; nat_dst = dnat }
-              in
-              Ovs_conntrack.Conntrack.commit ct ~now:t.now ~zone ?nat:nat' key
-            end
-            else verdict.Ovs_conntrack.Conntrack.conn
+          Coverage.incr cov_decap_drop);
+      true
+  | Action.Odp_ct { zone; commit; nat; resume_table } ->
+      let ct = t.conntrack in
+      let verdict = Ovs_conntrack.Conntrack.track ~buf:pkt ct ~now:t.now ~zone key in
+      let conn =
+        if commit && verdict.Ovs_conntrack.Conntrack.conn = None then begin
+          let nat' =
+            match nat with
+            | None -> None
+            | Some { Action.snat; dnat } ->
+                Some { Ovs_conntrack.Conntrack.nat_src = snat; nat_dst = dnat }
           in
-          let ct_state =
-            match (verdict.Ovs_conntrack.Conntrack.conn, conn, commit) with
-            | None, Some _, true ->
-                (* freshly committed: +new+trk *)
-                verdict.Ovs_conntrack.Conntrack.ct_state
-            | None, None, true ->
-                (* zone limit hit: drop *)
-                FK.Ct_state_bits.inv lor FK.Ct_state_bits.trk
-            | _ -> verdict.Ovs_conntrack.Conntrack.ct_state
-          in
-          (match conn with
-          | Some conn_ ->
-              let is_reply =
-                ct_state land FK.Ct_state_bits.rpl <> 0
-              in
-              ignore
-                (Ovs_conntrack.Conntrack.apply_nat conn_ ~is_reply pkt key)
-          | None -> ());
-          pkt.Ovs_packet.Buffer.ct_state <- ct_state;
-          pkt.Ovs_packet.Buffer.ct_zone <- zone;
-          FK.set key FK.Field.Ct_state ct_state;
-          FK.set key FK.Field.Ct_zone zone;
-          trace_note t Trace.St_conntrack (fun () ->
-              Printf.sprintf "conntrack: zone %d, ct_state=%s%s" zone
-                (ct_state_string ct_state)
-                (if commit then " (committed)" else ""));
-          if resume_table >= 0 then begin
-            pkt.Ovs_packet.Buffer.recirc_id <- resume_table;
-            recirculate t charge pkt
-          end;
-          go rest
+          Ovs_conntrack.Conntrack.commit ct ~now:t.now ~zone ?nat:nat' key
         end
-      | Action.Odp_meter id ->
-          (* the token bucket decides: over-rate packets die here and the
-             remaining actions never run (OpenFlow meter semantics) *)
-          if meter_admits t id then go rest
-          else t.counters.dropped <- t.counters.dropped + 1
-      | Action.Odp_userspace ->
-          (* punt to the controller: a PACKET_IN plus the slow-path cost *)
-          charge Ovs_sim.Cpu.User c.Ovs_sim.Costs.upcall;
-          (match t.controller with Some f -> f pkt | None -> ());
-          go rest
-  in
-  go actions
+        else verdict.Ovs_conntrack.Conntrack.conn
+      in
+      let ct_state =
+        match (verdict.Ovs_conntrack.Conntrack.conn, conn, commit) with
+        | None, Some _, true ->
+            (* freshly committed: +new+trk *)
+            verdict.Ovs_conntrack.Conntrack.ct_state
+        | None, None, true ->
+            (* zone limit hit: drop *)
+            FK.Ct_state_bits.inv lor FK.Ct_state_bits.trk
+        | _ -> verdict.Ovs_conntrack.Conntrack.ct_state
+      in
+      (match conn with
+      | Some conn_ ->
+          let is_reply = ct_state land FK.Ct_state_bits.rpl <> 0 in
+          ignore (Ovs_conntrack.Conntrack.apply_nat conn_ ~is_reply pkt key)
+      | None -> ());
+      pkt.Ovs_packet.Buffer.ct_state <- ct_state;
+      pkt.Ovs_packet.Buffer.ct_zone <- zone;
+      FK.set key FK.Field.Ct_state ct_state;
+      FK.set key FK.Field.Ct_zone zone;
+      if tracing t then
+        trace_note t Trace.St_conntrack (fun () ->
+            Printf.sprintf "conntrack: zone %d, ct_state=%s%s" zone
+              (ct_state_string ct_state)
+              (if commit then " (committed)" else ""));
+      if resume_table >= 0 then begin
+        pkt.Ovs_packet.Buffer.recirc_id <- resume_table;
+        recirculate t charge pkt
+      end;
+      true
+  | Action.Odp_meter id ->
+      (* the token bucket decides: over-rate packets die here and the
+         remaining actions never run (OpenFlow meter semantics) *)
+      meter_admits t id
+      || begin
+           t.counters.dropped <- t.counters.dropped + 1;
+           false
+         end
+  | Action.Odp_userspace ->
+      (* punt to the controller: a PACKET_IN plus the slow-path cost *)
+      charge Ovs_sim.Cpu.User c.Ovs_sim.Costs.upcall;
+      (match t.controller with Some f -> f pkt | None -> ());
+      true
 
 (** A recirculation: re-extract (the packet changed or gained ct state) and
     run another datapath pass — this is why the NSX pipeline costs three
     lookups per packet (Sec 5.1). *)
 and recirculate t charge pkt =
   Coverage.incr cov_recirc;
-  do_pass t charge pkt
+  do_pass ~extracted:false t charge pkt
 
 (** One datapath pass: extract, look up, execute — deferring to the upcall
-    hook (when installed) on a full miss instead of translating inline. *)
-and do_pass t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) =
+    hook (when installed) on a full miss instead of translating inline.
+    With [~extracted:true] the key is already in {!next_key} (the rx path
+    extracted it for the software RSS hash): the extraction is charged
+    but not repeated. *)
+and do_pass ~extracted t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) =
   trace_stage t Trace.St_extract;
   charge (fastpath_category t) (extract_cost t);
-  let key = FK.extract pkt in
-  trace_note t Trace.St_extract (fun () -> Fmt.str "%a" FK.pp key);
+  let key = next_key t in
+  if not extracted then FK.extract_into key pkt;
+  if tracing t then trace_note t Trace.St_extract (fun () -> Fmt.str "%a" FK.pp key);
+  t.depth <- t.depth + 1;
+  match lookup_and_execute t charge pkt key with
+  | () -> t.depth <- t.depth - 1
+  | exception e ->
+      t.depth <- t.depth - 1;
+      raise e
+
+and lookup_and_execute t charge pkt key =
   match lookup_cached t charge key with
   | Some actions -> execute t charge pkt key actions
   | None -> begin
       match t.upcall_hook with
       | Some hook ->
-          if not (hook pkt key) then begin
+          (* the hook queues the key past this pass: it gets its own copy *)
+          if not (hook pkt (FK.copy key)) then begin
             (* bounded upcall queue overflow: the packet is lost, exactly
                like the kernel datapath's "lost" netlink upcalls *)
             t.counters.dropped <- t.counters.dropped + 1;
@@ -787,23 +827,37 @@ and do_pass t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) =
           execute t charge pkt key actions
     end
 
-(** Full per-packet fast path: extract, look up, execute. When a tracer is
-    installed, the pass runs inside a packet bracket with the charge_fn
-    wrapped exactly once — per-stage attribution therefore sums to the
-    end-to-end charged total by construction. Callers must hand [process]
-    an *unwrapped* charge_fn. *)
-let process t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) =
+(** Extract [pkt]'s key into the buffer the next pass uses, and return
+    it: the rx path hashes it for the software RSS hash, then hands the
+    packet to {!process_extracted} so the first pass does not extract
+    again. *)
+let extract_key t pkt =
+  let key = next_key t in
+  FK.extract_into key pkt;
+  key
+
+let process_pass ~extracted t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) =
   t.counters.packets <- t.counters.packets + 1;
   match t.tracer with
-  | None -> do_pass t charge pkt
+  | None -> do_pass ~extracted t charge pkt
   | Some r ->
       Trace.packet_begin r;
-      do_pass t
+      do_pass ~extracted t
         (fun cat ns ->
           Trace.on_charge r ns;
           charge cat ns)
         pkt;
       Trace.packet_end r
+
+(** Full per-packet fast path: extract, look up, execute. When a tracer is
+    installed, the pass runs inside a packet bracket with the charge_fn
+    wrapped exactly once — per-stage attribution therefore sums to the
+    end-to-end charged total by construction. Callers must hand [process]
+    an *unwrapped* charge_fn. *)
+let process t charge pkt = process_pass ~extracted:false t charge pkt
+
+(** {!process} for a packet whose key {!extract_key} has just extracted. *)
+let process_extracted t charge pkt = process_pass ~extracted:true t charge pkt
 
 (** Run one deferred upcall to completion: translate, install the megaflow,
     and execute the resulting actions over the queued packet. This is what
@@ -830,9 +884,9 @@ let handle_upcall t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t
           in
           let cost = float_of_int probes *. per_probe in
           charge cat cost;
-          e.Ovs_flow.Dpcls.cycles <- e.Ovs_flow.Dpcls.cycles +. cost;
+          credit_entry e cost;
           t.counters.dpcls_hits <- t.counters.dpcls_hits + 1;
-          t.counters.dpcls_cycles <- t.counters.dpcls_cycles +. cost;
+          t.counters.cycles.dpcls_ns <- t.counters.cycles.dpcls_ns +. cost;
           Coverage.incr cov_masked_hit;
           let actions = e.Ovs_flow.Dpcls.value in
           (match t.emc with
@@ -883,7 +937,7 @@ let dump_megaflows t : string list =
       out :=
         Fmt.str "%s, packets:%d, cycles:%.0f, actions:%a"
           (String.concat "," parts)
-          e.Ovs_flow.Dpcls.hits e.Ovs_flow.Dpcls.cycles
+          e.Ovs_flow.Dpcls.hits e.Ovs_flow.Dpcls.cycles.Ovs_flow.Dpcls.ns
           Fmt.(list ~sep:(any ",") Action.pp_odp)
           e.Ovs_flow.Dpcls.value
         :: !out);

@@ -19,6 +19,16 @@ type flavor =
 (** How work is billed: a CPU-time category and a duration in virtual ns. *)
 type charge_fn = Ovs_sim.Cpu.category -> Ovs_sim.Time.ns -> unit
 
+(** Virtual ns spent on the {e hits} of each lookup tier — the raw
+    material of dpif/cache-hierarchy-show's mean-cycles-per-hit column.
+    All-float, so crediting a hit adds in place. *)
+type tier_cycles = {
+  mutable emc_ns : float;
+  mutable smc_ns : float;
+  mutable ccache_ns : float;
+  mutable dpcls_ns : float;
+}
+
 (** Aggregate datapath counters. The record is deliberately public (all
     consumers read them; the PMD runtime snapshots them around each poll
     to attribute deltas per core) — use {!reset_counters} to zero. *)
@@ -32,12 +42,7 @@ type counters = {
   mutable dpcls_hits : int;
   mutable dropped : int;
   mutable sent : int;
-  (* virtual ns spent on the *hits* of each lookup tier — the raw material
-     of dpif/cache-hierarchy-show's mean-cycles-per-hit column *)
-  mutable emc_cycles : float;
-  mutable smc_cycles : float;
-  mutable ccache_cycles : float;
-  mutable dpcls_cycles : float;
+  cycles : tier_cycles;
 }
 
 type t
@@ -119,7 +124,9 @@ val now : t -> Ovs_sim.Time.ns
 (** {1 The deferred slow path (PMD upcall queues)} *)
 
 (** When a hook is installed, a full fast-path miss does not translate
-    inline: the hook enqueues the packet for a deferred slow-path pass.
+    inline: the hook enqueues the packet for a deferred slow-path pass,
+    with its own copy of the flow key (the datapath reuses its key
+    buffers).
     A [false] return means the queue was full — the packet is counted
     [dropped] and the [dpif_upcall_lost] coverage counter fires. *)
 val set_upcall_hook : t -> (Ovs_packet.Buffer.t -> FK.t -> bool) option -> unit
@@ -154,6 +161,15 @@ val meter_stats : t -> id:int -> (int * int) option
 (** Full per-packet fast path: extract, look up, execute (or defer to the
     upcall hook on a full miss). *)
 val process : t -> charge_fn -> Ovs_packet.Buffer.t -> unit
+
+(** Extract a packet's flow key into the buffer the next pass uses and
+    return it — valid until that pass runs. The rx path hashes it for the
+    software RSS hash, then calls {!process_extracted}. *)
+val extract_key : t -> Ovs_packet.Buffer.t -> FK.t
+
+(** {!process} for a packet whose key {!extract_key} has just extracted:
+    the first pass charges the extraction but does not repeat it. *)
+val process_extracted : t -> charge_fn -> Ovs_packet.Buffer.t -> unit
 
 (** {1 Flow-table management} *)
 

@@ -84,7 +84,9 @@ type t = {
   kind : kind;
   costs : Costs.t;
   core : Dp_core.t;
-  mutable ports : port list;
+  mutable ports : port option array;
+      (** indexed by port number, which {!add_port} hands out densely
+          from 0; grown by doubling *)
   mutable next_port : int;
   mutable serialized_tx : Ovs_sim.Time.ns;
       (** kernel tx-queue critical section accumulation: a rate floor the
@@ -117,21 +119,16 @@ let create ?(costs = Costs.default) ~kind ~pipeline () =
     kind;
     costs;
     core;
-    ports = [];
+    ports = Array.make 8 None;
     next_port = 0;
     serialized_tx = 0.;
     active_queues = 0;
-    metadata_pool =
-      (* sized with the umem: enough for any burst in flight, and cheap to
-         preallocate when a shrunken model (the schedule explorer) asks
-         for a small frame budget *)
-      Ovs_xsk.Dp_packet_pool.create ~mode:opts.metadata
-        ~size:(Int.min 4096 opts.frames_per_queue);
+    metadata_pool = Ovs_xsk.Dp_packet_pool.create ~mode:opts.metadata;
     vm = Ovs_ebpf.Vm.create ();
     latency = Ovs_sim.Quantiles.create ();
   }
 
-let port t no = List.find_opt (fun p -> p.port_no = no) t.ports
+let port t no = if no >= 0 && no < t.next_port then t.ports.(no) else None
 let conntrack t = Dp_core.conntrack t.core
 let counters t = Dp_core.counters t.core
 
@@ -142,9 +139,9 @@ let batchf t = float_of_int (afxdp_opts t).batch_size
 (* Transmitting puts a private copy of the live bytes on the wire so umem
    frames can be reused; the copy stands for the NIC's DMA read. (A full
    Buffer.clone would duplicate the whole umem arena for frame-aliased
-   buffers, so only the live region is copied.) *)
+   buffers, so only the live region is copied, once.) *)
 let put_on_wire (dev : Ovs_netdev.Netdev.t) (pkt : Ovs_packet.Buffer.t) =
-  let copy = Ovs_packet.Buffer.of_bytes (Ovs_packet.Buffer.contents pkt) in
+  let copy = Ovs_packet.Buffer.copy_live pkt in
   copy.Ovs_packet.Buffer.rss_hash <- pkt.Ovs_packet.Buffer.rss_hash;
   copy.Ovs_packet.Buffer.birth_ns <- pkt.Ovs_packet.Buffer.birth_ns;
   Ovs_netdev.Netdev.transmit dev copy
@@ -279,28 +276,36 @@ let add_port t (dev : Ovs_netdev.Netdev.t) : int =
     | Ovs_netdev.Netdev.Vhostuser, _ -> At_vhost
     | Ovs_netdev.Netdev.Veth, _ -> At_veth
   in
-  t.ports <- { dev; attach; port_no = no } :: t.ports;
+  if no = Array.length t.ports then
+    t.ports <- Array.append t.ports (Array.make (Array.length t.ports) None);
+  t.ports.(no) <- Some { dev; attach; port_no = no };
   bind_output t;
   no
 
 (* -- receive paths -- *)
 
-(** Per-packet metadata + key preparation cost on the userspace fast path. *)
-let userspace_rx_prep t (charge : Dp_core.charge_fn) pkt ~need_rxhash =
+(** Per-packet metadata + key preparation on the userspace fast path,
+    then the datapath pass. A software RSS hash is computed from the flow
+    key, the way OVS hashes the miniflow; that key is the one the first
+    pass looks up, so the packet is extracted once. [charge] bills the
+    rx-side work; [charge_pass] goes to the pass unwrapped (see {!poll}). *)
+let userspace_rx t (charge : Dp_core.charge_fn) ~(charge_pass : Dp_core.charge_fn)
+    pkt ~need_rxhash =
   let c = t.costs in
   Ovs_xsk.Dp_packet_pool.acquire t.metadata_pool;
   charge Cpu.User (Ovs_xsk.Dp_packet_pool.metadata_cost t.metadata_pool c);
+  let extracted = need_rxhash && pkt.Ovs_packet.Buffer.rss_hash = 0 in
   if need_rxhash then begin
     (* AF_XDP cannot read NIC hash hints yet (Sec 5.5): software rxhash *)
     charge Cpu.User c.Costs.rxhash_sw;
-    if pkt.Ovs_packet.Buffer.rss_hash = 0 then begin
-      let key = FK.extract pkt in
-      pkt.Ovs_packet.Buffer.rss_hash <- FK.rss_hash key
-    end
+    if extracted then
+      pkt.Ovs_packet.Buffer.rss_hash <- FK.rss_hash (Dp_core.extract_key t.core pkt)
   end;
   (* software checksum validation when the NIC's hint is unavailable *)
   if not (Dp_core.csum_offload t.core) then
-    charge Cpu.User (Costs.csum c ~bytes:(Ovs_packet.Buffer.length pkt))
+    charge Cpu.User (Costs.csum c ~bytes:(Ovs_packet.Buffer.length pkt));
+  if extracted then Dp_core.process_extracted t.core charge_pass pkt
+  else Dp_core.process t.core charge_pass pkt
 
 (** Poll one port's queue and run every dequeued packet through the
     datapath. [softirq] is the kernel-side context for that queue; [pmd]
@@ -360,8 +365,7 @@ let poll t ~(softirq : Cpu.ctx) ~(pmd : Cpu.ctx) ?(max = 32) ~port_no ~queue ()
         (fun pkt ->
           pkt.Ovs_packet.Buffer.in_port <- port_no;
           rx_pmd Cpu.User (c.Costs.dpdk_rx +. mq_penalty);
-          userspace_rx_prep t rx_pmd pkt ~need_rxhash:false;
-          Dp_core.process t.core charge_pmd pkt)
+          userspace_rx t rx_pmd ~charge_pass:charge_pmd pkt ~need_rxhash:false)
         pkts;
       List.length pkts
     end
@@ -402,7 +406,7 @@ let poll t ~(softirq : Cpu.ctx) ~(pmd : Cpu.ctx) ?(max = 32) ~port_no ~queue ()
               ignore
                 (Ovs_xsk.Xsk.kernel_rx xsk
                    ~birth_ns:pkt.Ovs_packet.Buffer.birth_ns
-                   (Ovs_packet.Buffer.contents pkt)
+                   ~off:pkt.Ovs_packet.Buffer.start pkt.Ovs_packet.Buffer.data
                    ~len:(Ovs_packet.Buffer.length pkt))
           | Ovs_ebpf.Vm.Tx ->
               rx_softirq Cpu.Softirq (c.Costs.driver_tx +. c.Costs.xdp_tx);
@@ -444,8 +448,7 @@ let poll t ~(softirq : Cpu.ctx) ~(pmd : Cpu.ctx) ?(max = 32) ~port_no ~queue ()
           (fun (frame, pkt) ->
             pkt.Ovs_packet.Buffer.in_port <- port_no;
             rx_pmd Cpu.User mq_penalty;
-            userspace_rx_prep t rx_pmd pkt ~need_rxhash:true;
-            Dp_core.process t.core charge_pmd pkt;
+            userspace_rx t rx_pmd ~charge_pass:charge_pmd pkt ~need_rxhash:true;
             Ovs_xsk.Xsk.release xsk ~frame)
           batch;
         ignore (Ovs_xsk.Xsk.flush_tx xsk)
@@ -476,9 +479,8 @@ let poll t ~(softirq : Cpu.ctx) ~(pmd : Cpu.ctx) ?(max = 32) ~port_no ~queue ()
                   rx_pmd Cpu.User
                     (c.Costs.virtio_ring_op +. c.Costs.vhost_copy_fixed
                     +. Costs.copy c ~bytes:(Ovs_packet.Buffer.length pkt)));
-              userspace_rx_prep t rx_pmd pkt
-                ~need_rxhash:(match t.kind with Afxdp _ -> true | _ -> false);
-              Dp_core.process t.core charge_pmd pkt)
+              userspace_rx t rx_pmd ~charge_pass:charge_pmd pkt
+                ~need_rxhash:(match t.kind with Afxdp _ -> true | _ -> false))
         pkts;
       List.length pkts
     end
@@ -511,7 +513,7 @@ let reset_measurement t =
 
 let kind t = t.kind
 let costs t = t.costs
-let ports t = List.rev t.ports  (* in add order *)
+let ports t = List.filter_map Fun.id (Array.to_list (Array.sub t.ports 0 t.next_port))
 let serialized_tx t = t.serialized_tx
 let active_queues t = t.active_queues
 let latency t = t.latency

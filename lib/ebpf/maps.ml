@@ -13,18 +13,28 @@ type kind =
   | Xskmap  (** queue index → AF_XDP socket, for XDP_REDIRECT *)
   | Prog_array  (** slot → program id, for bpf_tail_call chaining *)
 
+(* Keyed on [int64] with a monomorphic equality and an inline hash, so a
+   probe makes no polymorphic hash or compare call. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+  let hash (k : int64) = Int64.to_int k land max_int
+end)
+
 type t = {
   id : int;
   name : string;
   kind : kind;
   max_entries : int;
-  tbl : (int64, int64) Hashtbl.t;
+  tbl : int64 Tbl.t;
   arr : int64 array;  (** backing store for [Array] kind *)
   mutable lookups : int;  (** statistics for the cost model and tests *)
   mutable updates : int;
 }
 
-let registry : (int, t) Hashtbl.t = Hashtbl.create 16
+(* Map ids are handed out densely from 1: the registry is indexed by id. *)
+let registry : t option array ref = ref (Array.make 16 None)
 let next_id = ref 0
 
 (** Create and register a map, returning its handle ("fd"). *)
@@ -36,7 +46,7 @@ let create ~name ~kind ~max_entries =
       name;
       kind;
       max_entries;
-      tbl = Hashtbl.create (Int.min max_entries 1024);
+      tbl = Tbl.create (Int.min max_entries 1024);
       arr =
         (match kind with
         | Array -> Array.make max_entries 0L  (* kernel arrays zero-fill *)
@@ -46,11 +56,13 @@ let create ~name ~kind ~max_entries =
       updates = 0;
     }
   in
-  Hashtbl.replace registry m.id m;
+  if m.id >= Array.length !registry then
+    registry := Array.append !registry (Array.make (Array.length !registry) None);
+  !registry.(m.id) <- Some m;
   m
 
 let find_exn id =
-  match Hashtbl.find_opt registry id with
+  match if id > 0 && id < Array.length !registry then !registry.(id) else None with
   | Some m -> m
   | None -> failwith (Printf.sprintf "ebpf: unknown map id %d" id)
 
@@ -60,7 +72,7 @@ let lookup m (key : int64) : int64 option =
   | Array | Prog_array ->
       let i = Int64.to_int key in
       if i >= 0 && i < m.max_entries then Some m.arr.(i) else None
-  | Hash | Devmap | Xskmap -> Hashtbl.find_opt m.tbl key
+  | Hash | Devmap | Xskmap -> Tbl.find_opt m.tbl key
 
 (** Returns [false] when a hash map is full (kernel E2BIG behaviour). *)
 let update m (key : int64) (value : int64) : bool =
@@ -74,27 +86,27 @@ let update m (key : int64) (value : int64) : bool =
       end
       else false
   | Hash | Devmap | Xskmap ->
-      if Hashtbl.mem m.tbl key then begin
-        Hashtbl.replace m.tbl key value;
+      if Tbl.mem m.tbl key then begin
+        Tbl.replace m.tbl key value;
         true
       end
-      else if Hashtbl.length m.tbl >= m.max_entries then false
+      else if Tbl.length m.tbl >= m.max_entries then false
       else begin
-        Hashtbl.replace m.tbl key value;
+        Tbl.replace m.tbl key value;
         true
       end
 
 let delete m (key : int64) =
   match m.kind with
   | Array | Prog_array -> ()
-  | Hash | Devmap | Xskmap -> Hashtbl.remove m.tbl key
+  | Hash | Devmap | Xskmap -> Tbl.remove m.tbl key
 
 let entries m =
   match m.kind with
   | Array | Prog_array -> m.max_entries
-  | Hash | Devmap | Xskmap -> Hashtbl.length m.tbl
+  | Hash | Devmap | Xskmap -> Tbl.length m.tbl
 
 (** Forget all registered maps (test isolation). *)
 let reset_registry () =
-  Hashtbl.reset registry;
+  registry := Array.make 16 None;
   next_id := 0

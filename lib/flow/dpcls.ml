@@ -10,6 +10,10 @@
 
 module FK = Ovs_packet.Flow_key
 
+(** A float accumulator in a record of its own, so adding to it stores
+    the float in place instead of allocating a box. *)
+type cycles = { mutable ns : float }
+
 type 'a entry = {
   key : FK.t;  (** pre-masked key *)
   mutable value : 'a;
@@ -17,7 +21,7 @@ type 'a entry = {
           references (the computational cache's iSet members) must never
           observe a stale value *)
   mutable hits : int;
-  mutable cycles : float;
+  cycles : cycles;
       (** virtual ns spent on lookups that hit this entry (credited by the
           datapath, which knows the per-probe cost) — dpctl/dump-flows'
           per-megaflow cycle stats *)
@@ -76,9 +80,36 @@ let insert t ~mask ~key value =
   if existing then
     List.iter (fun e -> if FK.equal e.key masked then e.value <- value) !bucket
   else begin
-    bucket := { key = masked; value; hits = 0; cycles = 0. } :: !bucket;
+    bucket := { key = masked; value; hits = 0; cycles = { ns = 0. } } :: !bucket;
     st.st_count <- st.st_count + 1
   end
+
+(* The first entry of a hash bucket whose (pre-masked) key equals [key]
+   under [mask]. *)
+let rec find_in_bucket key mask = function
+  | [] -> None
+  | e :: rest ->
+      if FK.equal_masked e.key key mask then Some e else find_in_bucket key mask rest
+
+(* Probe the subtables in order; [n] counts the ones already probed. *)
+let rec probe t key n = function
+  | [] ->
+      t.total_probes <- t.total_probes + n;
+      None
+  | st :: rest -> begin
+      let hit =
+        match Hashtbl.find st.tbl (FK.hash_masked key st.mask) with
+        | bucket -> find_in_bucket key st.mask !bucket
+        | exception Not_found -> None
+      in
+      match hit with
+      | Some e ->
+          e.hits <- e.hits + 1;
+          st.st_hits <- st.st_hits + 1;
+          t.total_probes <- t.total_probes + n + 1;
+          Some (e, n + 1, st.mask)
+      | None -> probe t key (n + 1) rest
+    end
 
 (** Look a packet's flow key up. Returns the value, the number of
     subtables probed (the lookup's cost driver) and the matching
@@ -98,30 +129,7 @@ let lookup_entry t (key : FK.t) : ('a entry * int * FK.t) option =
        reorders once an old hot subtable has banked a large lead. *)
     List.iter (fun st -> st.st_hits <- st.st_hits / 2) t.subtables
   end;
-  let rec probe n = function
-    | [] ->
-        t.total_probes <- t.total_probes + n;
-        None
-    | st :: rest -> begin
-        let h = FK.hash_masked key st.mask in
-        let hit =
-          match Hashtbl.find_opt st.tbl h with
-          | None -> None
-          | Some bucket ->
-              List.find_opt
-                (fun e -> FK.equal e.key (FK.apply_mask key st.mask))
-                !bucket
-        in
-        match hit with
-        | Some e ->
-            e.hits <- e.hits + 1;
-            st.st_hits <- st.st_hits + 1;
-            t.total_probes <- t.total_probes + n + 1;
-            Some (e, n + 1, st.mask)
-        | None -> probe (n + 1) rest
-      end
-  in
-  probe 0 t.subtables
+  probe t key 0 t.subtables
 
 (** {!lookup_entry} with the entry resolved to its value. *)
 let lookup_full t (key : FK.t) : ('a * int * FK.t) option =

@@ -7,6 +7,10 @@
 
 module FK = Ovs_packet.Flow_key
 
+(** A float accumulator in a record of its own, so adding to it stores
+    the float in place instead of allocating a box. *)
+type cycles = { mutable ns : float }
+
 type 'a entry = {
   key : FK.t;  (** pre-masked key *)
   mutable value : 'a;
@@ -14,7 +18,7 @@ type 'a entry = {
           references (the computational cache's iSet members) must never
           observe a stale value *)
   mutable hits : int;
-  mutable cycles : float;
+  cycles : cycles;
       (** virtual ns spent on lookups that hit this entry (credited by the
           datapath, which knows the per-probe cost) — dpctl/dump-flows'
           per-megaflow cycle stats *)

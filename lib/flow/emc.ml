@@ -4,7 +4,12 @@
     counterpart the Linux maintainers rejected (Sec 2.1, [61]) — which is
     why only the userspace datapaths get to have one. *)
 
-type 'a entry = { key : Ovs_packet.Flow_key.t; mutable value : 'a; mutable hits : int }
+type 'a entry = {
+  key : Ovs_packet.Flow_key.t;
+  mutable found : 'a option;
+      (** [Some value], built once at insert so a hit returns it as is *)
+  mutable hits : int;
+}
 
 type 'a t = {
   slots : 'a entry option array;
@@ -31,23 +36,36 @@ let create ?(entries = default_entries) () =
 
 let slot2 t h = (h lsr 13) land t.mask
 
+(* The cached value if slot [i] holds [key]. *)
+let probe t i key =
+  match Array.unsafe_get t.slots i with
+  | Some e when Ovs_packet.Flow_key.equal e.key key ->
+      e.hits <- e.hits + 1;
+      e.found
+  | Some _ | None -> None
+
 let lookup t (key : Ovs_packet.Flow_key.t) : 'a option =
   t.lookups <- t.lookups + 1;
   let h = Ovs_packet.Flow_key.hash key in
-  let probe i =
-    match t.slots.(i) with
-    | Some e when Ovs_packet.Flow_key.equal e.key key ->
-        e.hits <- e.hits + 1;
-        Some e.value
-    | _ -> None
-  in
   let r =
-    match probe (h land t.mask) with
+    match probe t (h land t.mask) key with
     | Some _ as hit -> hit
-    | None -> probe (slot2 t h)
+    | None -> probe t (slot2 t h) key
   in
   (match r with Some _ -> t.hit_count <- t.hit_count + 1 | None -> ());
   r
+
+let fresh key value =
+  Some { key = Ovs_packet.Flow_key.copy key; found = Some value; hits = 0 }
+
+(* Evict [victim] in place: its key array takes a copy of [key]. A
+   thrashing cache then allocates only the new [Some value] per insert,
+   not a fresh entry and key — which would outlive the next minor
+   collection, since the slot array holding them does. *)
+let replace victim (key : Ovs_packet.Flow_key.t) value =
+  Array.blit key 0 victim.key 0 (Array.length key);
+  victim.found <- Some value;
+  victim.hits <- 0
 
 (** Insert, evicting the colder of the two candidate slots when both are
     occupied (OVS evicts probabilistically; coldest-of-two keeps the test
@@ -56,18 +74,16 @@ let insert t (key : Ovs_packet.Flow_key.t) (value : 'a) =
   t.insertions <- t.insertions + 1;
   let h = Ovs_packet.Flow_key.hash key in
   let i1 = h land t.mask and i2 = slot2 t h in
-  let fresh = Some { key = Ovs_packet.Flow_key.copy key; value; hits = 0 } in
   match (t.slots.(i1), t.slots.(i2)) with
-  | Some e, _ when Ovs_packet.Flow_key.equal e.key key -> e.value <- value
-  | _, Some e when Ovs_packet.Flow_key.equal e.key key -> e.value <- value
+  | Some e, _ when Ovs_packet.Flow_key.equal e.key key -> e.found <- Some value
+  | _, Some e when Ovs_packet.Flow_key.equal e.key key -> e.found <- Some value
   | None, _ ->
-      t.slots.(i1) <- fresh;
+      t.slots.(i1) <- fresh key value;
       t.occupied <- t.occupied + 1
   | _, None ->
-      t.slots.(i2) <- fresh;
+      t.slots.(i2) <- fresh key value;
       t.occupied <- t.occupied + 1
-  | Some a, Some b ->
-      if a.hits <= b.hits then t.slots.(i1) <- fresh else t.slots.(i2) <- fresh
+  | Some a, Some b -> if a.hits <= b.hits then replace a key value else replace b key value
 
 let flush t =
   Array.fill t.slots 0 (Array.length t.slots) None;

@@ -155,11 +155,14 @@ let dequeue t ~queue ~max =
   if Faults.rxq_stalled ~port:t.port_no ~queue then []
   else
     let q = t.rx_queues.(queue) in
-    let rec take n acc =
-      if n >= max || Queue.is_empty q then List.rev acc
-      else take (n + 1) (Queue.pop q :: acc)
+    (* in queue order, with no reversal: a burst is at most [max] deep *)
+    let rec take n =
+      if n >= max || Queue.is_empty q then []
+      else
+        let pkt = Queue.pop q in
+        pkt :: take (n + 1)
     in
-    take 0 []
+    take 0
 
 let pending t =
   Array.fold_left (fun n q -> n + Queue.length q) 0 t.rx_queues

@@ -47,6 +47,9 @@ let default_headroom = 128
 
 let fresh_offload () = { csum_good = false; csum_tx_offload = false; tso_segsz = 0 }
 
+(* a literal, so no runtime call builds it *)
+let fresh_regs () = [| 0; 0; 0; 0; 0; 0; 0; 0 |]
+
 let create ?(headroom = default_headroom) ~size () =
   {
     data = Bytes.make (headroom + size) '\000';
@@ -62,15 +65,18 @@ let create ?(headroom = default_headroom) ~size () =
     ct_mark = 0;
     tunnel = None;
     birth_ns = -1.;
-    regs = Array.make 8 0;
+    regs = fresh_regs ();
     offload = fresh_offload ();
   }
 
-let of_bytes ?(headroom = default_headroom) (b : Bytes.t) =
-  let t = create ~headroom ~size:(Bytes.length b) () in
-  Bytes.blit b 0 t.data t.start (Bytes.length b);
-  t.len <- Bytes.length b;
+(** A fresh buffer holding [len] bytes of [b] from [off]. *)
+let of_sub ?(headroom = default_headroom) (b : Bytes.t) ~off ~len =
+  let t = create ~headroom ~size:len () in
+  Bytes.blit b off t.data t.start len;
+  t.len <- len;
   t
+
+let of_bytes ?headroom (b : Bytes.t) = of_sub ?headroom b ~off:0 ~len:(Bytes.length b)
 
 let length t = t.len
 let headroom t = t.start
@@ -150,6 +156,10 @@ let clone t =
         tso_segsz = t.offload.tso_segsz;
       };
   }
+
+(** A fresh buffer (default headroom, fresh metadata) holding a copy of
+    [t]'s live bytes: one copy, where [of_bytes (contents t)] makes two. *)
+let copy_live t = of_sub t.data ~off:t.start ~len:t.len
 
 (** The live bytes as a fresh [Bytes.t] (for tests and tcpdump). *)
 let contents t = Bytes.sub t.data t.start t.len

@@ -174,15 +174,45 @@ let create () : t = Array.make Field.count 0
 let get (k : t) f = k.(Field.to_index f)
 let set (k : t) f v = k.(Field.to_index f) <- v
 let copy (k : t) : t = Array.copy k
-let equal (a : t) (b : t) = a = b
 
-(** FNV-1a over all fields; the EMC and dpcls hash keys this way. *)
-let hash (k : t) =
-  let h = ref 0x3bf29ce484222325 in
-  for i = 0 to Field.count - 1 do
-    h := (!h lxor k.(i)) * 0x100000001b3
+(* Field by field, without the polymorphic comparison's generic walk. *)
+let equal (a : t) (b : t) =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let i = ref 0 in
+     while !i < Array.length a && Array.unsafe_get a !i = Array.unsafe_get b !i do
+       incr i
+     done;
+     !i = Array.length a
+
+let fnv_prime = 0x100000001b3
+
+(* [fnv_pow.(n)] is the FNV prime to the [n]th power, wrapping as OCaml
+   ints do. *)
+let fnv_pow =
+  let a = Array.make (Field.count + 1) 1 in
+  for n = 1 to Field.count do
+    a.(n) <- a.(n - 1) * fnv_prime
   done;
-  !h land max_int
+  a
+
+(** FNV-1a over all fields; the EMC and dpcls hash keys this way. A zero
+    field only multiplies by the prime ([(h lxor 0) * p = h * p]), so a
+    run of [n] zero fields is one multiplication by [p^n]: the value is
+    exactly the field-by-field FNV-1a, with one multiplication per
+    nonzero field instead of one per field. *)
+let hash (k : t) =
+  let h = ref 0x3bf29ce484222325 and zeros = ref 0 in
+  for i = 0 to Field.count - 1 do
+    let v = Array.unsafe_get k i in
+    if v = 0 then incr zeros
+    else begin
+      h := ((!h * Array.unsafe_get fnv_pow !zeros) lxor v) * fnv_prime;
+      zeros := 0
+    end
+  done;
+  !h * Array.unsafe_get fnv_pow !zeros land max_int
 
 (** Hash restricted to fields selected by a mask (dpcls subtable hashing). *)
 let hash_masked (k : t) (mask : t) =
@@ -192,120 +222,205 @@ let hash_masked (k : t) (mask : t) =
   done;
   !h land max_int
 
-let equal_masked (a : t) (b : t) (mask : t) =
-  let rec go i =
-    i >= Field.count
-    || (a.(i) land mask.(i) = b.(i) land mask.(i) && go (i + 1))
-  in
-  go 0
+let rec equal_masked_from (a : t) (b : t) (mask : t) i =
+  i >= Field.count
+  || (a.(i) land mask.(i) = b.(i) land mask.(i) && equal_masked_from a b mask (i + 1))
+
+let equal_masked (a : t) (b : t) (mask : t) = equal_masked_from a b mask 0
 
 (** Apply [mask] to [k], returning a fresh key with wildcarded bits zeroed. *)
 let apply_mask (k : t) (mask : t) : t =
   Array.init Field.count (fun i -> k.(i) land mask.(i))
 
+let rss_mix h v = (h lxor v) * 0x01000193 land 0x7FFFFFFF
+
 (** 5-tuple RSS hash, the value AF_XDP must compute in software (Sec 5.5). *)
 let rss_hash (k : t) =
   let open Field in
-  let h = ref 0x9e3779b9 in
-  let mix v = h := (!h lxor v) * 0x01000193 land 0x7FFFFFFF in
-  mix (get k Nw_src);
-  mix (get k Nw_dst);
-  mix (get k Nw_proto);
-  mix (get k Tp_src);
-  mix (get k Tp_dst);
-  !h
+  let h = rss_mix 0x9e3779b9 (get k Nw_src) in
+  let h = rss_mix h (get k Nw_dst) in
+  let h = rss_mix h (get k Nw_proto) in
+  let h = rss_mix h (get k Tp_src) in
+  rss_mix h (get k Tp_dst)
 
-(** Extract the flow key from a packet, the analogue of OVS's
-    [miniflow_extract]. Parses Ethernet, VLAN, ARP, IPv4/IPv6 and L4 headers
-    and copies packet metadata (port, recirculation, conntrack, tunnel). *)
-let extract (buf : Buffer.t) : t =
-  let open Field in
-  let k = create () in
-  set k In_port buf.Buffer.in_port;
-  set k Recirc_id buf.Buffer.recirc_id;
-  set k Ct_state buf.Buffer.ct_state;
-  set k Ct_zone buf.Buffer.ct_zone;
-  set k Ct_mark buf.Buffer.ct_mark;
-  set k Reg0 buf.Buffer.regs.(0);
-  set k Reg1 buf.Buffer.regs.(1);
-  set k Reg2 buf.Buffer.regs.(2);
-  set k Reg3 buf.Buffer.regs.(3);
-  set k Reg4 buf.Buffer.regs.(4);
-  set k Reg5 buf.Buffer.regs.(5);
-  set k Reg6 buf.Buffer.regs.(6);
-  set k Reg7 buf.Buffer.regs.(7);
+(* Field indices used by extraction, resolved once. *)
+let ix_ct_mark = Field.to_index Field.Ct_mark
+let ix_ct_state = Field.to_index Field.Ct_state
+let ix_ct_zone = Field.to_index Field.Ct_zone
+let ix_dl_dst = Field.to_index Field.Dl_dst
+let ix_dl_src = Field.to_index Field.Dl_src
+let ix_dl_type = Field.to_index Field.Dl_type
+let ix_in_port = Field.to_index Field.In_port
+let ix_ip6_dst_hi = Field.to_index Field.Ip6_dst_hi
+let ix_ip6_dst_lo = Field.to_index Field.Ip6_dst_lo
+let ix_ip6_src_hi = Field.to_index Field.Ip6_src_hi
+let ix_ip6_src_lo = Field.to_index Field.Ip6_src_lo
+let ix_nw_dst = Field.to_index Field.Nw_dst
+let ix_nw_frag = Field.to_index Field.Nw_frag
+let ix_nw_proto = Field.to_index Field.Nw_proto
+let ix_nw_src = Field.to_index Field.Nw_src
+let ix_nw_tos = Field.to_index Field.Nw_tos
+let ix_nw_ttl = Field.to_index Field.Nw_ttl
+let ix_recirc_id = Field.to_index Field.Recirc_id
+let ix_reg0 = Field.to_index Field.Reg0
+let ix_tcp_flags = Field.to_index Field.Tcp_flags
+let ix_tp_dst = Field.to_index Field.Tp_dst
+let ix_tp_src = Field.to_index Field.Tp_src
+let ix_tun_dst = Field.to_index Field.Tun_dst
+let ix_tun_id = Field.to_index Field.Tun_id
+let ix_tun_src = Field.to_index Field.Tun_src
+let ix_vlan_tci = Field.to_index Field.Vlan_tci
+
+(* Big-endian reads at packet-relative offsets, defined here so they
+   inline into the extraction (calls into other modules do not inline in
+   dune's dev builds). *)
+let[@inline] u8 (b : Buffer.t) o = Bytes.get_uint8 b.Buffer.data (b.Buffer.start + o)
+let[@inline] u16 (b : Buffer.t) o = Bytes.get_uint16_be b.Buffer.data (b.Buffer.start + o)
+
+let[@inline] u32 (b : Buffer.t) o =
+  Int32.to_int (Bytes.get_int32_be b.Buffer.data (b.Buffer.start + o)) land 0xFFFF_FFFF
+
+let[@inline] mac b o = (u16 b o lsl 32) lor (u16 b (o + 2) lsl 16) lor u16 b (o + 4)
+
+(* Header fields straight from the bytes, with no header records. Each
+   step mirrors its parser exactly — the same length and version checks,
+   and the same [l3_ofs]/[l4_ofs] side effects ([Ethernet.parse] sets
+   [l3_ofs], [Ipv4.parse]/[Ipv6.parse] set [l4_ofs]) — so other modules
+   that read those offsets after extraction see what they always saw.
+   The test suite checks equality against the parser composition. *)
+
+let extract_l4 (k : t) (buf : Buffer.t) ~proto ~l4 =
+  let len = buf.Buffer.len in
+  if proto = Ipv4.Proto.udp then begin
+    if len >= l4 + Udp.header_len then begin
+      k.(ix_tp_src) <- u16 buf l4;
+      k.(ix_tp_dst) <- u16 buf (l4 + 2)
+    end
+  end
+  else if proto = Ipv4.Proto.tcp then begin
+    if len >= l4 + Tcp.header_len then begin
+      k.(ix_tp_src) <- u16 buf l4;
+      k.(ix_tp_dst) <- u16 buf (l4 + 2);
+      k.(ix_tcp_flags) <- u16 buf (l4 + 12) land 0x3F
+    end
+  end
+  else if proto = Ipv4.Proto.icmp then begin
+    if len >= l4 + Icmp.header_len then begin
+      k.(ix_tp_src) <- u8 buf l4;
+      k.(ix_tp_dst) <- u8 buf (l4 + 1)
+    end
+  end
+
+let extract_ipv4 (k : t) (buf : Buffer.t) ~l3 =
+  if buf.Buffer.len >= l3 + Ipv4.header_len then begin
+    let vihl = u8 buf l3 in
+    let ihl = (vihl land 0xF) * 4 in
+    if vihl lsr 4 = 4 && ihl >= Ipv4.header_len && buf.Buffer.len >= l3 + ihl
+    then begin
+      let frag_word = u16 buf (l3 + 6) in
+      let frag_off = frag_word land 0x1FFF in
+      let proto = u8 buf (l3 + 9) in
+      let l4 = l3 + ihl in
+      buf.Buffer.l4_ofs <- l4;
+      k.(ix_nw_src) <- u32 buf (l3 + 12);
+      k.(ix_nw_dst) <- u32 buf (l3 + 16);
+      k.(ix_nw_proto) <- proto;
+      k.(ix_nw_tos) <- u8 buf (l3 + 1);
+      k.(ix_nw_ttl) <- u8 buf (l3 + 8);
+      (* a fragment: nonzero offset or MF set; a later fragment (nonzero
+         offset) carries no L4 header *)
+      k.(ix_nw_frag) <-
+        (if frag_off > 0 || (frag_word lsr 13) land 0x1 = 1 then 1 else 0);
+      if frag_off = 0 then extract_l4 k buf ~proto ~l4
+    end
+  end
+
+(* An IPv6 address half, folded to 62 bits (see the module comment):
+   the 64-bit value [hi32 << 32 | lo32] shifted right by two. *)
+let fold_ipv6_half (buf : Buffer.t) ofs =
+  (u32 buf ofs lsl 30) lor (u32 buf (ofs + 4) lsr 2)
+
+let extract_ipv6 (k : t) (buf : Buffer.t) ~l3 =
+  if buf.Buffer.len >= l3 + Ipv6.header_len then begin
+    let w0 = u32 buf l3 in
+    if w0 lsr 28 = 6 then begin
+      buf.Buffer.l4_ofs <- l3 + Ipv6.header_len;
+      k.(ix_ip6_src_hi) <- fold_ipv6_half buf (l3 + 8);
+      k.(ix_ip6_src_lo) <- fold_ipv6_half buf (l3 + 16);
+      k.(ix_ip6_dst_hi) <- fold_ipv6_half buf (l3 + 24);
+      k.(ix_ip6_dst_lo) <- fold_ipv6_half buf (l3 + 32);
+      k.(ix_nw_proto) <- u8 buf (l3 + 6);
+      k.(ix_nw_tos) <- (w0 lsr 20) land 0xFF;
+      k.(ix_nw_ttl) <- u8 buf (l3 + 7)
+    end
+  end
+
+let extract_arp (k : t) (buf : Buffer.t) ~l3 =
+  if
+    buf.Buffer.len >= l3 + Arp.payload_len
+    && u16 buf l3 = 1 (* htype ethernet *)
+    && u16 buf (l3 + 2) = Ethernet.Ethertype.ipv4
+  then begin
+    (* OVS convention: ARP op in nw_proto, spa/tpa in nw_src/dst *)
+    k.(ix_nw_proto) <- u16 buf (l3 + 6);
+    k.(ix_nw_src) <- u32 buf (l3 + 14);
+    k.(ix_nw_dst) <- u32 buf (l3 + 24)
+  end
+
+(* Ethernet, then the L3 protocol it names. A frame too short for its
+   (VLAN-tagged) Ethernet header sets no [dl_*] field and no offset. *)
+let extract_headers (k : t) (buf : Buffer.t) =
+  let len = buf.Buffer.len in
+  if len >= Ethernet.header_len then begin
+    let ty = u16 buf 12 in
+    let tagged = ty = Ethernet.Ethertype.vlan in
+    if (not tagged) || len >= Ethernet.header_len + Ethernet.vlan_header_len
+    then begin
+      k.(ix_dl_dst) <- mac buf 0;
+      k.(ix_dl_src) <- mac buf 6;
+      let eth_type = if tagged then u16 buf 16 else ty in
+      let l3 =
+        if tagged then Ethernet.header_len + Ethernet.vlan_header_len
+        else Ethernet.header_len
+      in
+      if tagged then k.(ix_vlan_tci) <- u16 buf 14 lor 0x1000;
+      k.(ix_dl_type) <- eth_type;
+      buf.Buffer.l3_ofs <- l3;
+      if eth_type = Ethernet.Ethertype.ipv4 then extract_ipv4 k buf ~l3
+      else if eth_type = Ethernet.Ethertype.ipv6 then extract_ipv6 k buf ~l3
+      else if eth_type = Ethernet.Ethertype.arp then extract_arp k buf ~l3
+    end
+  end
+
+(** Extract the flow key from a packet into [k], overwriting every field
+    — the analogue of OVS's [miniflow_extract]. Parses Ethernet, VLAN,
+    ARP, IPv4/IPv6 and L4 headers and copies packet metadata (port,
+    recirculation, conntrack, registers, tunnel). Allocates nothing, so
+    the datapath extracts each pass into a key it owns. *)
+let extract_into (k : t) (buf : Buffer.t) =
+  for i = 0 to Field.count - 1 do
+    k.(i) <- 0
+  done;
+  k.(ix_in_port) <- buf.Buffer.in_port;
+  k.(ix_recirc_id) <- buf.Buffer.recirc_id;
+  k.(ix_ct_state) <- buf.Buffer.ct_state;
+  k.(ix_ct_zone) <- buf.Buffer.ct_zone;
+  k.(ix_ct_mark) <- buf.Buffer.ct_mark;
+  for i = 0 to 7 do
+    k.(ix_reg0 + i) <- buf.Buffer.regs.(i)
+  done;
   (match buf.Buffer.tunnel with
   | Some tmd ->
-      set k Tun_id tmd.Buffer.tun_id;
-      set k Tun_src tmd.Buffer.tun_src;
-      set k Tun_dst tmd.Buffer.tun_dst
+      k.(ix_tun_id) <- tmd.Buffer.tun_id;
+      k.(ix_tun_src) <- tmd.Buffer.tun_src;
+      k.(ix_tun_dst) <- tmd.Buffer.tun_dst
   | None -> ());
-  (match Ethernet.parse buf with
-  | None -> ()
-  | Some eth -> begin
-      set k Dl_src eth.Ethernet.src;
-      set k Dl_dst eth.Ethernet.dst;
-      set k Dl_type eth.Ethernet.eth_type;
-      set k Vlan_tci eth.Ethernet.vlan_tci;
-      if eth.Ethernet.eth_type = Ethernet.Ethertype.ipv4 then begin
-        match Ipv4.parse buf with
-        | None -> ()
-        | Some ip -> begin
-            set k Nw_src ip.Ipv4.src;
-            set k Nw_dst ip.Ipv4.dst;
-            set k Nw_proto ip.Ipv4.proto;
-            set k Nw_tos ip.Ipv4.tos;
-            set k Nw_ttl ip.Ipv4.ttl;
-            set k Nw_frag (if Ipv4.is_fragment ip then 1 else 0);
-            if not (Ipv4.is_later_fragment ip) then begin
-              if ip.Ipv4.proto = Ipv4.Proto.udp then begin
-                match Udp.parse buf with
-                | Some u ->
-                    set k Tp_src u.Udp.src_port;
-                    set k Tp_dst u.Udp.dst_port
-                | None -> ()
-              end
-              else if ip.Ipv4.proto = Ipv4.Proto.tcp then begin
-                match Tcp.parse buf with
-                | Some tc ->
-                    set k Tp_src tc.Tcp.src_port;
-                    set k Tp_dst tc.Tcp.dst_port;
-                    set k Tcp_flags tc.Tcp.flags
-                | None -> ()
-              end
-              else if ip.Ipv4.proto = Ipv4.Proto.icmp then begin
-                match Icmp.parse buf with
-                | Some ic ->
-                    set k Tp_src ic.Icmp.icmp_type;
-                    set k Tp_dst ic.Icmp.code
-                | None -> ()
-              end
-            end
-          end
-      end
-      else if eth.Ethernet.eth_type = Ethernet.Ethertype.ipv6 then begin
-        match Ipv6.parse buf with
-        | None -> ()
-        | Some ip6 ->
-            let fold (h : int64) = Int64.to_int (Int64.shift_right_logical h 2) in
-            set k Ip6_src_hi (fold ip6.Ipv6.src.Ipv6.hi);
-            set k Ip6_src_lo (fold ip6.Ipv6.src.Ipv6.lo);
-            set k Ip6_dst_hi (fold ip6.Ipv6.dst.Ipv6.hi);
-            set k Ip6_dst_lo (fold ip6.Ipv6.dst.Ipv6.lo);
-            set k Nw_proto ip6.Ipv6.next_header;
-            set k Nw_tos ip6.Ipv6.tclass;
-            set k Nw_ttl ip6.Ipv6.hop_limit
-      end
-      else if eth.Ethernet.eth_type = Ethernet.Ethertype.arp then begin
-        match Arp.parse buf with
-        | None -> ()
-        | Some a ->
-            (* OVS convention: ARP op in nw_proto, spa/tpa in nw_src/dst *)
-            set k Nw_proto a.Arp.op;
-            set k Nw_src a.Arp.spa;
-            set k Nw_dst a.Arp.tpa
-      end
-    end);
+  extract_headers k buf
+
+(** {!extract_into} a fresh key. *)
+let extract (buf : Buffer.t) : t =
+  let k = create () in
+  extract_into k buf;
   k
 
 let pp ppf (k : t) =

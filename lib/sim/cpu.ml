@@ -18,13 +18,17 @@ let category_to_string = function
   | Softirq -> "softirq"
   | Guest -> "guest"
 
-type ctx = {
-  name : string;
+(** Busy time per category. All-float, so the record is stored flat and
+    charging adds in place rather than allocating a fresh boxed float per
+    charge. *)
+type times = {
   mutable user : Time.ns;
   mutable system : Time.ns;
   mutable softirq : Time.ns;
   mutable guest : Time.ns;
 }
+
+type ctx = { name : string; times : times }
 
 type t = { mutable ctxs : ctx list }
 (** A machine: the collection of execution contexts created for a run. *)
@@ -32,24 +36,28 @@ type t = { mutable ctxs : ctx list }
 let create () = { ctxs = [] }
 
 let ctx t name =
-  let c = { name; user = 0.; system = 0.; softirq = 0.; guest = 0. } in
+  let c = { name; times = { user = 0.; system = 0.; softirq = 0.; guest = 0. } } in
   t.ctxs <- c :: t.ctxs;
   c
 
 let charge c cat (ns : Time.ns) =
+  let a = c.times in
   match cat with
-  | User -> c.user <- c.user +. ns
-  | System -> c.system <- c.system +. ns
-  | Softirq -> c.softirq <- c.softirq +. ns
-  | Guest -> c.guest <- c.guest +. ns
+  | User -> a.user <- a.user +. ns
+  | System -> a.system <- a.system +. ns
+  | Softirq -> a.softirq <- a.softirq +. ns
+  | Guest -> a.guest <- a.guest +. ns
 
-let busy c = c.user +. c.system +. c.softirq +. c.guest
+let busy c =
+  let a = c.times in
+  a.user +. a.system +. a.softirq +. a.guest
 
 let reset c =
-  c.user <- 0.;
-  c.system <- 0.;
-  c.softirq <- 0.;
-  c.guest <- 0.
+  let a = c.times in
+  a.user <- 0.;
+  a.system <- 0.;
+  a.softirq <- 0.;
+  a.guest <- 0.
 
 (** Busy time of the bottleneck context: the virtual wall time of a fully
     pipelined run in which every context processes the same packet stream. *)
@@ -77,8 +85,9 @@ let breakdown ?(poll_floor = []) t ~wall =
       (fun c ->
         let polls = List.memq c poll_floor in
         let scale x = x /. wall in
-        let u = scale c.user and s = scale c.system in
-        let si = scale c.softirq and g = scale c.guest in
+        let a = c.times in
+        let u = scale a.user and s = scale a.system in
+        let si = scale a.softirq and g = scale a.guest in
         (* A polling thread spends its idle cycles spinning in the same
            category as its useful work; attribute the round-up to its
            dominant category. *)

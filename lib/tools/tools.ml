@@ -476,10 +476,10 @@ let cache_hierarchy_show (dp : Dpif.t) =
       (100. *. float_of_int hits /. passes)
       (if hits > 0 then cycles /. float_of_int hits else 0.)
   in
-  row "emc" c.Dp_core.emc_hits c.Dp_core.emc_cycles;
-  row "smc" c.Dp_core.smc_hits c.Dp_core.smc_cycles;
-  row "ccache" c.Dp_core.ccache_hits c.Dp_core.ccache_cycles;
-  row "dpcls" c.Dp_core.dpcls_hits c.Dp_core.dpcls_cycles;
+  row "emc" c.Dp_core.emc_hits c.Dp_core.cycles.Dp_core.emc_ns;
+  row "smc" c.Dp_core.smc_hits c.Dp_core.cycles.Dp_core.smc_ns;
+  row "ccache" c.Dp_core.ccache_hits c.Dp_core.cycles.Dp_core.ccache_ns;
+  row "dpcls" c.Dp_core.dpcls_hits c.Dp_core.cycles.Dp_core.dpcls_ns;
   add "  %-8s %12d %7.1f%%" "upcall" c.Dp_core.upcalls
     (100. *. float_of_int c.Dp_core.upcalls /. passes);
   let subtables, megaflows, mean_probes = Dpif.dpcls_stats dp in

@@ -5,28 +5,15 @@
     metadata lives in a preallocated contiguous array whose
     packet-independent fields are initialized once; per-packet work is a
     cheap reset. The datapath charges [Costs.page_alloc] or
-    [Costs.prealloc_init] per packet accordingly. *)
+    [Costs.prealloc_init] per packet accordingly. Only the mode and the
+    count are modelled: the buffer itself comes from the umem, so nothing
+    would read a materialised slot array. *)
 
 type mode = Per_packet_alloc | Preallocated
 
-type t = {
-  mode : mode;
-  slots : Ovs_packet.Buffer.t array;  (** used in [Preallocated] mode *)
-  mutable next : int;
-  mutable allocations : int;
-}
+type t = { mode : mode; mutable allocations : int }
 
-let create ~mode ~size =
-  {
-    mode;
-    slots =
-      (match mode with
-      | Preallocated ->
-          Array.init size (fun _ -> Ovs_packet.Buffer.create ~size:2048 ())
-      | Per_packet_alloc -> [||]);
-    next = 0;
-    allocations = 0;
-  }
+let create ~mode = { mode; allocations = 0 }
 
 (** Per-packet metadata cost under this mode. *)
 let metadata_cost t (costs : Ovs_sim.Costs.t) =
@@ -36,8 +23,4 @@ let metadata_cost t (costs : Ovs_sim.Costs.t) =
 
 (** Account one metadata acquisition (the buffer itself comes from the
     umem in the AF_XDP path; this models only the metadata structure). *)
-let acquire t =
-  t.allocations <- t.allocations + 1;
-  match t.mode with
-  | Per_packet_alloc -> ()
-  | Preallocated -> t.next <- (t.next + 1) mod Array.length t.slots
+let acquire t = t.allocations <- t.allocations + 1

@@ -106,20 +106,24 @@ let consume t =
 let push = produce
 let pop = consume
 
-(** Consume up to [max] descriptors into a list (oldest first). One ring
-    operation regardless of the count — batching is the point (O3). The
-    consumer cursor is published once, after every slot has been read. *)
-let pop_burst t ~max =
+(** Consume up to [max] descriptors, mapped through [f] (newest first),
+    into a list (oldest first). One ring operation regardless of the
+    count — batching is the point (O3). The consumer cursor is published
+    once, after every slot has been read. *)
+let pop_burst_map t ~max f =
   t.cons_ops <- t.cons_ops + 1;
   let c = cursor_get t.cons in
   let n = Int.min max (cursor_get t.prod - c) in
+  (* newest first onto the list, so it comes out oldest first *)
   let rec take i acc =
-    if i >= n then List.rev acc
-    else take (i + 1) (t.entries.((c + i) land t.mask) :: acc)
+    if i < 0 then acc else take (i - 1) (f t.entries.((c + i) land t.mask) :: acc)
   in
-  let ds = take 0 [] in
+  let ds = take (n - 1) [] in
   if n > 0 then cursor_set t.cons (c + n);
   ds
+
+(** {!pop_burst_map} without the mapping. *)
+let pop_burst t ~max = pop_burst_map t ~max Fun.id
 
 (** Produce a batch; returns how many fit. One ring operation; the producer
     cursor is published once, after every slot has been written. *)

@@ -63,6 +63,10 @@ val pop_burst : t -> max:int -> desc list
     batching is the point of optimization O3. The consumer cursor is
     published once, after the whole batch is read. *)
 
+val pop_burst_map : t -> max:int -> (desc -> 'a) -> 'a list
+(** {!pop_burst} with each descriptor mapped through [f] as it is read
+    (newest first; the list is still oldest first), building one list. *)
+
 val push_burst : t -> desc list -> int
 (** Produce a batch; returns how many fit. One ring operation; the
     producer cursor is published once, after the whole batch is written. *)

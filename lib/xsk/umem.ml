@@ -13,6 +13,9 @@ type t = {
   birth : float array;
       (** per-frame ingress timestamp, the model's stand-in for the XDP
           metadata area in front of the packet; negative = unstamped *)
+  empty : Ring.desc array;
+      (** per frame, its zero-length descriptor — what the fill and
+          completion rings carry — built once rather than per post *)
 }
 
 let default_frame_size = 2048
@@ -28,12 +31,17 @@ let create ?(frame_size = default_frame_size)
     fill = Ring.create ~size:ring_size ();
     completion = Ring.create ~size:ring_size ();
     birth = Array.make n_frames (-1.);
+    empty = Array.init n_frames (fun addr -> { Ring.addr; len = 0 });
   }
 
 (** Byte offset of frame [idx]'s packet area (after headroom). *)
 let frame_offset t idx =
   if idx < 0 || idx >= t.n_frames then invalid_arg "Umem.frame_offset";
   (idx * t.frame_size) + t.frame_headroom
+
+(** Frame [idx]'s zero-length descriptor, for the fill and completion
+    rings. *)
+let empty_desc t idx = t.empty.(idx)
 
 (** Usable payload capacity of one frame. *)
 let frame_capacity t = t.frame_size - t.frame_headroom
@@ -74,6 +82,6 @@ let buffer_of_frame t idx ~len : Ovs_packet.Buffer.t =
     ct_mark = 0;
     tunnel = None;
     birth_ns = t.birth.(idx);
-    regs = Array.make 8 0;
+    regs = Buffer.fresh_regs ();
     offload = Buffer.fresh_offload ();
   }

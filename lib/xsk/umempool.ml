@@ -127,12 +127,17 @@ let get t =
     end
   end
 
-let put t frame =
-  with_lock t ~locks:1 @@ fun () ->
+let push_frame t frame =
   lock_once t;
   t.stats.frame_ops <- t.stats.frame_ops + 1;
   t.free.(t.top) <- frame;
   t.top <- t.top + 1
+
+(* The per-packet release: it builds a critical-section closure only
+   when the pool is contended. *)
+let put t frame =
+  if t.contended then with_lock t ~locks:1 (fun () -> push_frame t frame)
+  else push_frame t frame
 
 (** Take up to [n] frames. Under [Spinlock_batched] this is one lock
     acquisition; under the other strategies it costs one per frame.

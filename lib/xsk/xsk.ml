@@ -82,27 +82,28 @@ let refill t n =
     let frames = Umempool.get_batch t.pool want in
     List.fold_left
       (fun posted f ->
-        if Ring.push t.fill { Ring.addr = f; len = 0 } then posted + 1
+        if Ring.push t.fill (Umem.empty_desc t.umem f) then posted + 1
         else begin
           Umempool.put t.pool f;
           posted
         end)
       0 frames
 
-(** Kernel: deliver one received packet into the socket. Copies the wire
-    bytes into a fill-ring frame (the DMA step) and posts an rx descriptor.
-    [?birth_ns] stamps the frame's XDP-metadata ingress timestamp so the
-    latency measurement survives the kernel/userspace crossing (the wire
-    bytes carry no metadata). Returns [false] if the packet had to be
-    dropped — including frames larger than the umem frame size (AF_XDP of
-    this era had no multi-buffer support, so jumbo/TSO frames cannot ride
-    an XSK). *)
 let drop_no_frame t =
   t.rx_dropped_no_frame <- t.rx_dropped_no_frame + 1;
   Ovs_sim.Coverage.incr cov_rx_no_frame;
   false
 
-let kernel_rx ?(birth_ns = -1.) t (wire : Bytes.t) ~len =
+(** Kernel: deliver one received packet into the socket. Copies the wire
+    bytes into a fill-ring frame (the DMA step) and posts an rx descriptor.
+    [?birth_ns] stamps the frame's XDP-metadata ingress timestamp so the
+    latency measurement survives the kernel/userspace crossing (the wire
+    bytes carry no metadata). The bytes are read from [wire] at [?off]
+    (default 0), so a packet buffer's live region is DMA'd in place.
+    Returns [false] if the packet had to be dropped — including frames
+    larger than the umem frame size (AF_XDP of this era had no
+    multi-buffer support, so jumbo/TSO frames cannot ride an XSK). *)
+let kernel_rx ?(birth_ns = -1.) ?(off = 0) t (wire : Bytes.t) ~len =
   if len > Umem.frame_capacity t.umem then drop_no_frame t
   else if Ring.is_full t.rx && not (Ring.is_empty t.fill) then begin
     (* rx ring full, checked before a fill frame is taken: this side only
@@ -116,7 +117,7 @@ let kernel_rx ?(birth_ns = -1.) t (wire : Bytes.t) ~len =
     match Ring.pop t.fill with
     | None -> drop_no_frame t
     | Some { Ring.addr = frame; _ } ->
-        Umem.dma_into_frame t.umem frame wire ~src_off:0 ~len;
+        Umem.dma_into_frame t.umem frame wire ~src_off:off ~len;
         Umem.set_birth t.umem frame birth_ns;
         (* the rx ring has room and this side is its only producer *)
         ignore (Ring.push t.rx { Ring.addr = frame; len } : bool);
@@ -126,10 +127,8 @@ let kernel_rx ?(birth_ns = -1.) t (wire : Bytes.t) ~len =
 (** Userspace: receive a burst of packets as zero-copy buffers aliasing
     their umem frames. Each returned pair is (frame index, buffer). *)
 let rx_burst t ~max : (int * Ovs_packet.Buffer.t) list =
-  let descs = Ring.pop_burst t.rx ~max in
-  List.map
-    (fun { Ring.addr; len } -> (addr, Umem.buffer_of_frame t.umem addr ~len))
-    descs
+  Ring.pop_burst_map t.rx ~max (fun { Ring.addr; len } ->
+      (addr, Umem.buffer_of_frame t.umem addr ~len))
 
 (** Userspace: queue a frame for transmission. The data is already in the
     umem (zero-copy); the kick syscall happens in {!flush_tx}. *)
@@ -147,7 +146,7 @@ let flush_tx t =
       let frames = List.map (fun d -> d.Ring.addr) descs in
       (* completion-ring round trip, then frames return to the pool *)
       List.iter
-        (fun f -> ignore (Ring.push t.comp { Ring.addr = f; len = 0 }))
+        (fun f -> ignore (Ring.push t.comp (Umem.empty_desc t.umem f)))
         frames;
       let done_ = Ring.pop_burst t.comp ~max:max_int in
       Umempool.put_batch t.pool (List.map (fun d -> d.Ring.addr) done_);

@@ -668,6 +668,371 @@ let test_xdp_load_rejects_bad_program () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loader accepted a looping program"
 
+(* -- pinned interpreter behaviour --
+
+   Every library program (plus a few hand-written ones that reach the
+   trace, map-update/delete, ALU32, negation and tail-call paths) over a
+   frame corpus. Each run is rendered as the action, the four execution
+   statistics, the trace and a digest of the packet bytes afterwards,
+   and each program's corpus ends with the contents of every map. The
+   rendering is compared against
+   [golden_vm_rows]: the interpreter may be rewritten, but not change
+   what any of these observe. *)
+
+let golden_frames () =
+  let module Buf = Ovs_packet.Buffer in
+  let raw bytes =
+    let buf = Buf.create ~size:(String.length bytes) () in
+    Buf.put buf (String.length bytes);
+    Bytes.blit_string bytes 0 buf.Buf.data (Buf.abs buf 0) (String.length bytes);
+    buf
+  in
+  let ipv6 () =
+    let open Ovs_packet in
+    let frame_len = Ethernet.header_len + Ipv6.header_len + Udp.header_len + 10 in
+    let buf = Buf.create ~size:frame_len () in
+    Buf.put buf frame_len;
+    Ethernet.write buf ~dst:(Mac.of_index 2) ~src:(Mac.of_index 1)
+      ~eth_type:Ethernet.Ethertype.ipv6;
+    Ipv6.write buf ~next_header:Ipv4.Proto.udp ~src:(Ipv6.addr_of_int 5)
+      ~dst:(Ipv6.addr_of_int 0x1234) ~payload_len:(Udp.header_len + 10) ();
+    Buf.set_u16 buf buf.Buf.l4_ofs 53;
+    Buf.set_u16 buf (buf.Buf.l4_ofs + 2) 5353;
+    buf
+  in
+  let vlan () =
+    let p = B.udp () in
+    Ovs_packet.Ethernet.push_vlan p ~tci:0x0064;
+    p
+  in
+  [
+    ("udp", B.udp ());
+    ("udp-other", B.udp ~src_port:7 ~dst_port:9 ~dst_mac:(Ovs_packet.Mac.of_index 3) ());
+    ("udp-1518", B.udp ~frame_len:1518 ());
+    ("tcp", B.tcp ~flags:Ovs_packet.Tcp.Flags.syn ());
+    ("tcp-6653", B.tcp ~dst_port:6653 ());
+    ("icmp", B.icmp ());
+    ("arp", B.arp ~spa:0x0a000001 ~tpa:0x0a000002 ());
+    ("ipv6", ipv6 ());
+    ("vlan", vlan ());
+    ("runt-10", raw "\x02\x00\x00\x00\x00\x02\x02\x00\x00\x00");
+    ("runt-13", raw "\x02\x00\x00\x00\x00\x02\x02\x00\x00\x00\x00\x01\x08");
+    ("vlan-runt", raw "\x02\x00\x00\x00\x00\x02\x02\x00\x00\x00\x00\x01\x81\x00\x00\x64");
+    ("ipv4-cut", raw "\x02\x00\x00\x00\x00\x02\x02\x00\x00\x00\x00\x01\x08\x00\x45\x00\x00\x14\x00\x00");
+  ]
+
+(* The hand-written programs: trace, stack (including a slot the previous
+   run wrote), map update/delete, ALU32 and negation, and a two-stage
+   tail call. *)
+let golden_extra_progs ~l2_table ~prog_array =
+  let open Insn in
+  let b = Asm.builder () in
+  (* a stack slot no earlier instruction wrote: every run must read 0,
+     though the previous run on this VM left 0x55 there *)
+  Asm.ld b DW R1 R10 (-24);
+  Asm.call b Trace;
+  Asm.st b DW R10 (-24) (Imm 0x55);
+  Asm.mov b R1 7;
+  Asm.call b Trace;
+  Asm.mov b R2 0x1234;
+  Asm.st b DW R10 (-8) (Reg R2);
+  Asm.st b DW R10 (-16) (Imm 99);
+  Asm.ld_map_fd b R1 l2_table;
+  Asm.mov_reg b R2 R10;
+  Asm.add b R2 (-8);
+  Asm.mov_reg b R3 R10;
+  Asm.add b R3 (-16);
+  Asm.call b Map_update;
+  Asm.mov_reg b R1 R0;
+  Asm.call b Trace;
+  Asm.ld_map_fd b R1 l2_table;
+  Asm.mov_reg b R2 R10;
+  Asm.add b R2 (-8);
+  Asm.call b Map_lookup;
+  Asm.jcond b Jeq R0 (Imm 0) "skip";
+  Asm.st b DW R0 0 (Imm 0x77);
+  Asm.ld b DW R1 R0 0;
+  Asm.call b Trace;
+  Asm.label b "skip";
+  Asm.ld_map_fd b R1 l2_table;
+  Asm.mov_reg b R2 R10;
+  Asm.add b R2 (-8);
+  Asm.call b Map_delete;
+  Asm.mov b R4 (-5);
+  Asm.emit b (Alu32 (Add, R4, Imm 3));
+  Asm.emit b (Neg R4);
+  Asm.emit b (Alu64 (Arsh, R4, Imm 1));
+  Asm.emit b (Alu64 (Mod, R4, Imm 7));
+  Asm.emit b (Alu64 (Mul, R4, Imm 0x10001));
+  Asm.emit b (Alu32 (Xor, R4, Imm 0x5555));
+  Asm.mov_reg b R1 R4;
+  Asm.call b Trace;
+  Asm.call b Get_hash;
+  Asm.mov_reg b R1 R0;
+  Asm.call b Trace;
+  Asm.ld b DW R3 R10 (-16);
+  Asm.mov_reg b R1 R3;
+  Asm.call b Trace;
+  Asm.ret b Asm.xdp_pass;
+  let helpers = Asm.finish b in
+  let stage2 = Progs.task_d in
+  let id = Vm.register_program stage2 in
+  ignore (Maps.update prog_array 1L (Int64.of_int id));
+  let b = Asm.builder () in
+  Asm.mov b R1 1;
+  Asm.call b Trace;
+  Asm.mov b R1 0;
+  Asm.emit b (Alu64 (Mov, R3, Imm 1));
+  Asm.ld_map_fd b R2 prog_array;
+  Asm.call b Tail_call;
+  Asm.ret b Asm.xdp_drop;
+  let tail = Asm.finish b in
+  [ ("helpers", helpers); ("tail", tail) ]
+
+let render_map (m : Maps.t) =
+  let bindings =
+    match m.Maps.kind with
+    | Maps.Array | Maps.Prog_array ->
+        Array.to_list (Array.mapi (fun i v -> (Int64.of_int i, v)) m.Maps.arr)
+        |> List.filter (fun (_, v) -> v <> 0L && v <> -1L)
+    | Maps.Hash | Maps.Devmap | Maps.Xskmap ->
+        Maps.Tbl.fold (fun k v acc -> (k, v) :: acc) m.Maps.tbl [] |> List.sort compare
+  in
+  Printf.sprintf "%s{%s}" m.Maps.name
+    (String.concat ","
+       (List.map (fun (k, v) -> Printf.sprintf "%Lx=%Lx" k v) bindings))
+
+let golden_vm_render () =
+  let rows = ref [] in
+  let progs () =
+    fresh_maps ();
+    Vm.reset_programs ();
+    let l2_table = Maps.create ~name:"l2" ~kind:Maps.Hash ~max_entries:64 in
+    let sessions = Maps.create ~name:"lb" ~kind:Maps.Hash ~max_entries:64 in
+    let xskmap = Maps.create ~name:"xsk" ~kind:Maps.Xskmap ~max_entries:16 in
+    let mac_to_dev = Maps.create ~name:"macs" ~kind:Maps.Devmap ~max_entries:16 in
+    let prog_array = Maps.create ~name:"pa" ~kind:Maps.Prog_array ~max_entries:4 in
+    ignore (Maps.update l2_table (Int64.of_int (Ovs_packet.Mac.of_index 2)) 1L);
+    ignore (Maps.update xskmap 0L 0L);
+    ignore (Maps.update mac_to_dev (Int64.of_int (Ovs_packet.Mac.of_index 2)) 5L);
+    (* the l4_load_balancer key of the "udp" frame: a session hit *)
+    let k = Ovs_packet.Flow_key.extract (B.udp ()) in
+    let g f = Int64.of_int (Ovs_packet.Flow_key.get k f) in
+    let open Ovs_packet.Flow_key.Field in
+    let key =
+      Int64.logxor
+        (Int64.logxor
+           (Int64.logxor (g Nw_src) (Int64.shift_left (g Nw_dst) 17))
+           (Int64.shift_left
+              (Int64.logor (Int64.shift_left (g Tp_src) 16) (g Tp_dst))
+              31))
+        (g Nw_proto)
+    in
+    ignore (Maps.update sessions key (Int64.of_int (Ovs_packet.Mac.of_index 33)));
+    let maps = [ l2_table; sessions; xskmap; mac_to_dev; prog_array ] in
+    ( Progs.all ~l2_table ~sessions ~xskmap ~mac_to_dev
+      @ golden_extra_progs ~l2_table ~prog_array,
+      maps )
+  in
+  let names = List.map fst (fst (progs ())) in
+  List.iter
+    (fun name ->
+      (* fresh maps per program; one VM reused across the whole corpus *)
+      let all, maps = progs () in
+      let prog = List.assoc name all in
+      let vm = Vm.create () in
+      List.iter
+        (fun (fname, pkt) ->
+          pkt.Ovs_packet.Buffer.rss_hash <- 0x5eed;
+          let result =
+            match Vm.run vm prog pkt with
+            | o ->
+                let s = o.Vm.stats in
+                Printf.sprintf "%s insns=%d helpers=%d lookups=%d pkt_loads=%d trace=[%s]"
+                  (Vm.action_name o.Vm.action) s.Vm.insns s.Vm.helper_calls
+                  s.Vm.map_lookups s.Vm.pkt_loads
+                  (String.concat ";" (List.map (Printf.sprintf "%Lx") o.Vm.trace))
+            | exception Vm.Fault msg -> "FAULT " ^ msg
+          in
+          rows :=
+            Printf.sprintf "%s/%s: %s pkt=%s" name fname result
+              (String.sub
+                 (Digest.to_hex (Digest.bytes (Ovs_packet.Buffer.contents pkt)))
+                 0 8)
+            :: !rows)
+        (golden_frames ());
+      rows :=
+        Printf.sprintf "%s maps: %s" name
+          (String.concat " " (List.map render_map maps))
+        :: !rows)
+    names;
+  List.rev !rows
+
+let golden_vm_rows : string list =
+  [
+    "xsk_default/udp: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=31b9c1e5";
+    "xsk_default/udp-other: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=d3d53661";
+    "xsk_default/udp-1518: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=1ee6164c";
+    "xsk_default/tcp: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=4e331215";
+    "xsk_default/tcp-6653: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=4448bffe";
+    "xsk_default/icmp: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=f19fd56f";
+    "xsk_default/arp: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=076ad2d9";
+    "xsk_default/ipv6: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=11d9b594";
+    "xsk_default/vlan: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=c297b62d";
+    "xsk_default/runt-10: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=0fec1aff";
+    "xsk_default/runt-13: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=6d5c5bbb";
+    "xsk_default/vlan-runt: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=241e6613";
+    "xsk_default/ipv4-cut: XDP_REDIRECT(0) insns=5 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=9927a277";
+    "xsk_default maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+    "pass_all/udp: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=31b9c1e5";
+    "pass_all/udp-other: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=d3d53661";
+    "pass_all/udp-1518: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=1ee6164c";
+    "pass_all/tcp: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=4e331215";
+    "pass_all/tcp-6653: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=4448bffe";
+    "pass_all/icmp: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=f19fd56f";
+    "pass_all/arp: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=076ad2d9";
+    "pass_all/ipv6: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=11d9b594";
+    "pass_all/vlan: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=c297b62d";
+    "pass_all/runt-10: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=0fec1aff";
+    "pass_all/runt-13: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=6d5c5bbb";
+    "pass_all/vlan-runt: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=241e6613";
+    "pass_all/ipv4-cut: XDP_PASS insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=9927a277";
+    "pass_all maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+    "task_a/udp: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=31b9c1e5";
+    "task_a/udp-other: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=d3d53661";
+    "task_a/udp-1518: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=1ee6164c";
+    "task_a/tcp: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=4e331215";
+    "task_a/tcp-6653: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=4448bffe";
+    "task_a/icmp: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=f19fd56f";
+    "task_a/arp: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=076ad2d9";
+    "task_a/ipv6: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=11d9b594";
+    "task_a/vlan: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=c297b62d";
+    "task_a/runt-10: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=0fec1aff";
+    "task_a/runt-13: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=6d5c5bbb";
+    "task_a/vlan-runt: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=241e6613";
+    "task_a/ipv4-cut: XDP_DROP insns=2 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=9927a277";
+    "task_a maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+    "task_b/udp: XDP_DROP insns=13 helpers=0 lookups=0 pkt_loads=3 trace=[] pkt=31b9c1e5";
+    "task_b/udp-other: XDP_DROP insns=13 helpers=0 lookups=0 pkt_loads=3 trace=[] pkt=d3d53661";
+    "task_b/udp-1518: XDP_DROP insns=13 helpers=0 lookups=0 pkt_loads=3 trace=[] pkt=1ee6164c";
+    "task_b/tcp: XDP_DROP insns=13 helpers=0 lookups=0 pkt_loads=3 trace=[] pkt=4e331215";
+    "task_b/tcp-6653: XDP_DROP insns=13 helpers=0 lookups=0 pkt_loads=3 trace=[] pkt=4448bffe";
+    "task_b/icmp: XDP_DROP insns=13 helpers=0 lookups=0 pkt_loads=3 trace=[] pkt=f19fd56f";
+    "task_b/arp: XDP_DROP insns=9 helpers=0 lookups=0 pkt_loads=1 trace=[] pkt=076ad2d9";
+    "task_b/ipv6: XDP_DROP insns=9 helpers=0 lookups=0 pkt_loads=1 trace=[] pkt=11d9b594";
+    "task_b/vlan: XDP_DROP insns=9 helpers=0 lookups=0 pkt_loads=1 trace=[] pkt=c297b62d";
+    "task_b/runt-10: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=0fec1aff";
+    "task_b/runt-13: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=6d5c5bbb";
+    "task_b/vlan-runt: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=241e6613";
+    "task_b/ipv4-cut: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=9927a277";
+    "task_b maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+    "task_c/udp: XDP_DROP insns=22 helpers=1 lookups=1 pkt_loads=5 trace=[] pkt=31b9c1e5";
+    "task_c/udp-other: XDP_DROP insns=22 helpers=1 lookups=1 pkt_loads=5 trace=[] pkt=d3d53661";
+    "task_c/udp-1518: XDP_DROP insns=22 helpers=1 lookups=1 pkt_loads=5 trace=[] pkt=1ee6164c";
+    "task_c/tcp: XDP_DROP insns=22 helpers=1 lookups=1 pkt_loads=5 trace=[] pkt=4e331215";
+    "task_c/tcp-6653: XDP_DROP insns=22 helpers=1 lookups=1 pkt_loads=5 trace=[] pkt=4448bffe";
+    "task_c/icmp: XDP_DROP insns=22 helpers=1 lookups=1 pkt_loads=5 trace=[] pkt=f19fd56f";
+    "task_c/arp: XDP_DROP insns=9 helpers=0 lookups=0 pkt_loads=1 trace=[] pkt=076ad2d9";
+    "task_c/ipv6: XDP_DROP insns=9 helpers=0 lookups=0 pkt_loads=1 trace=[] pkt=11d9b594";
+    "task_c/vlan: XDP_DROP insns=9 helpers=0 lookups=0 pkt_loads=1 trace=[] pkt=c297b62d";
+    "task_c/runt-10: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=0fec1aff";
+    "task_c/runt-13: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=6d5c5bbb";
+    "task_c/vlan-runt: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=241e6613";
+    "task_c/ipv4-cut: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=9927a277";
+    "task_c maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+    "task_d/udp: XDP_TX insns=21 helpers=0 lookups=0 pkt_loads=7 trace=[] pkt=a6093c0a";
+    "task_d/udp-other: XDP_TX insns=21 helpers=0 lookups=0 pkt_loads=7 trace=[] pkt=5cf7e8f5";
+    "task_d/udp-1518: XDP_TX insns=21 helpers=0 lookups=0 pkt_loads=7 trace=[] pkt=4b39ff35";
+    "task_d/tcp: XDP_TX insns=21 helpers=0 lookups=0 pkt_loads=7 trace=[] pkt=ddcdc359";
+    "task_d/tcp-6653: XDP_TX insns=21 helpers=0 lookups=0 pkt_loads=7 trace=[] pkt=fc53d9a0";
+    "task_d/icmp: XDP_TX insns=21 helpers=0 lookups=0 pkt_loads=7 trace=[] pkt=c8d5fec5";
+    "task_d/arp: XDP_DROP insns=9 helpers=0 lookups=0 pkt_loads=1 trace=[] pkt=076ad2d9";
+    "task_d/ipv6: XDP_DROP insns=9 helpers=0 lookups=0 pkt_loads=1 trace=[] pkt=11d9b594";
+    "task_d/vlan: XDP_DROP insns=9 helpers=0 lookups=0 pkt_loads=1 trace=[] pkt=c297b62d";
+    "task_d/runt-10: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=0fec1aff";
+    "task_d/runt-13: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=6d5c5bbb";
+    "task_d/vlan-runt: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=241e6613";
+    "task_d/ipv4-cut: XDP_DROP insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=9927a277";
+    "task_d maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+    "l4_load_balancer/udp: XDP_TX insns=30 helpers=1 lookups=1 pkt_loads=5 trace=[] pkt=7b184f62";
+    "l4_load_balancer/udp-other: XDP_REDIRECT(0) insns=28 helpers=2 lookups=2 pkt_loads=5 trace=[] pkt=d3d53661";
+    "l4_load_balancer/udp-1518: XDP_TX insns=30 helpers=1 lookups=1 pkt_loads=5 trace=[] pkt=103de3c4";
+    "l4_load_balancer/tcp: XDP_REDIRECT(0) insns=28 helpers=2 lookups=2 pkt_loads=5 trace=[] pkt=4e331215";
+    "l4_load_balancer/tcp-6653: XDP_REDIRECT(0) insns=28 helpers=2 lookups=2 pkt_loads=5 trace=[] pkt=4448bffe";
+    "l4_load_balancer/icmp: XDP_REDIRECT(0) insns=28 helpers=2 lookups=2 pkt_loads=5 trace=[] pkt=f19fd56f";
+    "l4_load_balancer/arp: XDP_REDIRECT(0) insns=13 helpers=1 lookups=1 pkt_loads=1 trace=[] pkt=076ad2d9";
+    "l4_load_balancer/ipv6: XDP_REDIRECT(0) insns=13 helpers=1 lookups=1 pkt_loads=1 trace=[] pkt=11d9b594";
+    "l4_load_balancer/vlan: XDP_REDIRECT(0) insns=13 helpers=1 lookups=1 pkt_loads=1 trace=[] pkt=c297b62d";
+    "l4_load_balancer/runt-10: XDP_REDIRECT(0) insns=11 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=0fec1aff";
+    "l4_load_balancer/runt-13: XDP_REDIRECT(0) insns=11 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=6d5c5bbb";
+    "l4_load_balancer/vlan-runt: XDP_REDIRECT(0) insns=11 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=241e6613";
+    "l4_load_balancer/ipv4-cut: XDP_REDIRECT(0) insns=11 helpers=1 lookups=1 pkt_loads=0 trace=[] pkt=9927a277";
+    "l4_load_balancer maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+    "veth_redirect/udp: XDP_REDIRECT(5) insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=31b9c1e5";
+    "veth_redirect/udp-other: XDP_PASS insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=d3d53661";
+    "veth_redirect/udp-1518: XDP_REDIRECT(5) insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=1ee6164c";
+    "veth_redirect/tcp: XDP_REDIRECT(5) insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=4e331215";
+    "veth_redirect/tcp-6653: XDP_REDIRECT(5) insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=4448bffe";
+    "veth_redirect/icmp: XDP_REDIRECT(5) insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=f19fd56f";
+    "veth_redirect/arp: XDP_PASS insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=076ad2d9";
+    "veth_redirect/ipv6: XDP_REDIRECT(5) insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=11d9b594";
+    "veth_redirect/vlan: XDP_REDIRECT(5) insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=c297b62d";
+    "veth_redirect/runt-10: XDP_PASS insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=0fec1aff";
+    "veth_redirect/runt-13: XDP_PASS insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=6d5c5bbb";
+    "veth_redirect/vlan-runt: XDP_REDIRECT(5) insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=241e6613";
+    "veth_redirect/ipv4-cut: XDP_REDIRECT(5) insns=13 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=9927a277";
+    "veth_redirect maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+    "steer_control/udp: XDP_REDIRECT(0) insns=18 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=31b9c1e5";
+    "steer_control/udp-other: XDP_REDIRECT(0) insns=18 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=d3d53661";
+    "steer_control/udp-1518: XDP_REDIRECT(0) insns=18 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=1ee6164c";
+    "steer_control/tcp: XDP_REDIRECT(0) insns=21 helpers=1 lookups=1 pkt_loads=3 trace=[] pkt=4e331215";
+    "steer_control/tcp-6653: XDP_PASS insns=17 helpers=0 lookups=0 pkt_loads=3 trace=[] pkt=4448bffe";
+    "steer_control/icmp: XDP_REDIRECT(0) insns=18 helpers=1 lookups=1 pkt_loads=2 trace=[] pkt=f19fd56f";
+    "steer_control/arp: XDP_PASS insns=9 helpers=0 lookups=0 pkt_loads=1 trace=[] pkt=076ad2d9";
+    "steer_control/ipv6: XDP_REDIRECT(0) insns=13 helpers=1 lookups=1 pkt_loads=1 trace=[] pkt=11d9b594";
+    "steer_control/vlan: XDP_REDIRECT(0) insns=13 helpers=1 lookups=1 pkt_loads=1 trace=[] pkt=c297b62d";
+    "steer_control/runt-10: XDP_PASS insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=0fec1aff";
+    "steer_control/runt-13: XDP_PASS insns=7 helpers=0 lookups=0 pkt_loads=0 trace=[] pkt=6d5c5bbb";
+    "steer_control/vlan-runt: XDP_REDIRECT(0) insns=13 helpers=1 lookups=1 pkt_loads=1 trace=[] pkt=241e6613";
+    "steer_control/ipv4-cut: XDP_REDIRECT(0) insns=16 helpers=1 lookups=1 pkt_loads=1 trace=[] pkt=9927a277";
+    "steer_control maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+    "helpers/udp: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=31b9c1e5";
+    "helpers/udp-other: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=d3d53661";
+    "helpers/udp-1518: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=1ee6164c";
+    "helpers/tcp: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=4e331215";
+    "helpers/tcp-6653: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=4448bffe";
+    "helpers/icmp: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=f19fd56f";
+    "helpers/arp: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=076ad2d9";
+    "helpers/ipv6: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=11d9b594";
+    "helpers/vlan: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=c297b62d";
+    "helpers/runt-10: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=0fec1aff";
+    "helpers/runt-13: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=6d5c5bbb";
+    "helpers/vlan-runt: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=241e6613";
+    "helpers/ipv4-cut: XDP_PASS insns=45 helpers=11 lookups=1 pkt_loads=0 trace=[0;7;0;77;15554;5eed;63] pkt=9927a277";
+    "helpers maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+    "tail/udp: XDP_TX insns=27 helpers=2 lookups=1 pkt_loads=7 trace=[1] pkt=a6093c0a";
+    "tail/udp-other: XDP_TX insns=27 helpers=2 lookups=1 pkt_loads=7 trace=[1] pkt=5cf7e8f5";
+    "tail/udp-1518: XDP_TX insns=27 helpers=2 lookups=1 pkt_loads=7 trace=[1] pkt=4b39ff35";
+    "tail/tcp: XDP_TX insns=27 helpers=2 lookups=1 pkt_loads=7 trace=[1] pkt=ddcdc359";
+    "tail/tcp-6653: XDP_TX insns=27 helpers=2 lookups=1 pkt_loads=7 trace=[1] pkt=fc53d9a0";
+    "tail/icmp: XDP_TX insns=27 helpers=2 lookups=1 pkt_loads=7 trace=[1] pkt=c8d5fec5";
+    "tail/arp: XDP_DROP insns=15 helpers=2 lookups=1 pkt_loads=1 trace=[1] pkt=076ad2d9";
+    "tail/ipv6: XDP_DROP insns=15 helpers=2 lookups=1 pkt_loads=1 trace=[1] pkt=11d9b594";
+    "tail/vlan: XDP_DROP insns=15 helpers=2 lookups=1 pkt_loads=1 trace=[1] pkt=c297b62d";
+    "tail/runt-10: XDP_DROP insns=13 helpers=2 lookups=1 pkt_loads=0 trace=[1] pkt=0fec1aff";
+    "tail/runt-13: XDP_DROP insns=13 helpers=2 lookups=1 pkt_loads=0 trace=[1] pkt=6d5c5bbb";
+    "tail/vlan-runt: XDP_DROP insns=13 helpers=2 lookups=1 pkt_loads=0 trace=[1] pkt=241e6613";
+    "tail/ipv4-cut: XDP_DROP insns=13 helpers=2 lookups=1 pkt_loads=0 trace=[1] pkt=9927a277";
+    "tail maps: l2{20000000002=1} lb{2691f170a040010=20000000021} xsk{0=0} macs{20000000002=5} pa{1=1}";
+  ]
+
+let test_vm_golden_table () =
+  let got = golden_vm_render () in
+  if got <> golden_vm_rows then begin
+    List.iter print_endline got;
+    Alcotest.(check (list string)) "pinned interpreter rows" golden_vm_rows got
+  end
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -689,6 +1054,8 @@ let () =
           Alcotest.test_case "div by zero yields zero" `Quick test_vm_div_by_zero_yields_zero;
           Alcotest.test_case "instruction counting" `Quick test_vm_insn_counting;
           Alcotest.test_case "trace helper" `Quick test_vm_trace_helper;
+          Alcotest.test_case "golden table over programs and frames" `Quick
+            test_vm_golden_table;
         ] );
       ( "maps",
         [

@@ -571,6 +571,218 @@ let prop_ipv6_extract_deterministic =
       && FK.get a FK.Field.Dl_type = Ethernet.Ethertype.ipv6
       && FK.get a FK.Field.Ip6_src_lo <> 0)
 
+(* -- record-free extraction against the parsers --
+
+   [FK.extract] reads header fields straight from the bytes. The
+   reference below is the same walk composed from the header parsers
+   ([Ethernet.parse], [Ipv4.parse], ...), which build records; on any
+   frame, well-formed, truncated or byte-mutated, the two must produce
+   the same key and leave the same [l3_ofs]/[l4_ofs] behind. *)
+
+let reference_extract (buf : Buffer.t) : FK.t =
+  let open FK.Field in
+  let k = FK.create () in
+  let set = FK.set k in
+  set In_port buf.Buffer.in_port;
+  set Recirc_id buf.Buffer.recirc_id;
+  set Ct_state buf.Buffer.ct_state;
+  set Ct_zone buf.Buffer.ct_zone;
+  set Ct_mark buf.Buffer.ct_mark;
+  List.iteri (fun i f -> set f buf.Buffer.regs.(i))
+    [ Reg0; Reg1; Reg2; Reg3; Reg4; Reg5; Reg6; Reg7 ];
+  (match buf.Buffer.tunnel with
+  | Some tmd ->
+      set Tun_id tmd.Buffer.tun_id;
+      set Tun_src tmd.Buffer.tun_src;
+      set Tun_dst tmd.Buffer.tun_dst
+  | None -> ());
+  (match Ethernet.parse buf with
+  | None -> ()
+  | Some eth ->
+      set Dl_src eth.Ethernet.src;
+      set Dl_dst eth.Ethernet.dst;
+      set Dl_type eth.Ethernet.eth_type;
+      set Vlan_tci eth.Ethernet.vlan_tci;
+      if eth.Ethernet.eth_type = Ethernet.Ethertype.ipv4 then begin
+        match Ipv4.parse buf with
+        | None -> ()
+        | Some ip ->
+            set Nw_src ip.Ipv4.src;
+            set Nw_dst ip.Ipv4.dst;
+            set Nw_proto ip.Ipv4.proto;
+            set Nw_tos ip.Ipv4.tos;
+            set Nw_ttl ip.Ipv4.ttl;
+            set Nw_frag (if Ipv4.is_fragment ip then 1 else 0);
+            if not (Ipv4.is_later_fragment ip) then
+              if ip.Ipv4.proto = Ipv4.Proto.udp then
+                Option.iter
+                  (fun u ->
+                    set Tp_src u.Udp.src_port;
+                    set Tp_dst u.Udp.dst_port)
+                  (Udp.parse buf)
+              else if ip.Ipv4.proto = Ipv4.Proto.tcp then
+                Option.iter
+                  (fun t ->
+                    set Tp_src t.Tcp.src_port;
+                    set Tp_dst t.Tcp.dst_port;
+                    set Tcp_flags t.Tcp.flags)
+                  (Tcp.parse buf)
+              else if ip.Ipv4.proto = Ipv4.Proto.icmp then
+                Option.iter
+                  (fun ic ->
+                    set Tp_src ic.Icmp.icmp_type;
+                    set Tp_dst ic.Icmp.code)
+                  (Icmp.parse buf)
+      end
+      else if eth.Ethernet.eth_type = Ethernet.Ethertype.ipv6 then
+        Option.iter
+          (fun ip6 ->
+            let fold h = Int64.to_int (Int64.shift_right_logical h 2) in
+            set Ip6_src_hi (fold ip6.Ipv6.src.Ipv6.hi);
+            set Ip6_src_lo (fold ip6.Ipv6.src.Ipv6.lo);
+            set Ip6_dst_hi (fold ip6.Ipv6.dst.Ipv6.hi);
+            set Ip6_dst_lo (fold ip6.Ipv6.dst.Ipv6.lo);
+            set Nw_proto ip6.Ipv6.next_header;
+            set Nw_tos ip6.Ipv6.tclass;
+            set Nw_ttl ip6.Ipv6.hop_limit)
+          (Ipv6.parse buf)
+      else if eth.Ethernet.eth_type = Ethernet.Ethertype.arp then
+        Option.iter
+          (fun a ->
+            set Nw_proto a.Arp.op;
+            set Nw_src a.Arp.spa;
+            set Nw_dst a.Arp.tpa)
+          (Arp.parse buf));
+  k
+
+(* A random frame: one of the well-formed kinds, then optionally
+   truncated and byte-mutated (biased towards the header bytes that steer
+   the parse: ethertypes, version/IHL, fragment word, protocol), with
+   random metadata and random stale [l3_ofs]/[l4_ofs]. *)
+let random_frame seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let ip () = Random.State.bits st in
+  let base =
+    match int 9 with
+    | 0 -> Build.udp ~src_ip:(ip ()) ~dst_ip:(ip ()) ~src_port:(int 65536)
+             ~dst_port:(int 65536) ~frame_len:(42 + int 200) ()
+    | 1 -> Build.tcp ~flags:(int 64) ~src_port:(int 65536) ~dst_port:(int 65536) ()
+    | 2 -> Build.icmp ~icmp_type:(int 20) ()
+    | 3 -> Build.arp ~op:(1 + int 2) ~spa:(ip ()) ~tpa:(ip ()) ()
+    | 4 ->
+        build_ipv6_udp
+          ~src:{ Ipv6.hi = Random.State.int64 st Int64.max_int; lo = Random.State.bits64 st }
+          ~dst:{ Ipv6.hi = Random.State.bits64 st; lo = Random.State.bits64 st } ()
+    | 5 ->
+        let p = Build.udp () in
+        Ethernet.push_vlan p ~tci:(int 0x10000);
+        p
+    | 6 ->
+        (* IPv4 with options and a fragment word *)
+        let p = Build.tcp () in
+        Buffer.set_u8 p 14 (0x40 lor (5 + int 11));
+        Buffer.set_u16 p 20 (int 0x10000);
+        p
+    | 7 ->
+        let len = int 80 in
+        let p = Buffer.create ~size:(Int.max len 1) () in
+        Buffer.put p len;
+        for i = 0 to len - 1 do
+          Buffer.set_u8 p i (int 256)
+        done;
+        p
+    | _ ->
+        let inner = Build.udp () in
+        Tunnel.encap inner Tunnel.Geneve ~vni:(int 0xFFFFFF) ~src_mac:1 ~dst_mac:2
+          ~src_ip:(ip ()) ~dst_ip:(ip ()) ();
+        ignore (Tunnel.decap inner);
+        inner
+  in
+  let len = Buffer.length base in
+  if len > 0 && int 3 = 0 then base.Buffer.len <- int len;
+  let len = Buffer.length base in
+  if len > 0 then
+    for _ = 1 to int 4 do
+      let pos =
+        match int 4 with
+        | 0 -> int len
+        | 1 -> Int.min (len - 1) (12 + int 4)  (* ethertype, VLAN TCI *)
+        | 2 -> Int.min (len - 1) (14 + int 10)  (* version/IHL .. protocol *)
+        | _ -> Int.min (len - 1) (16 + int 30)
+      in
+      let v =
+        match int 6 with
+        | 0 -> 0x08
+        | 1 -> 0x81
+        | 2 -> 0x86
+        | 3 -> 0x45
+        | _ -> int 256
+      in
+      Buffer.set_u8 base pos v
+    done;
+  base.Buffer.in_port <- int 64;
+  base.Buffer.recirc_id <- int 4;
+  base.Buffer.ct_state <- int 64;
+  base.Buffer.ct_zone <- int 8;
+  base.Buffer.ct_mark <- int 8;
+  Array.iteri (fun i _ -> base.Buffer.regs.(i) <- int 1000) base.Buffer.regs;
+  base.Buffer.l3_ofs <- int 40 - 1;
+  base.Buffer.l4_ofs <- int 60 - 1;
+  base
+
+let prop_extract_matches_parsers =
+  QCheck.Test.make ~count:2000
+    ~name:"record-free extraction equals the composed header parsers"
+    QCheck.int
+    (fun seed ->
+      let a = random_frame seed in
+      let b = Buffer.clone a in
+      let c = Buffer.clone a in
+      let want = reference_extract a in
+      let got = FK.extract b in
+      (* extracting into a dirty key overwrites every field *)
+      let dirty = FK.create () in
+      FK.Field.(List.iter (fun f -> FK.set dirty f 0x5a5a) (Array.to_list all));
+      FK.extract_into dirty c;
+      FK.equal want got && FK.equal want dirty
+      && a.Buffer.l3_ofs = b.Buffer.l3_ofs
+      && a.Buffer.l4_ofs = b.Buffer.l4_ofs
+      && a.Buffer.l3_ofs = c.Buffer.l3_ofs
+      && a.Buffer.l4_ofs = c.Buffer.l4_ofs)
+
+(* [FK.hash] skips the multiplications of zero fields; it must equal the
+   plain field-by-field FNV-1a, which places EMC entries. *)
+let prop_hash_is_fnv1a =
+  QCheck.Test.make ~count:1000 ~name:"flow-key hash equals field-by-field FNV-1a"
+    QCheck.int
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let k = FK.create () in
+      let density = 1 + Random.State.int st 4 in
+      Array.iteri
+        (fun i f ->
+          if Random.State.int st density = 0 then
+            FK.set k f (if i mod 3 = 0 then -1 - Random.State.bits st else Random.State.bits st))
+        FK.Field.all;
+      let h = ref 0x3bf29ce484222325 in
+      Array.iter (fun f -> h := (!h lxor FK.get k f) * 0x100000001b3) FK.Field.all;
+      FK.hash k = !h land max_int)
+
+(* A VLAN tag with no room for the inner ethertype: no [dl_*] field is
+   set and [l3_ofs] is left alone, exactly as [Ethernet.parse] does. *)
+let test_extract_vlan_runt () =
+  let buf = Buffer.create ~size:16 () in
+  Buffer.put buf 16;
+  Buffer.set_u16 buf 12 Ethernet.Ethertype.vlan;
+  buf.Buffer.l3_ofs <- 7;
+  let k = FK.extract buf in
+  check Alcotest.int "dl_type unset" 0 (FK.get k FK.Field.Dl_type);
+  check Alcotest.int "dl_src unset" 0 (FK.get k FK.Field.Dl_src);
+  check Alcotest.int "l3_ofs untouched" 7 buf.Buffer.l3_ofs;
+  Alcotest.(check bool) "equals the parsers" true
+    (FK.equal k (reference_extract buf))
+
 (* -- GSO -- *)
 
 let big_tcp ?(payload = 5000) ?(flags = Tcp.Flags.ack lor Tcp.Flags.psh) () =
@@ -763,6 +975,9 @@ let () =
               prop_geneve_extract_tunnel_fields;
               prop_ipv6_extract_deterministic;
             ] );
+      ( "extract",
+        [ Alcotest.test_case "vlan runt" `Quick test_extract_vlan_runt ]
+        @ qcheck [ prop_extract_matches_parsers; prop_hash_is_fnv1a ] );
       ( "gso",
         [
           Alcotest.test_case "segment counts/sizes" `Quick test_gso_segment_counts_and_sizes;

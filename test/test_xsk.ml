@@ -292,8 +292,8 @@ let test_audit_rewind () =
 
 let test_metadata_costs () =
   let c = Ovs_sim.Costs.default in
-  let pre = Dp_packet_pool.create ~mode:Dp_packet_pool.Preallocated ~size:16 in
-  let dyn = Dp_packet_pool.create ~mode:Dp_packet_pool.Per_packet_alloc ~size:16 in
+  let pre = Dp_packet_pool.create ~mode:Dp_packet_pool.Preallocated in
+  let dyn = Dp_packet_pool.create ~mode:Dp_packet_pool.Per_packet_alloc in
   Alcotest.(check bool) "O4 saves time" true
     (Dp_packet_pool.metadata_cost pre c < Dp_packet_pool.metadata_cost dyn c);
   Dp_packet_pool.acquire pre;
