@@ -1,5 +1,5 @@
 # Tier-1 verification in one command.
-.PHONY: all check build test smoke perf-smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff clean
+.PHONY: all check build test smoke perf-smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff ct-equiv clean
 
 all: build
 
@@ -105,6 +105,13 @@ reconfig:
 # here. Usage: make charged-diff REV=<rev>
 charged-diff:
 	scripts/charged-diff.sh $(REV)
+
+# The conntrack equivalence property at 100,000 cases (QCheck's long
+# mode): the open-addressed table against the list-bucket reference in
+# test/ct_reference.ml over random operation sequences, plus the
+# churn stress property. Not part of check: it takes a few minutes.
+ct-equiv:
+	QCHECK_LONG=1 dune exec test/test_conntrack.exe -- test equivalence
 
 check: build test smoke perf-smoke chaos ccache mc multicore latency ndr policy scale reconfig
 

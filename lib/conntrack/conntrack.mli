@@ -8,18 +8,6 @@
 
 module FK = Ovs_packet.Flow_key
 
-type tuple = {
-  src : int;
-  dst : int;
-  proto : int;
-  sport : int;
-  dport : int;
-  zone : int;
-}
-
-val tuple_reverse : tuple -> tuple
-val tuple_of_key : zone:int -> FK.t -> tuple
-
 type tcp_state =
   | Syn_sent
   | Syn_recv
@@ -36,15 +24,13 @@ type nat_action = {
   nat_dst : (int * int) option;  (** DNAT target (ip, port) *)
 }
 
-type conn = {
-  orig : tuple;  (** the original (initiating) direction *)
-  mutable state : proto_state;
-  mutable mark : int;
-  mutable created_at : Ovs_sim.Time.ns;
-  mutable last_seen : Ovs_sim.Time.ns;
-  mutable packets : int;
-  nat : nat_action option;
-}
+type conn
+(** A tracked connection. The handle stays valid until the connection is
+    reclaimed (expiry, a sweep or eviction); after that {!state} reports
+    its last state and {!apply_nat} rewrites nothing. *)
+
+val state : conn -> proto_state
+(** The connection's protocol state. *)
 
 type t
 
@@ -57,11 +43,25 @@ val create : ?shards:int -> unit -> t
 val set_zone_limit : t -> zone:int -> limit:int -> unit
 (** Cap committed connections in a zone (nf_conncount). *)
 
+val reshard : t -> shards:int -> t
+(** An empty table with [shards] shards and [t]'s zone limits. Raises
+    [Invalid_argument] if [t] tracks any connection. *)
+
 val zone_count : t -> zone:int -> int
+
 val active_conns : t -> int
+(** Tracked connections, each counted once (a connection whose reply
+    tuple is its original tuple has a single index entry). *)
+
 val lookups : t -> int
+
 val committed : t -> int
 val limit_drops : t -> int
+
+val longest_probe : t -> int
+(** The most index positions any tracked direction's lookup examines:
+    its distance from its home position plus one (0 when empty). For
+    tests of the open-addressed index. *)
 
 type verdict = { ct_state : int; conn : conn option }
 (** The ct_state bits ({!FK.Ct_state_bits}) the [ct] action sets for the
@@ -86,16 +86,17 @@ val apply_nat : conn -> is_reply:bool -> Ovs_packet.Buffer.t -> FK.t -> bool
 val sweep : t -> now:Ovs_sim.Time.ns -> int
 (** Reclaim connections idle past their protocol timeout; returns how
     many. Equivalent to {!sweep_bounded} with an infinite budget: one
-    full rotation of the bucket cursor. *)
+    full rotation of the slot cursor. *)
 
 val sweep_bounded : t -> now:Ovs_sim.Time.ns -> budget:int -> int
 (** Resumable bounded expiry: examine roughly [budget] directional
-    entries (an empty bucket costs 1, so progress is guaranteed)
-    starting where the previous call stopped, reclaiming expired
-    connections found along the way. A full cursor rotation — however
-    many calls it is amortized over — visits every bucket exactly
-    once, so per-poll budgets bound reclamation latency by one
-    rotation. Returns how many connections were reclaimed. *)
+    entries (a live connection costs 2, an empty slot 1, so progress is
+    guaranteed) starting where the previous call stopped, reclaiming
+    expired connections found along the way. A full cursor rotation —
+    however many calls it is amortized over — visits every connection
+    exactly once, so per-poll budgets bound reclamation latency by one
+    rotation. A call that reclaims nothing allocates nothing. Returns
+    how many connections were reclaimed. *)
 
 val evict_to_limit : t -> zone:int -> limit:int -> int
 (** Evict the oldest connections (by [created_at], original direction)

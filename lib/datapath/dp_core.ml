@@ -166,10 +166,11 @@ let create ~flavor ~costs ~pipeline () =
 
 let conntrack t = t.conntrack
 
-(* Replace the connection table with a sharded one. Meant for setup
-   time: existing connections (if any) are discarded. *)
+(* Replace the connection table with a sharded one that keeps the zone
+   limits. Setup time only: Conntrack.reshard refuses a table with live
+   connections. *)
 let set_ct_shards t n =
-  t.conntrack <- Ovs_conntrack.Conntrack.create ~shards:n ()
+  t.conntrack <- Ovs_conntrack.Conntrack.reshard t.conntrack ~shards:n
 
 (* Translate and collect the rule-dependency set the revalidator
    indexes megaflows by: per visited table, the rule that matched (by

@@ -58,8 +58,9 @@ val pipeline : t -> Ovs_ofproto.Pipeline.t
 val conntrack : t -> Ovs_conntrack.Conntrack.t
 
 (** Replace the connection table with one sharded [n] ways by the
-    direction-symmetric 5-tuple hash. Setup-time only: existing
-    connections are discarded. *)
+    direction-symmetric 5-tuple hash, keeping the zone limits.
+    Setup-time only: raises [Invalid_argument] while connections are
+    live. *)
 val set_ct_shards : t -> int -> unit
 
 val counters : t -> counters

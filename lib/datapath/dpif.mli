@@ -182,8 +182,9 @@ val swap_pipeline : t -> Ovs_ofproto.Pipeline.t -> int
 
 val set_ct_shards : t -> int -> unit
 (** Replace the connection table with one sharded [n] ways by the
-    direction-symmetric 5-tuple hash (setup-time only: existing
-    connections are discarded). *)
+    direction-symmetric 5-tuple hash, keeping the zone limits
+    (setup-time only: raises [Invalid_argument] while connections are
+    live). *)
 
 val set_revalidator_enabled : t -> bool -> unit
 (** Arm (or disarm) incremental megaflow revalidation

@@ -36,18 +36,18 @@ type 'a subtable = {
 
 type 'a t = {
   mutable subtables : 'a subtable list;
+  mutable flows : int;  (** the subtables' [st_count]s summed *)
   mutable lookups : int;
   mutable total_probes : int;
   mutable resort_counter : int;
 }
 
 let create () =
-  { subtables = []; lookups = 0; total_probes = 0; resort_counter = 0 }
+  { subtables = []; flows = 0; lookups = 0; total_probes = 0; resort_counter = 0 }
 
 let subtable_count t = List.length t.subtables
 
-let flow_count t =
-  List.fold_left (fun n st -> n + st.st_count) 0 t.subtables
+let flow_count t = t.flows
 
 let find_subtable t mask =
   List.find_opt (fun st -> FK.equal st.mask mask) t.subtables
@@ -81,7 +81,8 @@ let insert t ~mask ~key value =
     List.iter (fun e -> if FK.equal e.key masked then e.value <- value) !bucket
   else begin
     bucket := { key = masked; value; hits = 0; cycles = { ns = 0. } } :: !bucket;
-    st.st_count <- st.st_count + 1
+    st.st_count <- st.st_count + 1;
+    t.flows <- t.flows + 1
   end
 
 (* The first entry of a hash bucket whose (pre-masked) key equals [key]
@@ -183,6 +184,7 @@ let remove t ~mask ~key =
           if List.length !bucket < before then begin
             removed := true;
             st.st_count <- st.st_count - 1;
+            t.flows <- t.flows - 1;
             if !bucket = [] then Hashtbl.remove st.tbl h
           end);
       if st.st_count = 0 then
@@ -191,6 +193,7 @@ let remove t ~mask ~key =
 
 let flush t =
   t.subtables <- [];
+  t.flows <- 0;
   t.lookups <- 0;
   t.total_probes <- 0
 

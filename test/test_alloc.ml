@@ -26,9 +26,9 @@ let words_per_call ?(n = 1000) f =
 
 let budget name ~limit words =
   if native then begin
-    Printf.printf "%s: %.2f words (budget %.0f)\n" name words limit;
+    Printf.printf "%s: %.2f words (budget %g)\n" name words limit;
     if words > limit then
-      Alcotest.failf "%s allocates %.2f words, over its budget of %.0f" name words
+      Alcotest.failf "%s allocates %.2f words, over its budget of %g" name words
         limit
   end
 
@@ -98,6 +98,63 @@ let test_engine_step_p2p () =
   budget "Engine_vt.step P2P (per packet)" ~limit:192.
     (!words /. float_of_int (rounds * burst))
 
+module Ct = Ovs_conntrack.Conntrack
+
+(* A conntrack hit on an established connection: the verdict record is
+   all it may allocate. *)
+let test_ct_track_hit () =
+  let ct = Ct.create ~shards:8 () in
+  let udp = FK.extract (B.udp ~src_port:1234 ~dst_port:5678 ()) in
+  let src_ip = FK.get udp FK.Field.Nw_dst and dst_ip = FK.get udp FK.Field.Nw_src in
+  let udp_reply = FK.extract (B.udp ~src_ip ~dst_ip ~src_port:5678 ~dst_port:1234 ()) in
+  ignore (Ct.commit ct ~now:0. ~zone:1 udp : Ct.conn option);
+  ignore (Ct.track ct ~now:1. ~zone:1 udp_reply : Ct.verdict);
+  budget "Conntrack.track hit, established UDP" ~limit:3.
+    (words_per_call (fun () -> ignore (Ct.track ct ~now:2. ~zone:1 udp : Ct.verdict)));
+  let open Ovs_packet.Tcp.Flags in
+  let tcp ?(reply = false) flags =
+    FK.extract
+      (if reply then B.tcp ~src_ip ~dst_ip ~src_port:80 ~dst_port:40000 ~flags ()
+       else B.tcp ~src_port:40000 ~dst_port:80 ~flags ())
+  in
+  ignore (Ct.commit ct ~now:0. ~zone:1 (tcp syn) : Ct.conn option);
+  ignore (Ct.track ct ~now:1. ~zone:1 (tcp ~reply:true (syn lor ack)) : Ct.verdict);
+  ignore (Ct.track ct ~now:1. ~zone:1 (tcp ack) : Ct.verdict);
+  let ack_key = tcp ack in
+  Alcotest.(check bool) "TCP established" true
+    ((Ct.track ct ~now:2. ~zone:1 ack_key).Ct.ct_state land FK.Ct_state_bits.est <> 0);
+  budget "Conntrack.track hit, established TCP" ~limit:3.
+    (words_per_call (fun () -> ignore (Ct.track ct ~now:2. ~zone:1 ack_key : Ct.verdict)))
+
+(* UDP flows 0..n-1 (by source port), committed at time 0. *)
+let ct_flows ct ~base n =
+  Array.init n (fun i ->
+      let k = FK.extract (B.udp ~src_port:(base + i) ()) in
+      ignore (Ct.commit ct ~now:0. ~zone:1 k : Ct.conn option);
+      k)
+
+let test_ct_sweep_nothing_expired () =
+  let ct = Ct.create ~shards:8 () in
+  ignore (ct_flows ct ~base:1000 2000 : FK.t array);
+  budget "Conntrack.sweep_bounded, nothing expired" ~limit:0.
+    (words_per_call (fun () -> ignore (Ct.sweep_bounded ct ~now:1. ~budget:500 : int)))
+
+(* One connection's life on a warm table: commit, then the full sweep
+   that reclaims it. The connection handle (3 words) and its [Some] (2)
+   are all it allocates; the 0.05 covers the loop's own boxed time. *)
+let test_ct_commit_sweep_cycle () =
+  let ct = Ct.create ~shards:8 () in
+  let n = 1000 in
+  let keys = ct_flows ct ~base:1000 n in
+  let now = ref 0. in
+  let cycle () =
+    now := !now +. Ovs_sim.Time.s 100.;
+    ignore (Ct.sweep ct ~now:!now : int);
+    Array.iter (fun k -> ignore (Ct.commit ct ~now:!now ~zone:1 k : Ct.conn option)) keys
+  in
+  budget "Conntrack commit + sweep (per connection)" ~limit:5.05
+    (words_per_call ~n:20 cycle /. float_of_int n)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -107,5 +164,9 @@ let () =
           Alcotest.test_case "emc hit" `Quick test_emc_hit;
           Alcotest.test_case "vm xsk_default" `Quick test_vm_xsk_default;
           Alcotest.test_case "warm p2p engine step" `Quick test_engine_step_p2p;
+          Alcotest.test_case "conntrack track hit" `Quick test_ct_track_hit;
+          Alcotest.test_case "conntrack sweep, nothing expired" `Quick
+            test_ct_sweep_nothing_expired;
+          Alcotest.test_case "conntrack commit + sweep" `Quick test_ct_commit_sweep_cycle;
         ] );
     ]

@@ -32,7 +32,7 @@ let test_commit_and_handshake () =
   let open Ovs_packet.Tcp.Flags in
   let syn = tcp_key ~flags:syn () in
   (match Ct.commit ct ~now:0. ~zone:1 syn with
-  | Some conn -> Alcotest.(check bool) "SYN_SENT" true (conn.Ct.state = Ct.Tcp Ct.Syn_sent)
+  | Some conn -> Alcotest.(check bool) "SYN_SENT" true (Ct.state conn = Ct.Tcp Ct.Syn_sent)
   | None -> Alcotest.fail "commit failed");
   (* server SYN+ACK (reply direction) *)
   let synack =
@@ -46,7 +46,7 @@ let test_commit_and_handshake () =
   let v2 = Ct.track ct ~now:2000. ~zone:1 ackk in
   Alcotest.(check bool) "+est" true (has v2.Ct.ct_state Bits.est);
   match v2.Ct.conn with
-  | Some conn -> Alcotest.(check bool) "ESTABLISHED" true (conn.Ct.state = Ct.Tcp Ct.Established)
+  | Some conn -> Alcotest.(check bool) "ESTABLISHED" true (Ct.state conn = Ct.Tcp Ct.Established)
   | None -> Alcotest.fail "no connection"
 
 let established ct =
@@ -64,7 +64,7 @@ let test_rst_invalidates () =
   established ct;
   let v = Ct.track ct ~now:3. ~zone:1 (tcp_key ~flags:Ovs_packet.Tcp.Flags.rst ()) in
   (match v.Ct.conn with
-  | Some conn -> Alcotest.(check bool) "CLOSED" true (conn.Ct.state = Ct.Tcp Ct.Closed)
+  | Some conn -> Alcotest.(check bool) "CLOSED" true (Ct.state conn = Ct.Tcp Ct.Closed)
   | None -> Alcotest.fail "conn missing");
   (* subsequent packets on a closed connection are invalid *)
   let v2 = Ct.track ct ~now:4. ~zone:1 (tcp_key ~flags:Ovs_packet.Tcp.Flags.ack ()) in
@@ -198,7 +198,7 @@ let test_fin_teardown_states () =
   ignore (Ct.track ct ~now:10. ~zone:1 (tcp_key ~flags:(fin lor ack) ()));
   (match Ct.track ct ~now:11. ~zone:1 (tcp_key ~flags:ack ()) with
   | { Ct.conn = Some c; _ } ->
-      Alcotest.(check bool) "left ESTABLISHED" true (c.Ct.state <> Ct.Tcp Ct.Established)
+      Alcotest.(check bool) "left ESTABLISHED" true (Ct.state c <> Ct.Tcp Ct.Established)
   | { Ct.conn = None; _ } -> Alcotest.fail "conn lost");
   ()
 
@@ -384,6 +384,393 @@ let prop_ct_pressure_fault =
           in
           in_window_ok && recovered))
 
+(* -- IPv6 tuples and self-reverse connections -- *)
+
+(* A UDP frame between the IPv6 hosts 2001:db8::[src] and ::[dst]. *)
+let ipv6_udp ~src ~dst =
+  let open Ovs_packet in
+  let payload = Udp.header_len + 16 in
+  let flen = Ethernet.header_len + Ipv6.header_len + payload in
+  let buf = Buffer.create ~size:flen () in
+  Buffer.put buf flen;
+  Ethernet.write buf ~dst:(Mac.of_index 2) ~src:(Mac.of_index 1)
+    ~eth_type:Ethernet.Ethertype.ipv6;
+  Ipv6.write buf ~next_header:Ipv4.Proto.udp ~src:(Ipv6.addr_of_int src)
+    ~dst:(Ipv6.addr_of_int dst) ~payload_len:payload ();
+  buf
+
+let ipv6_udp_key ~src ~dst = FK.extract (ipv6_udp ~src ~dst)
+
+(* IPv6 hosts carry their addresses only in the Ip6_* words (Nw_src and
+   Nw_dst are 0), so those words must be part of the tuple. *)
+let test_ipv6_hosts_distinct () =
+  let ct = Ct.create () in
+  let server = 0x100 in
+  let conn_of host =
+    match Ct.commit ct ~now:0. ~zone:1 (ipv6_udp_key ~src:host ~dst:server) with
+    | Some c -> c
+    | None -> Alcotest.fail "commit"
+  in
+  let a = conn_of 0x10 in
+  let v = Ct.track ct ~now:1. ~zone:1 (ipv6_udp_key ~src:0x20 ~dst:server) in
+  Alcotest.(check bool) "second host is new" true (has v.Ct.ct_state Bits.new_);
+  let b = conn_of 0x20 in
+  Alcotest.(check bool) "two connections" true (a != b);
+  check Alcotest.int "active" 2 (Ct.active_conns ct);
+  List.iter
+    (fun (host, conn) ->
+      let r = Ct.track ct ~now:2. ~zone:1 (ipv6_udp_key ~src:server ~dst:host) in
+      Alcotest.(check bool) "reply is +rpl" true (has r.Ct.ct_state Bits.rpl);
+      Alcotest.(check bool) "on its own connection" true
+        (match r.Ct.conn with Some c -> c == conn | None -> false))
+    [ (0x10, a); (0x20, b) ];
+  Alcotest.(check bool) "each reply moved only its own connection" true
+    (Ct.state a = Ct.Udp_multiple && Ct.state b = Ct.Udp_multiple)
+
+(* A connection whose reply tuple is its original tuple (src = dst,
+   sport = dport) has one directional entry; it still counts as one. *)
+let test_self_reverse_conn_counted () =
+  let ct = Ct.create () in
+  let k = udp_key ~src:client_ip ~dst:client_ip ~sport:7 ~dport:7 () in
+  Alcotest.(check bool) "committed" true (Ct.commit ct ~now:0. ~zone:1 k <> None);
+  check Alcotest.int "active_conns" 1 (Ct.active_conns ct);
+  check Alcotest.int "zone_count" 1 (Ct.zone_count ct ~zone:1);
+  let v = Ct.track ct ~now:1. ~zone:1 k in
+  Alcotest.(check bool) "original direction" false (has v.Ct.ct_state Bits.rpl);
+  check Alcotest.int "swept" 1 (Ct.sweep ct ~now:(Ovs_sim.Time.s 60.));
+  check Alcotest.int "empty" 0 (Ct.active_conns ct)
+
+let test_reshard_keeps_limits () =
+  let ct = Ct.create () in
+  Ct.set_zone_limit ct ~zone:4 ~limit:1;
+  let ct = Ct.reshard ct ~shards:4 in
+  Alcotest.(check bool) "first" true (Ct.commit ct ~now:0. ~zone:4 (udp_key ()) <> None);
+  Alcotest.(check bool) "limit carried over" true
+    (Ct.commit ct ~now:0. ~zone:4 (udp_key ~sport:51 ()) = None);
+  Alcotest.check_raises "live connections refuse a reshard"
+    (Invalid_argument "Conntrack.reshard: connections are live") (fun () ->
+      ignore (Ct.reshard ct ~shards:2 : Ct.t))
+
+(* -- equivalence with the list-bucket reference table -- *)
+
+module Ref = Ct_reference
+module Buf = Ovs_packet.Buffer
+
+(* A packet from a deliberately small space, so tuples, self-reverse
+   tuples and reply directions collide often. *)
+type pkt = {
+  kind : int;  (** 0 tcp, 1 udp, 2 icmp echo, 3 ipv6 udp, 4 icmp error *)
+  src : int;
+  dst : int;
+  sport : int;
+  dport : int;
+  flags : int;
+}
+
+let hosts = [| "10.0.0.1"; "10.0.0.2"; "10.0.0.3" |] |> Array.map Ovs_packet.Ipv4.addr_of_string
+
+let tcp_flag_choices =
+  Ovs_packet.Tcp.Flags.[| syn; syn lor ack; ack; fin lor ack; rst; 0; psh lor ack |]
+
+let build_pkt p =
+  let src_ip = hosts.(p.src) and dst_ip = hosts.(p.dst) in
+  let src_port = 1000 + p.sport and dst_port = 1000 + p.dport in
+  let transport ~tcp =
+    if tcp then
+      B.tcp ~src_ip ~dst_ip ~src_port ~dst_port ~flags:tcp_flag_choices.(p.flags) ()
+    else B.udp ~src_ip ~dst_ip ~src_port ~dst_port ()
+  in
+  match p.kind with
+  | 0 -> transport ~tcp:true
+  | 1 -> transport ~tcp:false
+  | 2 ->
+      B.icmp ~src_ip ~dst_ip
+        ~icmp_type:
+          (if p.sport = 0 then Ovs_packet.Icmp.Kind.echo_request
+           else Ovs_packet.Icmp.Kind.echo_reply)
+        ()
+  | 3 -> ipv6_udp ~src:(16 * p.src) ~dst:(16 * p.dst)
+  | _ ->
+      (* a router (host [flags mod 3]) reports an error on a TCP or UDP
+         packet of the space *)
+      B.icmp_error
+        ~src_ip:hosts.(p.flags mod 3)
+        ~offending:(transport ~tcp:(p.flags land 1 = 0))
+        ()
+
+type op =
+  | Track of pkt * int  (** packet, zone *)
+  | Commit of pkt * int * int  (** packet, zone, NAT choice *)
+  | Advance of float
+  | Limit of int * int  (** zone, limit *)
+  | Pressure of int * int  (** open a Ct_pressure window: zone, limit *)
+  | Release  (** close it *)
+  | Evict of int * int  (** zone, limit *)
+  | Sweep
+
+let pp_pkt p =
+  Printf.sprintf "{k%d %d>%d %d>%d f%d}" p.kind p.src p.dst p.sport p.dport p.flags
+
+let pp_op = function
+  | Track (p, z) -> Printf.sprintf "track %s z%d" (pp_pkt p) z
+  | Commit (p, z, n) -> Printf.sprintf "commit %s z%d nat%d" (pp_pkt p) z n
+  | Advance d -> Printf.sprintf "advance %g" d
+  | Limit (z, l) -> Printf.sprintf "limit z%d %d" z l
+  | Pressure (z, l) -> Printf.sprintf "pressure z%d %d" z l
+  | Release -> "release"
+  | Evict (z, l) -> Printf.sprintf "evict z%d %d" z l
+  | Sweep -> "sweep"
+
+(* Time steps straddling every protocol timeout, and zero so same-instant
+   commits tie on creation time. *)
+let time_steps =
+  Ovs_sim.Time.[| 0.; 0.; us 1.; s 1.; s 29.; s 31.; s 59.; s 61.; s 119.; s 121.; s 7441. |]
+
+let gen_pkt =
+  QCheck.Gen.(
+    map
+      (fun ((kind, src, dst), (sport, dport, flags)) -> { kind; src; dst; sport; dport; flags })
+      (pair
+         (triple (int_bound 4) (int_bound 2) (int_bound 2))
+         (triple (int_bound 1) (int_bound 1) (int_bound 6))))
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (10, map2 (fun p z -> Track (p, z)) gen_pkt (int_range 1 2));
+        (6, map3 (fun p z n -> Commit (p, z, n)) gen_pkt (int_range 1 2) (int_bound 3));
+        (3, map (fun i -> Advance time_steps.(i)) (int_bound (Array.length time_steps - 1)));
+        (1, map2 (fun z l -> Limit (z, l)) (int_range 1 2) (int_bound 6));
+        (1, map2 (fun z l -> Pressure (z, l)) (int_range 1 2) (int_bound 4));
+        (1, return Release);
+        (1, map2 (fun z l -> Evict (z, l)) (int_range 1 2) (int_bound 6));
+        (1, return Sweep);
+      ])
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun (shards, ops) ->
+      Printf.sprintf "shards=%d\n%s" shards (String.concat "\n" (List.map pp_op ops)))
+    ~shrink:QCheck.Shrink.(pair nil list)
+    QCheck.Gen.(pair (int_range 1 4) (list_size (int_range 1 80) gen_op))
+
+let nat_choices =
+  let ip = Ovs_packet.Ipv4.addr_of_string "203.0.113.5" in
+  [|
+    None;
+    Some { Ct.nat_src = Some (ip, 2000); nat_dst = None };
+    Some { Ct.nat_src = None; nat_dst = Some (ip, 2001) };
+    Some { Ct.nat_src = Some (ip, 2002); nat_dst = Some (hosts.(2), 2003) };
+  |]
+
+let ref_nat = function
+  | None -> None
+  | Some { Ct.nat_src; nat_dst } -> Some { Ref.nat_src; nat_dst }
+
+let ref_state : Ref.proto_state -> Ct.proto_state = function
+  | Ref.Tcp Ref.Syn_sent -> Ct.Tcp Ct.Syn_sent
+  | Ref.Tcp Ref.Syn_recv -> Ct.Tcp Ct.Syn_recv
+  | Ref.Tcp Ref.Established -> Ct.Tcp Ct.Established
+  | Ref.Tcp Ref.Fin_wait -> Ct.Tcp Ct.Fin_wait
+  | Ref.Tcp Ref.Close_wait -> Ct.Tcp Ct.Close_wait
+  | Ref.Tcp Ref.Time_wait -> Ct.Tcp Ct.Time_wait
+  | Ref.Tcp Ref.Closed -> Ct.Tcp Ct.Closed
+  | Ref.Udp_single -> Ct.Udp_single
+  | Ref.Udp_multiple -> Ct.Udp_multiple
+  | Ref.Icmp_active -> Ct.Icmp_active
+
+(* Every packet of the space in its forward direction (ICMP errors from
+   one router), for probing which connections survived. *)
+let probe_space =
+  List.concat_map
+    (fun kind ->
+      List.concat_map
+        (fun src ->
+          List.concat_map
+            (fun dst ->
+              List.concat_map
+                (fun sport ->
+                  List.map
+                    (fun dport -> { kind; src; dst; sport; dport; flags = 5 })
+                    [ 0; 1 ])
+                [ 0; 1 ])
+            [ 0; 1; 2 ])
+        [ 0; 1; 2 ])
+    [ 0; 1; 2; 3; 4 ]
+
+(* Run one operation sequence against the open-addressed table and the
+   reference, failing with a description at the first difference: every
+   verdict's ct_state and connection state, the bytes and key apply_nat
+   leaves, the reclaimed and evicted counts, and after every operation
+   active_conns, zone_count and limit_drops. A final full sweep is
+   followed by a probe of every packet of the space, which compares the
+   survivors. *)
+let run_equivalence (shards, ops) =
+  let ct = Ct.create ~shards () and rf = Ref.create () in
+  let now = ref 0. in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+  let same_conn what c r =
+    match (c, r) with
+    | None, None -> ()
+    | Some c, Some r ->
+        if Ct.state c <> ref_state r.Ref.state then fail "%s: connection state differs" what
+    | _ -> fail "%s: one table has a connection, the other not" what
+  in
+  (* apply_nat on a copy of the packet per table *)
+  let same_nat what p c r ~is_reply =
+    match (c, r) with
+    | Some c, Some r ->
+        let b1 = build_pkt p and b2 = build_pkt p in
+        let k1 = FK.extract b1 and k2 = FK.extract b2 in
+        let x = Ct.apply_nat c ~is_reply b1 k1 and y = Ref.apply_nat r ~is_reply b2 k2 in
+        if x <> y || Buf.contents b1 <> Buf.contents b2 || not (FK.equal k1 k2) then
+          fail "%s: apply_nat differs" what
+    | _ -> ()
+  in
+  let counts what =
+    if Ct.active_conns ct <> Ref.active_conns rf then
+      fail "%s: active_conns %d vs %d" what (Ct.active_conns ct) (Ref.active_conns rf);
+    List.iter
+      (fun zone ->
+        if Ct.zone_count ct ~zone <> Ref.zone_count rf ~zone then
+          fail "%s: zone_count %d differs" what zone)
+      [ 1; 2 ];
+    if Ct.limit_drops ct <> Ref.limit_drops rf then fail "%s: limit_drops differs" what
+  in
+  let track what p zone =
+    let b1 = build_pkt p and b2 = build_pkt p in
+    let v = Ct.track ~buf:b1 ct ~now:!now ~zone (FK.extract b1)
+    and w = Ref.track ~buf:b2 rf ~now:!now ~zone (FK.extract b2) in
+    if v.Ct.ct_state <> w.Ref.ct_state then
+      fail "%s: ct_state 0x%x vs 0x%x" what v.Ct.ct_state w.Ref.ct_state;
+    same_conn what v.Ct.conn w.Ref.conn;
+    same_nat what p v.Ct.conn w.Ref.conn
+      ~is_reply:(v.Ct.ct_state land Bits.rpl <> 0)
+  in
+  let pressure zone limit =
+    Ovs_faults.Faults.arm
+      (Ovs_faults.Faults.plan ~name:"ct-equiv"
+         [
+           {
+             Ovs_faults.Faults.f_name = "pressure";
+             f_action = Ovs_faults.Faults.Ct_pressure { zone; limit };
+             f_start = Ovs_sim.Time.us 10.;
+             f_stop = Ovs_sim.Time.us 20.;
+           };
+         ]);
+    List.iter
+      (fun (f : Ovs_faults.Faults.fault) ->
+        match f.Ovs_faults.Faults.f_action with
+        | Ovs_faults.Faults.Ct_pressure { zone; limit } ->
+            let a = Ct.evict_to_limit ct ~zone ~limit
+            and b = Ref.evict_to_limit rf ~zone ~limit in
+            if a <> b then fail "pressure: evicted %d vs %d" a b
+        | _ -> ())
+      (Ovs_faults.Faults.tick (Ovs_sim.Time.us 15.))
+  in
+  let step i op =
+    let what = Printf.sprintf "op %d (%s)" i (pp_op op) in
+    (match op with
+    | Track (p, zone) -> track what p zone
+    | Commit (p, zone, n) ->
+        let k1 = FK.extract (build_pkt p) and k2 = FK.extract (build_pkt p) in
+        let nat = nat_choices.(n) in
+        let c = Ct.commit ct ~now:!now ~zone ?nat k1
+        and r = Ref.commit rf ~now:!now ~zone ?nat:(ref_nat nat) k2 in
+        same_conn what c r;
+        same_nat what p c r ~is_reply:false
+    | Advance d -> now := !now +. d
+    | Limit (zone, limit) ->
+        Ct.set_zone_limit ct ~zone ~limit;
+        Ref.set_zone_limit rf ~zone ~limit
+    | Pressure (zone, limit) -> pressure zone limit
+    | Release -> Ovs_faults.Faults.disarm ()
+    | Evict (zone, limit) ->
+        let a = Ct.evict_to_limit ct ~zone ~limit and b = Ref.evict_to_limit rf ~zone ~limit in
+        if a <> b then fail "%s: evicted %d vs %d" what a b
+    | Sweep ->
+        let a = Ct.sweep ct ~now:!now and b = Ref.sweep rf ~now:!now in
+        if a <> b then fail "%s: reclaimed %d vs %d" what a b);
+    counts what
+  in
+  Fun.protect ~finally:Ovs_faults.Faults.disarm (fun () ->
+      List.iteri step ops;
+      Ovs_faults.Faults.disarm ();
+      now := !now +. Ovs_sim.Time.s 100.;
+      step (List.length ops) Sweep;
+      List.iter
+        (fun p ->
+          List.iter (fun zone -> track ("survivor " ^ pp_pkt p) p zone) [ 1; 2 ])
+        probe_space;
+      true)
+
+(* The default count keeps tier-1 quick; [make ct-equiv] runs the
+   property in QCheck's long mode at 100,000 cases. *)
+let equivalence_count = 250
+
+let prop_reference_equivalence =
+  QCheck.Test.make ~count:equivalence_count
+    ~long_factor:(100_000 / equivalence_count)
+    ~name:"open-addressed conntrack == list-bucket reference" arb_ops run_equivalence
+
+(* Heavy insert/delete through the index: rounds of commits and full
+   sweeps that reclaim whatever passed the 30 s single-direction UDP
+   timeout, so backward-shift deletion runs constantly. Afterwards every
+   connection the model holds is still found (a hit, not +new), none it
+   dropped is, and the longest probe run stays short: the index doubles
+   at half occupancy, and over 200 seeds of this run it never exceeded
+   18 positions. *)
+let prop_churn_stress =
+  QCheck.Test.make ~count:20 ~name:"churn: backward-shift deletion keeps every conn reachable"
+    QCheck.(pair (int_range 1 3) (int_range 0 1_000_000))
+    (fun (shards, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let ct = Ct.create ~shards () in
+      let key id =
+        let k = FK.create () in
+        FK.set k FK.Field.Nw_src (0x0A000000 + (id lsr 4));
+        FK.set k FK.Field.Nw_dst 0x0A0000FE;
+        FK.set k FK.Field.Nw_proto Ovs_packet.Ipv4.Proto.udp;
+        FK.set k FK.Field.Tp_src (1024 + (id land 15));
+        FK.set k FK.Field.Tp_dst 53;
+        k
+      in
+      let space = 8192 in
+      let born = Array.make space (-1.) in
+      let now = ref 0. in
+      let sweep () =
+        ignore (Ct.sweep ct ~now:!now : int);
+        Array.iteri
+          (fun id t -> if t >= 0. && !now -. t > Ovs_sim.Time.s 30. then born.(id) <- -1.)
+          born
+      in
+      for round = 1 to 60 do
+        now := !now +. Ovs_sim.Time.s 1.;
+        for _ = 1 to 150 do
+          let id = Random.State.int rng space in
+          ignore (Ct.commit ct ~now:!now ~zone:1 (key id) : Ct.conn option);
+          if born.(id) < 0. then born.(id) <- !now
+        done;
+        if round = 60 || Random.State.int rng 4 = 0 then sweep ()
+      done;
+      let live = Array.fold_left (fun n t -> if t >= 0. then n + 1 else n) 0 born in
+      let probe = Ct.longest_probe ct in
+      let found =
+        let ok = ref true in
+        Array.iteri
+          (fun id t ->
+            (* no time passes, so tracking refreshes nothing that matters *)
+            let v = Ct.track ct ~now:!now ~zone:1 (key id) in
+            ok := !ok && has v.Ct.ct_state Bits.new_ = (t < 0.))
+          born;
+        !ok
+      in
+      if Ct.active_conns ct <> live then
+        QCheck.Test.fail_reportf "active_conns %d, model %d" (Ct.active_conns ct) live;
+      if probe > 32 then QCheck.Test.fail_reportf "longest probe %d" probe;
+      found)
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -407,6 +794,13 @@ let () =
         ] );
       ( "related",
         [ Alcotest.test_case "related icmp errors" `Quick test_related_icmp ] );
+      ( "tuples",
+        [
+          Alcotest.test_case "ipv6 hosts distinct" `Quick test_ipv6_hosts_distinct;
+          Alcotest.test_case "self-reverse conn counted" `Quick
+            test_self_reverse_conn_counted;
+          Alcotest.test_case "reshard keeps limits" `Quick test_reshard_keeps_limits;
+        ] );
       ( "nat",
         [ Alcotest.test_case "snat forward and reply" `Quick test_nat_rewrites_forward_and_reply ] );
       ( "eviction-properties",
@@ -420,4 +814,5 @@ let () =
       ( "sharding-properties",
         qcheck
           [ prop_sharded_oracle; prop_sweep_bounded_total; prop_evict_sharded ] );
+      ( "equivalence", qcheck [ prop_reference_equivalence; prop_churn_stress ] );
     ]

@@ -158,6 +158,22 @@ let test_ct_recirculation () =
   Alcotest.(check bool) "connection committed" true
     (Ovs_conntrack.Conntrack.active_conns (Dpif.conntrack r.dp) = 1)
 
+(* Resharding the connection table keeps its zone limits, and refuses
+   while connections are live rather than dropping them. *)
+let test_set_ct_shards () =
+  let r = make_rig () in
+  let module Ct = Ovs_conntrack.Conntrack in
+  Ct.set_zone_limit (Dpif.conntrack r.dp) ~zone:3 ~limit:1;
+  Dpif.set_ct_shards r.dp 4;
+  let ct = Dpif.conntrack r.dp in
+  let commit sport = Ct.commit ct ~now:0. ~zone:3 (FK.extract (B.udp ~src_port:sport ())) in
+  Alcotest.(check bool) "first commit" true (commit 1 <> None);
+  Alcotest.(check bool) "zone limit carried over" true (commit 2 = None);
+  Alcotest.check_raises "live connections"
+    (Invalid_argument "Conntrack.reshard: connections are live") (fun () ->
+      Dpif.set_ct_shards r.dp 2);
+  check Alcotest.int "connection kept" 1 (Ct.active_conns (Dpif.conntrack r.dp))
+
 let test_ct_state_firewall_blocks_unsolicited () =
   let r = make_rig () in
   ignore
@@ -454,6 +470,7 @@ let () =
           Alcotest.test_case "meter action" `Quick test_meter_action_executes;
           Alcotest.test_case "software GSO on egress" `Quick test_gso_on_non_tso_device;
           Alcotest.test_case "SMC layer" `Quick test_smc_serves_after_emc_disabled;
+          Alcotest.test_case "ct reshard" `Quick test_set_ct_shards;
         ] );
       ( "costing",
         [

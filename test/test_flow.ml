@@ -127,7 +127,9 @@ let test_dpcls_remove () =
   Alcotest.(check bool) "removed" true (Dpcls.remove cls ~mask ~key:k);
   Alcotest.(check bool) "gone" true (Dpcls.lookup cls k = None);
   check Alcotest.int "empty subtable collected" 0 (Dpcls.subtable_count cls);
-  Alcotest.(check bool) "double remove" false (Dpcls.remove cls ~mask ~key:k)
+  check Alcotest.int "no flows" 0 (Dpcls.flow_count cls);
+  Alcotest.(check bool) "double remove" false (Dpcls.remove cls ~mask ~key:k);
+  check Alcotest.int "still no flows" 0 (Dpcls.flow_count cls)
 
 let test_dpcls_flush () =
   let cls = Dpcls.create () in
