@@ -1,5 +1,5 @@
 # Tier-1 verification in one command.
-.PHONY: all check build test smoke perf-smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff ct-equiv clean
+.PHONY: all check build test smoke perf-smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff ct-equiv dpcls-equiv clean
 
 all: build
 
@@ -112,6 +112,14 @@ charged-diff:
 # churn stress property. Not part of check: it takes a few minutes.
 ct-equiv:
 	QCHECK_LONG=1 dune exec test/test_conntrack.exe -- test equivalence
+
+# The dpcls equivalence property at 100,000 cases (QCheck's long mode):
+# the open-addressed megaflow classifier against the list-bucket
+# reference in test/dpcls_reference.ml over random insert, reinsert,
+# remove, lookup, peek and flush sequences. Not part of check: it takes a
+# few minutes.
+dpcls-equiv:
+	QCHECK_LONG=1 dune exec test/test_flow.exe -- test equivalence
 
 check: build test smoke perf-smoke chaos ccache mc multicore latency ndr policy scale reconfig
 

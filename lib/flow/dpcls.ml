@@ -6,7 +6,15 @@
     carries no priorities: one subtable per distinct wildcard mask, probed
     in descending hit-count order, first match wins. The number of
     subtables probed per lookup is reported to the caller because lookup
-    cost is proportional to it. *)
+    cost is proportional to it.
+
+    Each subtable lists, at creation, the key words its mask covers, and
+    hashes and compares only those (OVS's miniflow subtables do the same).
+    Its megaflows sit in one open-addressed table: an [int array] of
+    hashes (-1 when empty) beside an array of entries, probed linearly,
+    doubled at half occupancy, and cleared by shifting the rest of a probe
+    run back, so no tombstone is ever left. A lookup allocates only its
+    result. *)
 
 module FK = Ovs_packet.Flow_key
 
@@ -29,90 +37,197 @@ type 'a entry = {
 
 type 'a subtable = {
   mask : FK.t;
-  tbl : (int, 'a entry list ref) Hashtbl.t;
+  fields : int array;  (** indices of the mask's nonzero words, ascending *)
+  words : int array;  (** the mask's word at each of [fields] *)
+  mutable hashes : int array;
+      (** per position, the hash of the entry there; -1 when empty. The
+          length is a power of two. *)
+  mutable slots : 'a entry array;
+      (** per position, its entry; an empty position holds [filler] *)
+  mutable home : int;  (** positions - 1: a hash's home is [hash land home] *)
+  filler : 'a entry;
+      (** the subtable's first entry, a placeholder in empty positions so
+          the array needs no option *)
+  mutable count : int;
   mutable st_hits : int;
-  mutable st_count : int;
 }
 
 type 'a t = {
-  mutable subtables : 'a subtable list;
-  mutable flows : int;  (** the subtables' [st_count]s summed *)
+  mutable subtables : 'a subtable array;  (** in probe order *)
+  mutable flows : int;  (** the subtables' [count]s summed *)
   mutable lookups : int;
   mutable total_probes : int;
   mutable resort_counter : int;
 }
 
 let create () =
-  { subtables = []; flows = 0; lookups = 0; total_probes = 0; resort_counter = 0 }
+  { subtables = [||]; flows = 0; lookups = 0; total_probes = 0; resort_counter = 0 }
 
-let subtable_count t = List.length t.subtables
+let subtable_count t = Array.length t.subtables
 
 let flow_count t = t.flows
 
-let find_subtable t mask =
-  List.find_opt (fun st -> FK.equal st.mask mask) t.subtables
+(* A new subtable's positions: smaller than the 256-bucket hash table it
+   replaces, so creating a subtable on an upcall costs less than it did. *)
+let initial_positions = 16
+
+let new_subtable mask filler =
+  let mask = FK.copy mask in
+  let n = ref 0 in
+  for i = 0 to FK.Field.count - 1 do
+    if mask.(i) <> 0 then incr n
+  done;
+  let fields = Array.make !n 0 and words = Array.make !n 0 and j = ref 0 in
+  for i = 0 to FK.Field.count - 1 do
+    if mask.(i) <> 0 then begin
+      fields.(!j) <- i;
+      words.(!j) <- mask.(i);
+      incr j
+    end
+  done;
+  {
+    mask;
+    fields;
+    words;
+    hashes = Array.make initial_positions (-1);
+    slots = Array.make initial_positions filler;
+    home = initial_positions - 1;
+    filler;
+    count = 0;
+    st_hits = 0;
+  }
+
+let fnv_basis = 0x3bf29ce484222325
+let fnv_prime = 0x100000001b3
+
+(** FNV-1a over the words [st]'s mask covers, each masked, then mixed:
+    FNV's low bits depend only on the words' low bits, so without the mix
+    keys that differ only in high bits (address prefixes) would share a
+    home position. The result is never negative. [key] need not be
+    masked. *)
+let hash st (key : FK.t) =
+  let fields = st.fields and words = st.words in
+  let h = ref fnv_basis in
+  for j = 0 to Array.length fields - 1 do
+    h := (!h lxor (key.(Array.unsafe_get fields j) land Array.unsafe_get words j)) * fnv_prime
+  done;
+  let h = (!h lxor (!h lsr 29)) * 0x2545f4914f6cdd1d in
+  (h lxor (h lsr 32)) land max_int
+
+(* Whether pre-masked [stored] equals [key] on the covered words from the
+   [j]th on. *)
+let rec same_words fields words (stored : FK.t) (key : FK.t) j =
+  j >= Array.length fields
+  ||
+  let i = Array.unsafe_get fields j in
+  Array.unsafe_get stored i = key.(i) land Array.unsafe_get words j
+  && same_words fields words stored key (j + 1)
+
+(* The position of [key]'s entry in [st] searching from [pos], or -1; [h]
+   is its hash. *)
+let rec position st (key : FK.t) h pos =
+  let e = Array.unsafe_get st.hashes pos in
+  if e < 0 then -1
+  else if e = h && same_words st.fields st.words (Array.unsafe_get st.slots pos).key key 0
+  then pos
+  else position st key h ((pos + 1) land st.home)
+
+(* The position of [key]'s entry in [st], or -1. *)
+let locate st (key : FK.t) h = position st key h (h land st.home)
+
+(* Put entry [e] with hash [h] at the first free position from its home. *)
+let place st h e =
+  let pos = ref (h land st.home) in
+  while st.hashes.(!pos) >= 0 do
+    pos := (!pos + 1) land st.home
+  done;
+  st.hashes.(!pos) <- h;
+  st.slots.(!pos) <- e
+
+(* Add a new entry, doubling the table at half occupancy so probe runs
+   stay short. *)
+let add st h e =
+  if 2 * (st.count + 1) > st.home + 1 then begin
+    let hashes = st.hashes and slots = st.slots in
+    let positions = 2 * Array.length hashes in
+    st.hashes <- Array.make positions (-1);
+    st.slots <- Array.make positions st.filler;
+    st.home <- positions - 1;
+    for p = 0 to Array.length hashes - 1 do
+      if hashes.(p) >= 0 then place st hashes.(p) slots.(p)
+    done
+  end;
+  place st h e;
+  st.count <- st.count + 1
+
+(* Empty position [pos], then shift each later entry of the probe run back
+   into the hole unless that would move it before its home position:
+   every remaining entry stays reachable from its home. *)
+let delete st pos =
+  let hashes = st.hashes and slots = st.slots and mask = st.home in
+  let hole = ref pos and j = ref ((pos + 1) land mask) in
+  while hashes.(!j) >= 0 do
+    let home = hashes.(!j) land mask in
+    if (!j - home) land mask >= (!j - !hole) land mask then begin
+      hashes.(!hole) <- hashes.(!j);
+      slots.(!hole) <- slots.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  hashes.(!hole) <- -1;
+  slots.(!hole) <- st.filler;
+  st.count <- st.count - 1
+
+(* The index of the subtable for [mask] from the [i]th on, or -1. *)
+let rec subtable_index t mask i =
+  if i >= Array.length t.subtables then -1
+  else if FK.equal t.subtables.(i).mask mask then i
+  else subtable_index t mask (i + 1)
 
 (** Install a megaflow. [key] needs not be pre-masked. *)
 let insert t ~mask ~key value =
   let masked = FK.apply_mask key mask in
-  let st =
-    match find_subtable t mask with
-    | Some st -> st
-    | None ->
-        let st =
-          { mask = FK.copy mask; tbl = Hashtbl.create 256; st_hits = 0; st_count = 0 }
-        in
-        t.subtables <- st :: t.subtables;
-        st
-  in
-  (* hash exactly as lookup will: over the masked-in fields only *)
-  let h = FK.hash_masked masked st.mask in
-  let bucket =
-    match Hashtbl.find_opt st.tbl h with
-    | Some b -> b
-    | None ->
-        let b = ref [] in
-        Hashtbl.replace st.tbl h b;
-        b
-  in
-  (* replace an existing entry with the same masked key, in place *)
-  let existing = List.exists (fun e -> FK.equal e.key masked) !bucket in
-  if existing then
-    List.iter (fun e -> if FK.equal e.key masked then e.value <- value) !bucket
-  else begin
-    bucket := { key = masked; value; hits = 0; cycles = { ns = 0. } } :: !bucket;
-    st.st_count <- st.st_count + 1;
-    t.flows <- t.flows + 1
+  let entry () = { key = masked; value; hits = 0; cycles = { ns = 0. } } in
+  match subtable_index t mask 0 with
+  | -1 ->
+      let e = entry () in
+      let st = new_subtable mask e in
+      t.subtables <- Array.append [| st |] t.subtables;
+      add st (hash st masked) e;
+      t.flows <- t.flows + 1
+  | i -> (
+      let st = t.subtables.(i) in
+      let h = hash st masked in
+      (* replace an existing entry with the same masked key, in place *)
+      match locate st masked h with
+      | -1 ->
+          add st h (entry ());
+          t.flows <- t.flows + 1
+      | pos -> st.slots.(pos).value <- value)
+
+(* Probe the subtables in order from the [n]th. *)
+let rec probe t key n =
+  if n >= Array.length t.subtables then begin
+    t.total_probes <- t.total_probes + n;
+    None
   end
-
-(* The first entry of a hash bucket whose (pre-masked) key equals [key]
-   under [mask]. *)
-let rec find_in_bucket key mask = function
-  | [] -> None
-  | e :: rest ->
-      if FK.equal_masked e.key key mask then Some e else find_in_bucket key mask rest
-
-(* Probe the subtables in order; [n] counts the ones already probed. *)
-let rec probe t key n = function
-  | [] ->
-      t.total_probes <- t.total_probes + n;
-      None
-  | st :: rest -> begin
-      let hit =
-        match Hashtbl.find st.tbl (FK.hash_masked key st.mask) with
-        | bucket -> find_in_bucket key st.mask !bucket
-        | exception Not_found -> None
-      in
-      match hit with
-      | Some e ->
-          e.hits <- e.hits + 1;
-          st.st_hits <- st.st_hits + 1;
-          t.total_probes <- t.total_probes + n + 1;
-          Some (e, n + 1, st.mask)
-      | None -> probe t key (n + 1) rest
+  else
+    let st = Array.unsafe_get t.subtables n in
+    let pos = locate st key (hash st key) in
+    if pos < 0 then probe t key (n + 1)
+    else begin
+      let e = Array.unsafe_get st.slots pos in
+      e.hits <- e.hits + 1;
+      st.st_hits <- st.st_hits + 1;
+      t.total_probes <- t.total_probes + n + 1;
+      Some (e, n + 1, st.mask)
     end
 
-(** Look a packet's flow key up. Returns the value, the number of
+let by_hits a b = Int.compare b.st_hits a.st_hits
+let halve_hits st = st.st_hits <- st.st_hits / 2
+
+(** Look a packet's flow key up. Returns the entry, the number of
     subtables probed (the lookup's cost driver) and the matching
     subtable's mask (for installing into upper cache layers), or [None]
     after probing them all. Subtables are re-sorted by hit count
@@ -122,96 +237,64 @@ let lookup_entry t (key : FK.t) : ('a entry * int * FK.t) option =
   t.resort_counter <- t.resort_counter + 1;
   if t.resort_counter >= 1024 then begin
     t.resort_counter <- 0;
-    t.subtables <-
-      List.sort (fun a b -> compare b.st_hits a.st_hits) t.subtables;
+    (* stable, so subtables with equal counts keep their order *)
+    Array.stable_sort by_hits t.subtables;
     (* decay the counts after ranking: each resort period then weighs
        recent traffic against a halved history, so a workload shift
        reorders within a few periods. Sorting by all-time hits never
        reorders once an old hot subtable has banked a large lead. *)
-    List.iter (fun st -> st.st_hits <- st.st_hits / 2) t.subtables
+    Array.iter halve_hits t.subtables
   end;
-  probe t key 0 t.subtables
+  probe t key 0
 
-(** {!lookup_entry} with the entry resolved to its value. *)
-let lookup_full t (key : FK.t) : ('a * int * FK.t) option =
-  match lookup_entry t key with
-  | Some (e, probes, mask) -> Some (e.value, probes, mask)
-  | None -> None
-
-(** {!lookup_full} without the mask. *)
-let lookup t (key : FK.t) : ('a * int) option =
-  match lookup_full t key with
-  | Some (v, probes, _) -> Some (v, probes)
-  | None -> None
+let rec peek_from t key n =
+  if n >= Array.length t.subtables then None
+  else
+    let st = Array.unsafe_get t.subtables n in
+    let pos = locate st key (hash st key) in
+    if pos < 0 then peek_from t key (n + 1)
+    else Some ((Array.unsafe_get st.slots pos).value, st.mask)
 
 (** Look [key] up without mutating any statistic, hit count or the
     subtable order — for cross-checking other tiers against the
     classifier on live state. *)
-let peek t (key : FK.t) : ('a * FK.t) option =
-  let rec probe = function
-    | [] -> None
-    | st :: rest -> begin
-        let h = FK.hash_masked key st.mask in
-        let hit =
-          match Hashtbl.find_opt st.tbl h with
-          | None -> None
-          | Some bucket ->
-              List.find_opt
-                (fun e -> FK.equal e.key (FK.apply_mask key st.mask))
-                !bucket
-        in
-        match hit with
-        | Some e -> Some (e.value, st.mask)
-        | None -> probe rest
-      end
-  in
-  probe t.subtables
+let peek t (key : FK.t) : ('a * FK.t) option = peek_from t key 0
 
 (** Remove the megaflow matching [key] under [mask]; empty subtables are
     garbage collected. Returns whether an entry was removed. *)
 let remove t ~mask ~key =
-  match find_subtable t mask with
-  | None -> false
-  | Some st ->
+  match subtable_index t mask 0 with
+  | -1 -> false
+  | i ->
+      let st = t.subtables.(i) in
       let masked = FK.apply_mask key mask in
-      let h = FK.hash_masked masked st.mask in
-      let removed = ref false in
-      (match Hashtbl.find_opt st.tbl h with
-      | None -> ()
-      | Some bucket ->
-          let before = List.length !bucket in
-          bucket := List.filter (fun e -> not (FK.equal e.key masked)) !bucket;
-          if List.length !bucket < before then begin
-            removed := true;
-            st.st_count <- st.st_count - 1;
-            t.flows <- t.flows - 1;
-            if !bucket = [] then Hashtbl.remove st.tbl h
-          end);
-      if st.st_count = 0 then
-        t.subtables <- List.filter (fun s -> s != st) t.subtables;
-      !removed
+      let pos = locate st masked (hash st masked) in
+      if pos < 0 then false
+      else begin
+        delete st pos;
+        t.flows <- t.flows - 1;
+        if st.count = 0 then begin
+          let n = Array.length t.subtables in
+          t.subtables <-
+            Array.append (Array.sub t.subtables 0 i) (Array.sub t.subtables (i + 1) (n - i - 1))
+        end;
+        true
+      end
 
 let flush t =
-  t.subtables <- [];
+  t.subtables <- [||];
   t.flows <- 0;
   t.lookups <- 0;
   t.total_probes <- 0
 
-(** Iterate every installed megaflow as (mask, masked key, value, hits). *)
-let iter t f =
-  List.iter
-    (fun st ->
-      Hashtbl.iter
-        (fun _ bucket -> List.iter (fun e -> f ~mask:st.mask ~key:e.key e.value e.hits) !bucket)
-        st.tbl)
-    t.subtables
-
 (** {!iter} with the full entry exposed (hit and cycle stats). *)
 let iter_entries t f =
-  List.iter
-    (fun st ->
-      Hashtbl.iter (fun _ bucket -> List.iter (fun e -> f ~mask:st.mask e) !bucket) st.tbl)
+  Array.iter
+    (fun st -> Array.iteri (fun p e -> if st.hashes.(p) >= 0 then f ~mask:st.mask e) st.slots)
     t.subtables
+
+(** Iterate every installed megaflow as (mask, masked key, value, hits). *)
+let iter t f = iter_entries t (fun ~mask e -> f ~mask ~key:e.key e.value e.hits)
 
 (** Mean subtables probed per lookup so far. *)
 let mean_probes t =

@@ -3,7 +3,9 @@
     distinct wildcard mask; megaflows are disjoint so there are no
     priorities; subtables are probed in descending hit-count order and
     re-sorted periodically. Lookup cost is proportional to the number of
-    subtables probed, which the API reports. *)
+    subtables probed, which the API reports. Each subtable hashes and
+    compares only the key words its mask covers, over an open-addressed
+    table. *)
 
 module FK = Ovs_packet.Flow_key
 
@@ -44,12 +46,6 @@ val lookup_entry : 'a t -> FK.t -> ('a entry * int * FK.t) option
     The returned mask identifies the matching megaflow's subtable so upper
     cache layers can be populated; the entry is exposed so the caller can
     credit lookup cycles to it. *)
-
-val lookup_full : 'a t -> FK.t -> ('a * int * FK.t) option
-(** {!lookup_entry} with the entry resolved to its value. *)
-
-val lookup : 'a t -> FK.t -> ('a * int) option
-(** {!lookup_full} without the mask. *)
 
 val peek : 'a t -> FK.t -> ('a * FK.t) option
 (** Lookup without mutating any statistic, hit count or the subtable

@@ -11,7 +11,7 @@ type 'a entry = {
   signature : int;
   mask : FK.t;
   masked_key : FK.t;
-  value : 'a;
+  found : 'a option;  (** [Some value], built once at insert so a hit returns it as is *)
 }
 
 type 'a t = {
@@ -34,16 +34,22 @@ let lookup t (key : FK.t) : 'a option =
   match t.slots.(signature land t.mask_bits) with
   | Some e
     when e.signature = signature
-         && FK.equal (FK.apply_mask key e.mask) e.masked_key ->
+         && FK.equal_masked key e.masked_key e.mask ->
       t.hits <- t.hits + 1;
-      Some e.value
+      e.found
   | _ -> None
 
 (** Install the megaflow a dpcls lookup just returned. *)
 let insert t (key : FK.t) ~(mask : FK.t) (value : 'a) =
   let signature = FK.hash key in
   t.slots.(signature land t.mask_bits) <-
-    Some { signature; mask = FK.copy mask; masked_key = FK.apply_mask key mask; value }
+    Some
+      {
+        signature;
+        mask = FK.copy mask;
+        masked_key = FK.apply_mask key mask;
+        found = Some value;
+      }
 
 let flush t = Array.fill t.slots 0 (Array.length t.slots) None
 

@@ -90,16 +90,21 @@ let invalidate t =
 (** (Re)train from the current contents of [dpcls]. Returns the training
     stats; the caller charges virtual time for them. *)
 let train ?max_isets ?min_size t (dpcls : 'a Dpcls.t) : train_stats =
-  let masks = ref [] and keys = ref [] and ents = ref [] in
-  let n = ref 0 in
-  Dpcls.iter_entries dpcls (fun ~mask e ->
-      masks := mask :: !masks;
-      keys := e.Dpcls.key :: !keys;
-      ents := e :: !ents;
-      incr n);
-  let masks = Array.of_list !masks in
-  let keys = Array.of_list !keys in
-  let ents = Array.of_list !ents in
+  let snapshot = ref [] in
+  Dpcls.iter_entries dpcls (fun ~mask e -> snapshot := (mask, e) :: !snapshot);
+  (* The partition depends on the order of its input, so put the
+     snapshot in a canonical order, by (mask, key): the trained index is
+     then independent of how the classifier lays out its entries. *)
+  let by_mask_key (m1, e1) (m2, e2) =
+    match compare (m1 : FK.t) m2 with
+    | 0 -> compare (e1.Dpcls.key : FK.t) e2.Dpcls.key
+    | c -> c
+  in
+  let snapshot = Array.of_list (List.sort by_mask_key !snapshot) in
+  let n = Array.length snapshot in
+  let masks = Array.map fst snapshot in
+  let keys = Array.map (fun (_, e) -> e.Dpcls.key) snapshot in
+  let ents = Array.map snd snapshot in
   let part = Iset.partition ?max_isets ?min_size ~masks ~keys () in
   let isets =
     List.map
@@ -122,9 +127,9 @@ let train ?max_isets ?min_size t (dpcls : 'a Dpcls.t) : train_stats =
   in
   let stats =
     {
-      ts_megaflows = !n;
+      ts_megaflows = n;
       ts_indexed = indexed;
-      ts_remainder = !n - indexed;
+      ts_remainder = n - indexed;
       ts_isets = List.length isets;
       ts_max_err =
         List.fold_left (fun acc is -> Int.max acc (Rqrmi.max_err is.ir_model)) 0 isets;

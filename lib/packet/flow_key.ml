@@ -197,7 +197,7 @@ let fnv_pow =
   done;
   a
 
-(** FNV-1a over all fields; the EMC and dpcls hash keys this way. A zero
+(** FNV-1a over all fields; the EMC and SMC hash keys this way. A zero
     field only multiplies by the prime ([(h lxor 0) * p = h * p]), so a
     run of [n] zero fields is one multiplication by [p^n]: the value is
     exactly the field-by-field FNV-1a, with one multiplication per
@@ -214,7 +214,8 @@ let hash (k : t) =
   done;
   !h * Array.unsafe_get fnv_pow !zeros land max_int
 
-(** Hash restricted to fields selected by a mask (dpcls subtable hashing). *)
+(** Hash restricted to fields selected by a mask (the OpenFlow tables' subtable
+    hashing). *)
 let hash_masked (k : t) (mask : t) =
   let h = ref 0x3bf29ce484222325 in
   for i = 0 to Field.count - 1 do
@@ -230,7 +231,11 @@ let equal_masked (a : t) (b : t) (mask : t) = equal_masked_from a b mask 0
 
 (** Apply [mask] to [k], returning a fresh key with wildcarded bits zeroed. *)
 let apply_mask (k : t) (mask : t) : t =
-  Array.init Field.count (fun i -> k.(i) land mask.(i))
+  let m = Array.make Field.count 0 in
+  for i = 0 to Field.count - 1 do
+    m.(i) <- k.(i) land mask.(i)
+  done;
+  m
 
 let rss_mix h v = (h lxor v) * 0x01000193 land 0x7FFFFFFF
 

@@ -46,6 +46,68 @@ let test_emc_hit () =
   budget "Emc.lookup hit" ~limit:0.
     (words_per_call (fun () -> ignore (Ovs_flow.Emc.lookup emc probe : int list option)))
 
+module Dpcls = Ovs_flow.Dpcls
+
+(* A classifier with three subtables of 100 megaflows each, keyed on
+   in_port, nw_src and tp_src and probed in the reverse order. *)
+let dpcls_fixture () =
+  let t = Dpcls.create () in
+  let mask f =
+    let m = FK.create () in
+    FK.set m f (FK.Field.full_mask f);
+    m
+  in
+  List.iter
+    (fun f ->
+      for i = 1 to 100 do
+        let k = FK.create () in
+        FK.set k f i;
+        Dpcls.insert t ~mask:(mask f) ~key:k [ i ]
+      done)
+    FK.Field.[ In_port; Nw_src; Tp_src ];
+  t
+
+(* A hit allocates only its result, [Some (entry, probes, mask)]: 6
+   words. The probe key matches in the last subtable probed, so two
+   subtables miss first. *)
+let test_dpcls_hit () =
+  let t = dpcls_fixture () in
+  let key = FK.create () in
+  FK.set key FK.Field.In_port 7;
+  let probes () =
+    match Dpcls.lookup_entry t key with Some (_, n, _) -> n | None -> 0
+  in
+  Alcotest.(check int) "hit in the last subtable" 3 (probes ());
+  budget "Dpcls.lookup_entry hit" ~limit:6.
+    (words_per_call (fun () -> ignore (Dpcls.lookup_entry t key : (int list Dpcls.entry * int * FK.t) option)))
+
+let test_dpcls_miss () =
+  let t = dpcls_fixture () in
+  let key = FK.create () in
+  FK.set key FK.Field.In_port 1000;
+  Alcotest.(check bool) "misses" true (Dpcls.lookup_entry t key = None);
+  budget "Dpcls.lookup_entry miss, all subtables" ~limit:0.
+    (words_per_call (fun () -> ignore (Dpcls.lookup_entry t key : (int list Dpcls.entry * int * FK.t) option)))
+
+(* [Some (value, mask)]: 5 words. *)
+let test_dpcls_peek () =
+  let t = dpcls_fixture () in
+  let key = FK.create () in
+  FK.set key FK.Field.Tp_src 9;
+  Alcotest.(check bool) "hits" true (Dpcls.peek t key <> None);
+  budget "Dpcls.peek hit" ~limit:5.
+    (words_per_call (fun () -> ignore (Dpcls.peek t key : (int list * FK.t) option)))
+
+let test_smc_hit () =
+  let smc = Ovs_flow.Smc.create () in
+  let key = FK.extract (B.udp ()) in
+  let mask = FK.create () in
+  FK.set mask FK.Field.Nw_src (FK.Field.full_mask FK.Field.Nw_src);
+  Ovs_flow.Smc.insert smc key ~mask [ 1 ];
+  Alcotest.(check bool) "hits" true (Ovs_flow.Smc.lookup smc key <> None);
+  budget "Smc.lookup hit" ~limit:0.
+    (words_per_call (fun () -> ignore (Ovs_flow.Smc.lookup smc key : int list option)))
+
 (* The XDP hook's interpreter on the AF_XDP datapath's redirect program.
    The ceiling covers the [outcome] and its [Redirect] action, the boxed
    map key, and the map's [Some] answer. *)
@@ -162,6 +224,10 @@ let () =
         [
           Alcotest.test_case "extract_into ipv4/udp" `Quick test_extract_into;
           Alcotest.test_case "emc hit" `Quick test_emc_hit;
+          Alcotest.test_case "dpcls hit" `Quick test_dpcls_hit;
+          Alcotest.test_case "dpcls miss" `Quick test_dpcls_miss;
+          Alcotest.test_case "dpcls peek hit" `Quick test_dpcls_peek;
+          Alcotest.test_case "smc hit" `Quick test_smc_hit;
           Alcotest.test_case "vm xsk_default" `Quick test_vm_xsk_default;
           Alcotest.test_case "warm p2p engine step" `Quick test_engine_step_p2p;
           Alcotest.test_case "conntrack track hit" `Quick test_ct_track_hit;

@@ -61,6 +61,12 @@ let test_emc_rejects_bad_size () =
 
 (* -- Dpcls -- *)
 
+(* [Dpcls.lookup_entry] resolved to the value and the probe count. *)
+let lookup cls k =
+  match Dpcls.lookup_entry cls k with
+  | Some (e, probes, _) -> Some (e.Dpcls.value, probes)
+  | None -> None
+
 let mask_of fields =
   let m = FK.create () in
   List.iter (fun f -> FK.set m f (FK.Field.full_mask f)) fields;
@@ -74,13 +80,13 @@ let test_dpcls_masked_match () =
   (* a different flow with the same nw_src must match the same megaflow *)
   let k2 = FK.copy k in
   FK.set k2 FK.Field.Tp_src 9999;
-  (match Dpcls.lookup cls k2 with
+  (match lookup cls k2 with
   | Some ("flow-a", probes) -> check Alcotest.int "one subtable" 1 probes
   | _ -> Alcotest.fail "masked lookup failed");
   (* different nw_src misses *)
   let k3 = FK.copy k in
   FK.set k3 FK.Field.Nw_src 1;
-  Alcotest.(check bool) "different src misses" true (Dpcls.lookup cls k3 = None)
+  Alcotest.(check bool) "different src misses" true (lookup cls k3 = None)
 
 let test_dpcls_one_subtable_per_mask () =
   let cls = Dpcls.create () in
@@ -100,7 +106,7 @@ let test_dpcls_multiple_subtables_probed () =
   Dpcls.insert cls ~mask:(mask_of [ FK.Field.Tp_src ]) ~key:(key_of_flow 2) 3;
   check Alcotest.int "three subtables" 3 (Dpcls.subtable_count cls);
   (* a key that only matches the last-created subtable probes several *)
-  match Dpcls.lookup cls (key_of_flow 2) with
+  match lookup cls (key_of_flow 2) with
   | Some (_, probes) -> Alcotest.(check bool) "probed >= 1" true (probes >= 1)
   | None ->
       (* key_of_flow 2 shares in_port with flow 0's subtable mask, so a hit
@@ -115,7 +121,7 @@ let test_dpcls_replace_same_key () =
   Dpcls.insert cls ~mask ~key:k 1;
   Dpcls.insert cls ~mask ~key:k 2;
   check Alcotest.int "replaced, not duplicated" 1 (Dpcls.flow_count cls);
-  match Dpcls.lookup cls k with
+  match lookup cls k with
   | Some (v, _) -> check Alcotest.int "new value" 2 v
   | None -> Alcotest.fail "lookup"
 
@@ -125,7 +131,7 @@ let test_dpcls_remove () =
   let k = key_of_flow 0 in
   Dpcls.insert cls ~mask ~key:k 1;
   Alcotest.(check bool) "removed" true (Dpcls.remove cls ~mask ~key:k);
-  Alcotest.(check bool) "gone" true (Dpcls.lookup cls k = None);
+  Alcotest.(check bool) "gone" true (lookup cls k = None);
   check Alcotest.int "empty subtable collected" 0 (Dpcls.subtable_count cls);
   check Alcotest.int "no flows" 0 (Dpcls.flow_count cls);
   Alcotest.(check bool) "double remove" false (Dpcls.remove cls ~mask ~key:k);
@@ -146,9 +152,9 @@ let test_dpcls_resort_keeps_semantics () =
   Dpcls.insert cls ~mask:m2 ~key:(key_of_flow 3) "by-src";
   (* hammer one subtable so periodic resorting reorders them *)
   for _ = 1 to 3000 do
-    ignore (Dpcls.lookup cls k)
+    ignore (lookup cls k)
   done;
-  match Dpcls.lookup cls k with
+  match lookup cls k with
   | Some (v, _) -> check Alcotest.string "still matches" "by-port" v
   | None -> Alcotest.fail "lost after resort"
 
@@ -167,17 +173,17 @@ let test_dpcls_resort_decay_converges () =
   Dpcls.insert cls ~mask:(mask_of [ FK.Field.Nw_src ]) ~key:key_b "new";
   (* phase 1: a long-lived workload hammers the first subtable *)
   for _ = 1 to 20_000 do
-    ignore (Dpcls.lookup cls key_a)
+    ignore (lookup cls key_a)
   done;
-  (match Dpcls.lookup cls key_b with
+  (match lookup cls key_b with
   | Some ("new", probes) -> check Alcotest.int "shifted flow probes second" 2 probes
   | _ -> Alcotest.fail "shifted flow must match");
   (* phase 2: the workload shifts entirely; convergence must take only a
      few 1024-lookup resort periods, not 20k lookups of catch-up *)
   for _ = 1 to 4 * 1024 do
-    ignore (Dpcls.lookup cls key_b)
+    ignore (lookup cls key_b)
   done;
-  match Dpcls.lookup cls key_b with
+  match lookup cls key_b with
   | Some ("new", probes) -> check Alcotest.int "reordered to front" 1 probes
   | _ -> Alcotest.fail "shifted flow must still match"
 
@@ -221,7 +227,7 @@ let prop_dpcls_vs_oracle =
               if FK.equal (FK.apply_mask k m) masked then Some v else None)
             !entries
         in
-        match Dpcls.lookup cls k with
+        match lookup cls k with
         | Some (v, _) -> if not (List.mem v oracle_hits) then ok := false
         | None -> if oracle_hits <> [] then ok := false
       done;
@@ -261,20 +267,20 @@ let prop_cache_tiers_agree =
       let seen = ref [] in
       let ok = ref true in
       let probe k =
-        let truth = Dpcls.lookup_full cls k in
+        let truth = Dpcls.lookup_entry cls k in
         (match (Emc.lookup emc k, truth) with
-        | Some v, Some (v', _, _) when v <> v' -> ok := false
+        | Some v, Some (e, _, _) when v <> e.Dpcls.value -> ok := false
         | Some _, None -> ok := false
         | _ -> ());
         (match (Smc.lookup smc k, truth) with
-        | Some v, Some (v', _, _) when v <> v' -> ok := false
+        | Some v, Some (e, _, _) when v <> e.Dpcls.value -> ok := false
         | Some _, None -> ok := false
         | _ -> ());
         (* a dpcls hit populates the upper tiers, like the datapath does *)
         match truth with
-        | Some (v, _, mask) ->
-            Emc.insert emc k v;
-            Smc.insert smc k ~mask v;
+        | Some (e, _, mask) ->
+            Emc.insert emc k e.Dpcls.value;
+            Smc.insert smc k ~mask e.Dpcls.value;
             seen := FK.copy k :: !seen
         | None -> ()
       in
@@ -369,6 +375,177 @@ let test_deferred_upcall_sees_rule_change () =
   Alcotest.(check bool) "megaflow carries the new actions" true
     (Astring.String.is_infix ~affix:"output(2)" dumped)
 
+(* -- equivalence with the list-bucket reference classifier -- *)
+
+module Ref = Dpcls_reference
+
+let equiv_fields = FK.Field.[| In_port; Nw_src; Nw_dst; Tp_src; Tp_dst |]
+
+(* A small pool of masks that overlap: a key can match in several
+   subtables, so the probe order decides which entry answers, and a prefix
+   mask and an empty (catch-all) mask cover partial and no words. *)
+let equiv_masks =
+  let mask fields =
+    let m = FK.create () in
+    List.iter (fun (f, w) -> FK.set m f w) fields;
+    m
+  in
+  let full f = (f, FK.Field.full_mask f) in
+  FK.Field.
+    [|
+      mask [ full In_port ];
+      mask [ full Nw_src ];
+      mask [ full Nw_src; full Tp_src ];
+      mask [ (Nw_src, 0xFFFF0000) ];
+      mask [ full Nw_dst; full Tp_dst; full In_port ];
+      mask [];
+    |]
+
+(* Key [code]: base-4 digits, one per field of [equiv_fields], each spread
+   over every byte of the field so the prefix mask sees it. *)
+let key_space = 1024
+
+let equiv_key code =
+  let k = FK.create () in
+  Array.iteri (fun i f -> FK.set k f ((code lsr (2 * i)) land 3 * 0x01010101)) equiv_fields;
+  k
+
+type dop =
+  | Insert of int * int list  (** mask, keys; a key already there is reinstalled *)
+  | Remove of int * int  (** mask, key *)
+  | Remove_nth of int  (** the nth installed megaflow, in sorted order *)
+  | Drain of int  (** remove every megaflow of the mask, emptying its subtable *)
+  | Lookup of int
+  | Peek of int
+  | Burst of int list * int  (** lookups cycling over the keys, this many *)
+  | Flush
+
+let pp_codes l = String.concat "," (List.map string_of_int l)
+
+let pp_dop = function
+  | Insert (m, ks) -> Printf.sprintf "insert m%d [%s]" m (pp_codes ks)
+  | Remove (m, k) -> Printf.sprintf "remove m%d %d" m k
+  | Remove_nth n -> Printf.sprintf "remove #%d" n
+  | Drain m -> Printf.sprintf "drain m%d" m
+  | Lookup k -> Printf.sprintf "lookup %d" k
+  | Peek k -> Printf.sprintf "peek %d" k
+  | Burst (ks, n) -> Printf.sprintf "burst %d over [%s]" n (pp_codes ks)
+  | Flush -> "flush"
+
+let gen_dop =
+  QCheck.Gen.(
+    let mask = int_bound (Array.length equiv_masks - 1) and key = int_bound (key_space - 1) in
+    frequency
+      [
+        (8, map2 (fun m ks -> Insert (m, ks)) mask (list_size (int_range 1 12) key));
+        (2, map2 (fun m k -> Remove (m, k)) mask key);
+        (4, map (fun n -> Remove_nth n) (int_bound 1000));
+        (1, map (fun m -> Drain m) mask);
+        (6, map (fun k -> Lookup k) key);
+        (3, map (fun k -> Peek k) key);
+        (3, map2 (fun ks n -> Burst (ks, n)) (list_size (int_range 1 4) key) (int_range 1 1200));
+        (1, return Flush);
+      ])
+
+let arb_dops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "\n" (List.map pp_dop ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 60) gen_dop)
+
+(* Every megaflow as (mask, masked key, value, hits), sorted. *)
+let dpcls_contents t =
+  let l = ref [] in
+  Dpcls.iter t (fun ~mask ~key v hits -> l := (FK.copy mask, FK.copy key, v, hits) :: !l);
+  List.sort compare !l
+
+let ref_contents r =
+  let l = ref [] in
+  Ref.iter r (fun ~mask ~key v hits -> l := (FK.copy mask, FK.copy key, v, hits) :: !l);
+  List.sort compare !l
+
+(* Run one operation sequence on the open-addressed classifier and the
+   reference, failing at the first difference: every lookup's (value,
+   probes, mask), every peek, every remove's result, and after every
+   operation the subtable and flow counts, the mean probes and the
+   contents as a sorted multiset. At the end every installed megaflow is
+   looked up by its own key, so an entry a deletion left unreachable
+   shows. *)
+let run_dpcls_equivalence ops =
+  let t = Dpcls.create () and r = Ref.create () in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+  let next_value = ref 0 in
+  let lookup what k =
+    match (Dpcls.lookup_entry t k, Ref.lookup_entry r k) with
+    | None, None -> ()
+    | Some (e, p, m), Some (e', p', m') ->
+        if e.Dpcls.value <> e'.Ref.value || p <> p' || not (FK.equal m m') then
+          fail "%s: lookup gives value %d after %d probes vs %d after %d" what e.Dpcls.value p
+            e'.Ref.value p'
+    | Some _, None | None, Some _ -> fail "%s: lookup hits in one classifier only" what
+  in
+  let remove what mask key =
+    let a = Dpcls.remove t ~mask ~key and b = Ref.remove r ~mask ~key in
+    if a <> b then fail "%s: remove %b vs %b" what a b
+  in
+  let step i op =
+    let what = Printf.sprintf "op %d (%s)" i (pp_dop op) in
+    (match op with
+    | Insert (m, ks) ->
+        List.iter
+          (fun code ->
+            incr next_value;
+            let key = equiv_key code and mask = equiv_masks.(m) in
+            Dpcls.insert t ~mask ~key !next_value;
+            Ref.insert r ~mask ~key !next_value)
+          ks
+    | Remove (m, k) -> remove what equiv_masks.(m) (equiv_key k)
+    | Remove_nth n -> (
+        match ref_contents r with
+        | [] -> ()
+        | l ->
+            let mask, key, _, _ = List.nth l (n mod List.length l) in
+            remove what mask key)
+    | Drain m ->
+        List.iter
+          (fun (mask, key, _, _) -> if FK.equal mask equiv_masks.(m) then remove what mask key)
+          (ref_contents r)
+    | Lookup k -> lookup what (equiv_key k)
+    | Peek k -> (
+        let k = equiv_key k in
+        match (Dpcls.peek t k, Ref.peek r k) with
+        | None, None -> ()
+        | Some (v, m), Some (v', m') when v = v' && FK.equal m m' -> ()
+        | _ -> fail "%s: peek differs" what)
+    | Burst (ks, n) ->
+        let keys = Array.of_list (List.map equiv_key ks) in
+        for j = 0 to n - 1 do
+          lookup what keys.(j mod Array.length keys)
+        done
+    | Flush ->
+        Dpcls.flush t;
+        Ref.flush r);
+    if Dpcls.subtable_count t <> Ref.subtable_count r then
+      fail "%s: %d subtables vs %d" what (Dpcls.subtable_count t) (Ref.subtable_count r);
+    if Dpcls.flow_count t <> Ref.flow_count r then
+      fail "%s: %d flows vs %d" what (Dpcls.flow_count t) (Ref.flow_count r);
+    if Dpcls.mean_probes t <> Ref.mean_probes r then
+      fail "%s: mean probes %g vs %g" what (Dpcls.mean_probes t) (Ref.mean_probes r);
+    if dpcls_contents t <> ref_contents r then fail "%s: contents differ" what
+  in
+  List.iteri step ops;
+  List.iter (fun (_, key, _, _) -> lookup "final reachability" key) (ref_contents r);
+  true
+
+(* The default count keeps tier-1 quick; [make dpcls-equiv] runs the
+   property in QCheck's long mode at 100,000 cases. *)
+let dpcls_equivalence_count = 200
+
+let prop_dpcls_reference_equivalence =
+  QCheck.Test.make ~count:dpcls_equivalence_count
+    ~long_factor:(100_000 / dpcls_equivalence_count)
+    ~name:"open-addressed dpcls == list-bucket reference" arb_dops run_dpcls_equivalence
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -406,4 +583,5 @@ let () =
             test_deferred_upcall_sees_rule_change;
         ]
         @ qcheck [ prop_cache_tiers_agree ] );
+      ("equivalence", qcheck [ prop_dpcls_reference_equivalence ]);
     ]
