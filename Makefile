@@ -1,5 +1,5 @@
 # Tier-1 verification in one command.
-.PHONY: all check build test smoke perf-smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff ct-equiv dpcls-equiv clean
+.PHONY: all check check-mli build test smoke perf-smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff ct-equiv dpcls-equiv clean
 
 all: build
 
@@ -8,6 +8,11 @@ build:
 
 test:
 	dune runtest
+
+# Every lib/ module has an interface and none silences the unused-value
+# warning, so the compiler reports dead code (scripts/check-mli.sh).
+check-mli:
+	scripts/check-mli.sh
 
 # A fast end-to-end sanity pass: the PMD runtime and the per-stage cycle
 # attribution experiments both exit nonzero on failure.
@@ -121,7 +126,7 @@ ct-equiv:
 dpcls-equiv:
 	QCHECK_LONG=1 dune exec test/test_flow.exe -- test equivalence
 
-check: build test smoke perf-smoke chaos ccache mc multicore latency ndr policy scale reconfig
+check: check-mli build test smoke perf-smoke chaos ccache mc multicore latency ndr policy scale reconfig
 
 bench:
 	dune exec bench/main.exe

@@ -72,8 +72,11 @@ let s_icmp = 9
 let timeouts = Float.Array.map_from_array timeout_of states
 
 (* The slot layout: the original-direction tuple (the four IPv6 words
-   are 0 for IPv4), then the connection's mutable ints. A free slot has
-   state -1 and links the free list through its [f_src] word. *)
+   are 0 for IPv4), then the connection's mutable ints. A port word holds
+   the 16-bit port and, above it, that endpoint's 4-bit IPv6 middle word
+   ([port_bits]), so the tuple keys on every address bit in ten words. A
+   free slot has state -1 and links the free list through its [f_src]
+   word. *)
 let f_src = 0
 let f_dst = 1
 let f_proto = 2
@@ -85,6 +88,8 @@ let f_src6_lo = 7
 let f_dst6_hi = 8
 let f_dst6_lo = 9
 let tuple_words = 10
+let port_bits = 16
+let port_mask = (1 lsl port_bits) - 1
 let f_state = 10
 let f_mark = 11
 let f_packets = 12
@@ -134,8 +139,6 @@ type t = {
   query : int array;  (** the tuple being looked up, in slot layout *)
   zone_counts : (int, int ref) Hashtbl.t;
   zone_limits : (int, int) Hashtbl.t;
-  mutable lookups : int;
-  mutable committed : int;
   mutable limit_drops : int;
 }
 
@@ -167,8 +170,6 @@ let create ?(shards = 1) () =
     query = Array.make tuple_words 0;
     zone_counts = Hashtbl.create 64;
     zone_limits = Hashtbl.create 64;
-    lookups = 0;
-    committed = 0;
     limit_drops = 0;
   }
 
@@ -372,9 +373,7 @@ let zone_count t ~zone =
   match Hashtbl.find_opt t.zone_counts zone with Some r -> !r | None -> 0
 
 let active_conns t = Array.fold_left (fun acc sh -> acc + sh.live) 0 t.shards
-let lookups t = t.lookups
 
-let committed t = t.committed
 let limit_drops t = t.limit_drops
 
 let longest_probe t =
@@ -441,8 +440,8 @@ let load_key t ~zone (k : FK.t) =
   q.(f_src) <- FK.get k FK.Field.Nw_src;
   q.(f_dst) <- FK.get k FK.Field.Nw_dst;
   q.(f_proto) <- FK.get k FK.Field.Nw_proto;
-  q.(f_sport) <- FK.get k FK.Field.Tp_src;
-  q.(f_dport) <- FK.get k FK.Field.Tp_dst;
+  q.(f_sport) <- FK.get k FK.Field.Tp_src lor (FK.get k FK.Field.Ip6_src_mid lsl port_bits);
+  q.(f_dport) <- FK.get k FK.Field.Tp_dst lor (FK.get k FK.Field.Ip6_dst_mid lsl port_bits);
   q.(f_zone) <- zone;
   q.(f_src6_hi) <- FK.get k FK.Field.Ip6_src_hi;
   q.(f_src6_lo) <- FK.get k FK.Field.Ip6_src_lo;
@@ -496,7 +495,6 @@ let related_conn t ~zone (buf : Ovs_packet.Buffer.t) : conn option =
     pipeline decides to commit. Pass [buf] to let ICMP errors be matched
     to the connection they relate to ([+rel]). *)
 let track ?buf t ~now ~zone (k : FK.t) : verdict =
-  t.lookups <- t.lookups + 1;
   load_key t ~zone k;
   let q = t.query in
   let sh = shard_of t in
@@ -586,7 +584,6 @@ let commit t ~now ~zone ?nat (k : FK.t) : conn option =
           index_add sh (entry (dir_hash a b ~rev:true) ((2 * id) + 1));
         sh.live <- sh.live + 1;
         incr count;
-        t.committed <- t.committed + 1;
         conn
   end
 
@@ -599,6 +596,7 @@ let apply_nat (conn : conn) ~is_reply (buf : Ovs_packet.Buffer.t) (k : FK.t) =
   | None -> false
   | Some { nat_src; nat_dst } ->
       let orig f = sh.ints.(page id).(base id + f) in
+      let orig_port f = orig f land port_mask in
       let set_ip_src v =
         Ovs_packet.Ipv4.set_src buf v;
         FK.set k FK.Field.Nw_src v
@@ -623,7 +621,7 @@ let apply_nat (conn : conn) ~is_reply (buf : Ovs_packet.Buffer.t) (k : FK.t) =
           changed := true;
           if is_reply then begin
             set_ip_dst (orig f_src);
-            set_port_dst (orig f_sport)
+            set_port_dst (orig_port f_sport)
           end
           else begin
             set_ip_src ip;
@@ -635,7 +633,7 @@ let apply_nat (conn : conn) ~is_reply (buf : Ovs_packet.Buffer.t) (k : FK.t) =
           changed := true;
           if is_reply then begin
             set_ip_src (orig f_dst);
-            set_port_src (orig f_dport)
+            set_port_src (orig_port f_dport)
           end
           else begin
             set_ip_dst ip;

@@ -53,9 +53,6 @@ val active_conns : t -> int
 (** Tracked connections, each counted once (a connection whose reply
     tuple is its original tuple has a single index entry). *)
 
-val lookups : t -> int
-
-val committed : t -> int
 val limit_drops : t -> int
 
 val longest_probe : t -> int
@@ -103,5 +100,3 @@ val evict_to_limit : t -> zone:int -> limit:int -> int
     until [zone] holds at most [limit] — early_drop under table
     pressure; the [Ct_pressure] fault's window-open side effect.
     Returns the number evicted. *)
-
-val timeout_of : proto_state -> Ovs_sim.Time.ns

@@ -26,12 +26,6 @@ type xdp_mode =
   | Xdp_drv_copy  (** driver mode without zero-copy *)
   | Xdp_drv_zerocopy  (** driver mode with zero-copy umem *)
 
-let mode_name = function
-  | Xdp_unavailable -> "unavailable"
-  | Xdp_skb -> "best-effort (XDP_SKB)"
-  | Xdp_drv_copy -> "native (XDP_DRV, copy)"
-  | Xdp_drv_zerocopy -> "native (XDP_DRV, zero-copy)"
-
 (** Select the best AF_XDP mode for a kernel and driver combination
     ([driver_native] / [driver_zerocopy] say what the NIC driver
     implements — the Fig 6 vendor differences). *)

@@ -158,10 +158,6 @@ let meter_stats t ~id = Dpif.meter_stats t.dp ~id
 (** Advance the switch's virtual clock (meters refill in virtual time). *)
 let set_time t now = Dpif.set_time t.dp now
 
-(** Drive one poll iteration over a port's queue (see {!Dpif.poll}). *)
-let poll t ~softirq ~pmd ~port_no ~queue () =
-  Dpif.poll t.dp ~softirq ~pmd ~port_no ~queue ()
-
 (** Convenience single-threaded processing for examples and tests: push a
     packet into a port and run it through the datapath, collecting any
     transmitted packets via each device's tx sink. *)
@@ -208,4 +204,3 @@ let inject_datapath_bug t =
       Process_restart { core_dump = true }
 
 let counters t = Dpif.counters t.dp
-let conntrack t = Dpif.conntrack t.dp

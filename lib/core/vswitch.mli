@@ -41,9 +41,6 @@ val add_port : t -> Ovs_netdev.Netdev.t -> int
 
 val port_number : t -> string -> int option
 
-val add_flows : t -> string list -> int
-(** Install rules in ovs-ofctl syntax; flushes the stale megaflows. *)
-
 val add_flow : t -> string -> unit
 
 val del_flows : t -> string -> int
@@ -71,16 +68,6 @@ val meter_stats : t -> id:int -> (int * int) option
 val set_time : t -> Ovs_sim.Time.ns -> unit
 (** Advance the virtual clock (meters refill, conntrack ages). *)
 
-val poll :
-  t ->
-  softirq:Ovs_sim.Cpu.ctx ->
-  pmd:Ovs_sim.Cpu.ctx ->
-  port_no:int ->
-  queue:int ->
-  unit ->
-  int
-(** One poll iteration over a port's queue (see {!Dpif.poll}). *)
-
 val inject : t -> machine_ctx:Ovs_sim.Cpu.ctx -> Ovs_packet.Buffer.t -> port_no:int -> unit
 (** Convenience single-threaded processing: enqueue one packet and poll
     it through the datapath. *)
@@ -95,5 +82,4 @@ val inject_datapath_bug : t -> crash_outcome
     userspace → restart with a core dump. *)
 
 val counters : t -> Ovs_datapath.Dp_core.counters
-val conntrack : t -> Ovs_conntrack.Conntrack.t
 val log : t -> ('a, Format.formatter, unit, unit) format4 -> 'a

@@ -229,7 +229,6 @@ let set_ccache_enabled t v =
     | None -> t.ccache <- Some (Ovs_nmu.Ccache.create ())
     | Some _ -> ()
 
-let ccache_enabled t = t.ccache_enabled
 let set_ccache_autoretrain t thr = t.cc_autoretrain <- thr
 
 let ccache_last_train t =

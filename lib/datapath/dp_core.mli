@@ -88,8 +88,6 @@ val set_smc_enabled : t -> bool -> unit
     trained ({!ccache_train}). *)
 val set_ccache_enabled : t -> bool -> unit
 
-val ccache_enabled : t -> bool
-
 (** Retrain automatically after this many megaflow installs while enabled
     ([None] disables the trigger). Couples retraining to rule churn. *)
 val set_ccache_autoretrain : t -> int option -> unit

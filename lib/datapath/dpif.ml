@@ -93,7 +93,6 @@ type t = {
           harness applies to the wall time in multiqueue runs *)
   mutable active_queues : int;  (** queues observed carrying traffic *)
   metadata_pool : Ovs_xsk.Dp_packet_pool.t;
-  vm : Ovs_ebpf.Vm.t;  (** scratch VM for any per-port XDP programs *)
   latency : Ovs_sim.Quantiles.t;
       (** per-packet sojourn times (ingress stamp to egress), recorded by
           the egress sink via {!record_latency}; empty unless the traffic
@@ -124,7 +123,6 @@ let create ?(costs = Costs.default) ~kind ~pipeline () =
     serialized_tx = 0.;
     active_queues = 0;
     metadata_pool = Ovs_xsk.Dp_packet_pool.create ~mode:opts.metadata;
-    vm = Ovs_ebpf.Vm.create ();
     latency = Ovs_sim.Quantiles.create ();
   }
 
@@ -512,10 +510,8 @@ let reset_measurement t =
 (* -- the stable command/accessor surface over the sealed record -- *)
 
 let kind t = t.kind
-let costs t = t.costs
 let ports t = List.filter_map Fun.id (Array.to_list (Array.sub t.ports 0 t.next_port))
 let serialized_tx t = t.serialized_tx
-let active_queues t = t.active_queues
 let latency t = t.latency
 
 (** Record one delivered packet's sojourn time: [now] minus the ingress
@@ -544,7 +540,6 @@ let umem_pool t ~port_no =
 let set_emc_enabled t v = Dp_core.set_emc_enabled t.core v
 let set_smc_enabled t v = Dp_core.set_smc_enabled t.core v
 let set_ccache_enabled t v = Dp_core.set_ccache_enabled t.core v
-let ccache_enabled t = Dp_core.ccache_enabled t.core
 let set_ccache_autoretrain t thr = Dp_core.set_ccache_autoretrain t.core thr
 let ccache_train t charge = Dp_core.ccache_train t.core charge
 let ccache_last_train t = Dp_core.ccache_last_train t.core
@@ -562,7 +557,6 @@ let revalidator_stats t = Dp_core.revalidator_stats t.core
 let revalidator_render t add = Dp_core.revalidator_render t.core add
 let revalidate_incremental t = Dp_core.revalidate_incremental t.core
 let revalidate_check t = Dp_core.revalidate_check t.core
-let now t = Dp_core.now t.core
 let dump_megaflows t = Dp_core.dump_megaflows t.core
 let set_meter t ~id ~rate_pps ~burst = Dp_core.set_meter t.core ~id ~rate_pps ~burst
 let meter_stats t ~id = Dp_core.meter_stats t.core ~id
@@ -570,7 +564,6 @@ let set_controller t f = Dp_core.set_controller t.core f
 let set_time t now = Dp_core.set_now t.core now
 let set_upcall_hook t h = Dp_core.set_upcall_hook t.core h
 let handle_upcall t charge pkt key = Dp_core.handle_upcall t.core charge pkt key
-let fastpath_category t = Dp_core.fastpath_category t.core
 let set_tracer t r = Dp_core.set_tracer t.core r
 let tracer t = Dp_core.tracer t.core
 

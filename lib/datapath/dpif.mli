@@ -63,7 +63,6 @@ val add_port : t -> Ovs_netdev.Netdev.t -> int
 (** {1 Read accessors} *)
 
 val kind : t -> kind
-val costs : t -> Ovs_sim.Costs.t
 
 val afxdp_opts : t -> afxdp_opts
 (** The AF_XDP option block ([afxdp_default] for other kinds). *)
@@ -89,8 +88,6 @@ val serialized_tx : t -> Ovs_sim.Time.ns
 (** Accumulated kernel tx-queue critical-section time: a rate floor the
     harness applies to the wall time in multiqueue runs. *)
 
-val active_queues : t -> int
-
 val latency : t -> Ovs_sim.Quantiles.t
 (** Per-packet sojourn-time sketch (ns, ingress stamp to egress). Filled
     by {!record_latency}; empty unless the traffic rig arms latency
@@ -101,9 +98,6 @@ val record_latency : t -> now:float -> Ovs_packet.Buffer.t -> unit
     [birth_ns] ingress stamp) into {!latency}. Unstamped packets
     ([birth_ns < 0]) record nothing, so dropped packets never leak
     samples — call this only from an egress sink. *)
-
-val fastpath_category : t -> Ovs_sim.Cpu.category
-(** The CPU category fast-path work lands in for this datapath's flavor. *)
 
 (** {1 Polling} *)
 
@@ -139,8 +133,6 @@ val set_smc_enabled : t -> bool -> unit
 val set_ccache_enabled : t -> bool -> unit
 (** Enable/ablate the computational cache between SMC and dpcls (created
     lazily on first enable; must also be trained before it serves). *)
-
-val ccache_enabled : t -> bool
 
 val set_ccache_autoretrain : t -> int option -> unit
 (** Retrain automatically after this many megaflow installs while enabled
@@ -222,9 +214,6 @@ val set_controller : t -> (Ovs_packet.Buffer.t -> unit) -> unit
 
 val set_time : t -> Ovs_sim.Time.ns -> unit
 (** Advance the datapath's virtual clock (meters, conntrack). *)
-
-val now : t -> Ovs_sim.Time.ns
-(** The datapath's current virtual time (what {!set_time} last set). *)
 
 val reset_measurement : t -> unit
 (** Zero the counters, serialized-time accumulators and the installed

@@ -51,7 +51,6 @@ val config :
 
 type t
 
-val name : string
 val create : config -> t
 
 val start : t -> unit

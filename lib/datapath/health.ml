@@ -44,8 +44,6 @@ let create ~dp ?rt ?(restart_delay = Time.us 150.) () =
     last_rx = [];
   }
 
-let restart_delay t = t.restart_delay
-
 let event t ~now what = t.events <- (now, what) :: t.events
 
 (* A PMD is stalled when it owns pending work but its rx counter has not
@@ -154,7 +152,6 @@ let check t ~now =
   !repaired
 
 let last_recovery t = t.last_recovery_ns
-let recoveries t = t.recoveries
 let repairs t = t.repairs
 
 (** dpif/health-show. *)

@@ -10,11 +10,6 @@ val create : dp:Dpif.t -> ?rt:Pmd.t -> ?restart_delay:Ovs_sim.Time.ns -> unit ->
 (** Monitor [dp] (and [rt]'s PMDs, when given). [restart_delay] (default
     150us) is the virtual time between a PMD crash and its respawn. *)
 
-val restart_delay : t -> Ovs_sim.Time.ns
-(** The configured respawn delay — lets a driver (the schedule explorer)
-    size its virtual-time quantum so a crashed PMD can actually respawn
-    within the explored horizon. *)
-
 val check : t -> now:Ovs_sim.Time.ns -> int
 (** One monitor sweep at virtual time [now]: restart crashed PMDs whose
     respawn delay has elapsed, reclaim leaked umem frames when a pool
@@ -26,7 +21,6 @@ val healthy : t -> bool
 val last_recovery : t -> Ovs_sim.Time.ns option
 (** Duration of the most recent completed unhealthy episode. *)
 
-val recoveries : t -> int
 val repairs : t -> int
 
 val render : t -> now:Ovs_sim.Time.ns -> string

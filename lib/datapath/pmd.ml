@@ -165,7 +165,6 @@ let create ?(upcall_capacity = 512) ?(retry_capacity = 256) ?(max_retries = 3)
   apply_assignment t (Rxq_sched.round_robin ~n_queues:queues ~n_pmds);
   t
 
-let n_pmds t = Array.length t.pmds
 let pmds t = Array.to_list t.pmds
 let ctxs t = Array.to_list (Array.map (fun p -> p.ctx) t.pmds)
 let stats_of p = p.pstats
@@ -394,8 +393,6 @@ let queued pmd = Queue.length pmd.upcalls + Queue.length pmd.retries
 (* Bounded-queue introspection for the explorer's capacity oracle. *)
 let upcall_queue_len pmd = Queue.length pmd.upcalls
 let retry_queue_len pmd = Queue.length pmd.retries
-let upcall_capacity t = t.upcall_capacity
-let retry_capacity t = t.retry_capacity
 let rxqs_of pmd = pmd.rxqs
 
 (** One main-loop iteration for every PMD: each polls each of its rxqs

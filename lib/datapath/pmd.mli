@@ -57,14 +57,6 @@ val create :
 
 (** {1 Polling} *)
 
-val poll_rxq : t -> pmd -> rxq -> int
-(** One burst from one rxq through the datapath, then a retry pass and a
-    drain of the PMD's upcall queue — the fused main-loop iteration.
-    Equal to [step_poll; step_retry; step_drain] in every charge, counter
-    and forwarded packet, except the rxq's [rxq_cycles]: here it covers
-    the poll, the retry pass and the drain, where {!step_poll} counts
-    only the burst. Returns packets dequeued. *)
-
 val poll_all : t -> int
 (** One main-loop iteration for every PMD (each polls each of its rxqs
     once). Returns total packets dequeued. *)
@@ -95,7 +87,6 @@ val handle_crashes : t -> unit
 
 (** {1 Introspection} *)
 
-val n_pmds : t -> int
 val pmds : t -> pmd list
 val pmd_id : pmd -> int
 val pmd_ctx : pmd -> Ovs_sim.Cpu.ctx
@@ -112,11 +103,6 @@ val queued : pmd -> int
 
 val upcall_queue_len : pmd -> int
 val retry_queue_len : pmd -> int
-
-val upcall_capacity : t -> int
-val retry_capacity : t -> int
-(** Configured bounds of the two queues, for the explorer's
-    bounded-queue oracle. *)
 
 val rxqs_of : pmd -> rxq list
 (** The rxqs currently assigned to this PMD. *)

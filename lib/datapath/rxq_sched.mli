@@ -11,9 +11,6 @@ val cycles_based : loads:float array -> n_pmds:int -> assignment
 (** Queues sorted by descending measured load, each placed on the
     currently least-loaded PMD. Only load ratios matter. *)
 
-val pmd_loads : assignment -> loads:float array -> float array
-(** Aggregate load per PMD under an assignment. *)
-
 val imbalance : assignment -> loads:float array -> float
 (** Bottleneck PMD's load over the mean; 1.0 is a perfect split. *)
 

@@ -65,6 +65,7 @@ let apply (buf : Buffer.t) (key : FK.t) (field : FK.Field.t) (v : int) : bool =
   | FK.Field.Dl_type | FK.Field.Nw_proto | FK.Field.Nw_tos | FK.Field.Nw_frag
   | FK.Field.Tcp_flags | FK.Field.Tun_id | FK.Field.Tun_src | FK.Field.Tun_dst
   | FK.Field.Ct_state | FK.Field.Ct_zone | FK.Field.Ip6_src_hi
-  | FK.Field.Ip6_src_lo | FK.Field.Ip6_dst_hi | FK.Field.Ip6_dst_lo ->
+  | FK.Field.Ip6_src_lo | FK.Field.Ip6_dst_hi | FK.Field.Ip6_dst_lo
+  | FK.Field.Ip6_src_mid | FK.Field.Ip6_dst_mid ->
       (* metadata-only or unsupported rewrites: key update is enough *)
       false

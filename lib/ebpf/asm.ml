@@ -79,8 +79,6 @@ let ret b code =
   mov b R0 code;
   exit_ b
 
-let xdp_aborted = 0
 let xdp_drop = 1
 let xdp_pass = 2
 let xdp_tx = 3
-let xdp_redirect = 4

@@ -101,11 +101,6 @@ let delete m (key : int64) =
   | Array | Prog_array -> ()
   | Hash | Devmap | Xskmap -> Tbl.remove m.tbl key
 
-let entries m =
-  match m.kind with
-  | Array | Prog_array -> m.max_entries
-  | Hash | Devmap | Xskmap -> Tbl.length m.tbl
-
 (** Forget all registered maps (test isolation). *)
 let reset_registry () =
   registry := Array.make 16 None;

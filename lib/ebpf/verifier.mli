@@ -18,10 +18,6 @@
 
 type error = { pc : int; msg : string }
 
-val max_insns : int
-val max_states : int
-val stack_size : int
-
 val verify : Insn.t array -> (unit, error) result
 (** Explore every execution path of the program and return the first
     violation found, if any. Programs accepted here never raise

@@ -21,13 +21,6 @@ type action =
           redirect lands in an AF_XDP socket, a [Devmap] redirect goes
           straight to another device (Fig 5 path C) *)
 
-let action_code = function
-  | Aborted -> 0L
-  | Drop -> 1L
-  | Pass -> 2L
-  | Tx -> 3L
-  | Redirect _ -> 4L
-
 let action_name = function
   | Aborted -> "XDP_ABORTED"
   | Drop -> "XDP_DROP"

@@ -207,7 +207,7 @@ let pmd_stalled ~pmd =
 
 (** PMD poll: perform the crash transition for this PMD. Returns [true]
     exactly once, when a crash window opens; the PMD stays crashed (see
-    {!pmd_crashed}) until {!mark_pmd_restarted}. *)
+    {!pmd_crashed_at}) until {!mark_pmd_restarted}. *)
 let pmd_crash_pending ~pmd =
   match !armed with
   | None -> false
@@ -221,17 +221,6 @@ let pmd_crash_pending ~pmd =
               s.crashed_at <- i.now;
               fired s;
               true
-          | _ -> false)
-        i.states
-
-let pmd_crashed ~pmd =
-  match !armed with
-  | None -> false
-  | Some i ->
-      List.exists
-        (fun s ->
-          match s.fault.f_action with
-          | Pmd_crash p -> p.pmd = pmd && s.crashed && not s.restarted
           | _ -> false)
         i.states
 

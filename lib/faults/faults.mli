@@ -83,9 +83,6 @@ val pmd_crash_pending : pmd:int -> bool
 (** Returns [true] exactly once per crash fault, when its window opens;
     the caller performs the crash transition. *)
 
-val pmd_crashed : pmd:int -> bool
-(** Crashed and not yet restarted. *)
-
 val pmd_crashed_at : pmd:int -> Ovs_sim.Time.ns option
 (** When the PMD crashed (for the health monitor's restart delay), or
     [None] when it is not currently crashed. *)
@@ -105,7 +102,6 @@ val mutate : unit -> [ `Truncate of float | `Corrupt ] option
 
 (** {1 Rendering} *)
 
-val pp_action : Format.formatter -> action -> unit
 val pp_fault : Format.formatter -> fault -> unit
 
 val render : unit -> string

@@ -73,18 +73,7 @@ let initial_positions = 16
 
 let new_subtable mask filler =
   let mask = FK.copy mask in
-  let n = ref 0 in
-  for i = 0 to FK.Field.count - 1 do
-    if mask.(i) <> 0 then incr n
-  done;
-  let fields = Array.make !n 0 and words = Array.make !n 0 and j = ref 0 in
-  for i = 0 to FK.Field.count - 1 do
-    if mask.(i) <> 0 then begin
-      fields.(!j) <- i;
-      words.(!j) <- mask.(i);
-      incr j
-    end
-  done;
+  let fields, words = FK.sparse_of_mask mask in
   {
     mask;
     fields;
@@ -97,38 +86,22 @@ let new_subtable mask filler =
     st_hits = 0;
   }
 
-let fnv_basis = 0x3bf29ce484222325
-let fnv_prime = 0x100000001b3
-
 (** FNV-1a over the words [st]'s mask covers, each masked, then mixed:
     FNV's low bits depend only on the words' low bits, so without the mix
     keys that differ only in high bits (address prefixes) would share a
     home position. The result is never negative. [key] need not be
     masked. *)
 let hash st (key : FK.t) =
-  let fields = st.fields and words = st.words in
-  let h = ref fnv_basis in
-  for j = 0 to Array.length fields - 1 do
-    h := (!h lxor (key.(Array.unsafe_get fields j) land Array.unsafe_get words j)) * fnv_prime
-  done;
-  let h = (!h lxor (!h lsr 29)) * 0x2545f4914f6cdd1d in
+  let h = FK.hash_sparse st.fields st.words key in
+  let h = (h lxor (h lsr 29)) * 0x2545f4914f6cdd1d in
   (h lxor (h lsr 32)) land max_int
-
-(* Whether pre-masked [stored] equals [key] on the covered words from the
-   [j]th on. *)
-let rec same_words fields words (stored : FK.t) (key : FK.t) j =
-  j >= Array.length fields
-  ||
-  let i = Array.unsafe_get fields j in
-  Array.unsafe_get stored i = key.(i) land Array.unsafe_get words j
-  && same_words fields words stored key (j + 1)
 
 (* The position of [key]'s entry in [st] searching from [pos], or -1; [h]
    is its hash. *)
 let rec position st (key : FK.t) h pos =
   let e = Array.unsafe_get st.hashes pos in
   if e < 0 then -1
-  else if e = h && same_words st.fields st.words (Array.unsafe_get st.slots pos).key key 0
+  else if e = h && FK.equal_sparse st.fields st.words (Array.unsafe_get st.slots pos).key key
   then pos
   else position st key h ((pos + 1) land st.home)
 

@@ -63,7 +63,7 @@ let fresh key value =
    not a fresh entry and key — which would outlive the next minor
    collection, since the slot array holding them does. *)
 let replace victim (key : Ovs_packet.Flow_key.t) value =
-  Array.blit key 0 victim.key 0 (Array.length key);
+  Ovs_packet.Flow_key.blit ~src:key ~dst:victim.key;
   victim.found <- Some value;
   victim.hits <- 0
 

@@ -6,9 +6,6 @@
 
 type 'a t
 
-val default_entries : int
-(** 8192, as in OVS. *)
-
 val create : ?entries:int -> unit -> 'a t
 (** [create ()] makes an empty cache. [entries] must be a power of two.
     @raise Invalid_argument otherwise. *)

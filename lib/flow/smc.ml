@@ -52,6 +52,3 @@ let insert t (key : FK.t) ~(mask : FK.t) (value : 'a) =
       }
 
 let flush t = Array.fill t.slots 0 (Array.length t.slots) None
-
-let hit_rate t =
-  if t.lookups = 0 then 0. else float_of_int t.hits /. float_of_int t.lookups

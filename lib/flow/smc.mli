@@ -5,9 +5,6 @@
 
 type 'a t
 
-val default_entries : int
-(** 32768 slots. *)
-
 val create : ?entries:int -> unit -> 'a t
 (** [entries] must be a power of two.
     @raise Invalid_argument otherwise. *)
@@ -21,5 +18,3 @@ val insert : 'a t -> Ovs_packet.Flow_key.t -> mask:Ovs_packet.Flow_key.t -> 'a -
     lookup for this key just returned. *)
 
 val flush : 'a t -> unit
-
-val hit_rate : 'a t -> float

@@ -97,10 +97,6 @@ let scripts_of mode : (string * step array) array =
         ("crash", [| S_crash_sweep; S_crash_sweep |]);
       |]
 
-let threads mode =
-  Array.to_list
-    (Array.map (fun (n, s) -> (n, Array.length s)) (scripts_of mode))
-
 let total_steps mode =
   Array.fold_left (fun a (_, s) -> a + Array.length s) 0 (scripts_of mode)
 

@@ -36,12 +36,6 @@
     (24 steps, adds crash/restart) for seeded random sampling only. *)
 type mode = Tiny | Small | Large
 
-val mode_name : mode -> string
-val mode_of_name : string -> mode option
-
-val threads : mode -> (string * int) list
-(** Thread names and script lengths at this bound. *)
-
 (** {1 Mutations}
 
     Each mutation flips one guarded invariant in a scratch copy of the
@@ -58,7 +52,6 @@ type mutation =
   | M_untraced_charge  (** PMD work charged outside the stage tracer *)
 
 val mutations : (string * mutation) list
-val mutation_name : mutation -> string
 
 (** {1 Oracles} *)
 
@@ -91,12 +84,6 @@ val run_schedule : ?mutation:mutation -> mode -> schedule -> violation option
 (** Build a fresh model, execute the schedule, check every oracle after
     every step; the first violation stops the run. Deterministic: the
     same (mode, mutation, schedule) always yields the same result. *)
-
-val shrink :
-  ?mutation:mutation -> mode -> schedule -> violation -> schedule * violation
-(** Greedily shrink a violating schedule: truncate to the violating step,
-    then repeatedly drop single steps while the same oracle still fires.
-    Returns a locally-minimal schedule and its violation. *)
 
 (** {1 Exploration} *)
 

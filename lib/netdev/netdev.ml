@@ -203,13 +203,3 @@ let attach_xdp_all t prog =
   Array.iteri (fun i _ -> t.xdp_progs.(i) <- Some prog) t.xdp_progs
 
 let detach_xdp t ~queue = t.xdp_progs.(queue) <- None
-
-let pp ppf t =
-  Fmt.pf ppf "%s[%s,%dq,%.0fG,%s]" t.name
-    (match t.kind with
-    | Physical -> "phy"
-    | Tap -> "tap"
-    | Veth -> "veth"
-    | Vhostuser -> "vhostuser")
-    t.n_queues t.link_gbps
-    (match t.driver with Kernel_driver -> "kernel" | Dpdk_driver -> "dpdk")

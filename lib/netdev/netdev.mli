@@ -127,5 +127,3 @@ val attach_xdp_all : t -> Ovs_ebpf.Xdp.t -> unit
 (** Attach to every queue (the Intel model). *)
 
 val detach_xdp : t -> queue:int -> unit
-
-val pp : Format.formatter -> t -> unit

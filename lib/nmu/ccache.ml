@@ -70,9 +70,7 @@ let create () =
 
 let trained t = t.trained
 let generation t = t.generation
-let lookups t = t.lookups
 let hits t = t.hits
-let invalidations t = t.invalidations
 let last_train t = t.last_train
 
 (** The model-evaluation / search-step / validation work of the most

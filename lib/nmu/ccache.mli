@@ -18,12 +18,7 @@ type train_stats = {
 val create : unit -> 'a t
 val trained : 'a t -> bool
 val generation : 'a t -> int
-val lookups : 'a t -> int
 val hits : 'a t -> int
-
-val invalidations : 'a t -> int
-(** Times {!invalidate} dropped a trained index — the retrain pressure
-    megaflow removals (revalidation, flushes) put on this tier. *)
 
 val last_train : 'a t -> train_stats option
 
@@ -45,5 +40,4 @@ val lookup : 'a t -> FK.t -> ('a Dpcls.entry * FK.t) option
 (** {!lookup} without mutating any statistic or hit count. *)
 val peek : 'a t -> FK.t -> ('a Dpcls.entry * FK.t) option
 
-val pp_train_stats : Format.formatter -> train_stats -> unit
 val render : 'a t -> string

@@ -163,11 +163,6 @@ module Masked = struct
       [t] is [always]). *)
   let complement ~full t = region_make ~full always [ t ]
 
-  let region_inter ~full a b =
-    match inter a.r_pos b.r_pos with
-    | None -> None
-    | Some pos -> region_make ~full pos (a.r_negs @ b.r_negs)
-
   (** Split the [full] domain into disjoint regions such that every atom
       in [atoms] is constant (all-true or all-false) on each region, and
       the regions cover the domain: each value lies in exactly one. *)

@@ -7,7 +7,7 @@ module FK = Ovs_packet.Flow_key
     ([x land mask = value]) with intersection, complement into regions
     (positive test + negated tests, with a concrete representative), and
     refinement of a test set into a disjoint, covering partition of the
-    field domain. [prefix_range] is a thin wrapper over [to_range]; the
+    field domain. [prefix_range] reads a megaflow's range off it; the
     policy equivalence checker builds cross-field cubes on [refine]. *)
 module Masked : sig
   type t = private { m_value : int; m_mask : int }
@@ -17,17 +17,12 @@ module Masked : sig
   val is_always : t -> bool
   val mem : int -> t -> bool
   val equal : t -> t -> bool
-  val compatible : t -> t -> bool
 
   (** Conjunction of two tests; [None] when they contradict. *)
   val inter : t -> t -> t option
 
   (** [implies a b]: every value passing [a] passes [b]. *)
   val implies : t -> t -> bool
-
-  (** The contiguous interval the test covers on a [full]-masked domain
-      ([always] covers all of it); [None] for non-prefix masks. *)
-  val to_range : full:int -> t -> (int * int) option
 
   type region = { r_pos : t; r_negs : t list; r_rep : int }
 
@@ -37,9 +32,7 @@ module Masked : sig
       empty (conservatively [None] past [2^16] fallback candidates). *)
   val sample : full:int -> t -> t list -> int option
 
-  val region_make : full:int -> t -> t list -> region option
   val complement : full:int -> t -> region option
-  val region_inter : full:int -> region -> region -> region option
 
   (** Disjoint regions covering the domain, on each of which every atom
       is constant. *)
@@ -62,8 +55,6 @@ type t = {
 (** The range the megaflow covers on a field, when its mask there is a
     non-empty contiguous prefix. *)
 val prefix_range : mask:FK.t -> key:FK.t -> FK.Field.t -> (int * int) option
-
-val default_fields : FK.Field.t array
 
 val partition :
   ?fields:FK.Field.t array ->

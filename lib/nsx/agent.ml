@@ -104,10 +104,6 @@ let add_port t ?(iface_type = "afxdp") ~name ~port_no () =
   Ovs_ovsdb.Vsctl.set_interface_ofport t.db name port_no;
   t.integration.ports <- (name, port_no) :: t.integration.ports
 
-let del_port t ~name =
-  Ovs_ovsdb.Vsctl.del_port t.db ~bridge:"br-int" name;
-  t.integration.ports <- List.remove_assoc name t.integration.ports
-
 (** Monitoring: what the agent polls over OVSDB/OpenFlow. *)
 type status = { bridges : int; ports : int; rules : int; reconfigurations : int }
 

@@ -58,9 +58,6 @@ let base_unwildcard mask =
   FK.set mask FK.Field.Recirc_id (FK.Field.full_mask FK.Field.Recirc_id);
   FK.set mask FK.Field.Dl_type (FK.Field.full_mask FK.Field.Dl_type)
 
-let or_mask acc m =
-  Array.iteri (fun i _ -> acc.(i) <- acc.(i) lor m.(i)) acc
-
 (** Translate [key]. [start_table] defaults to the table encoded in the
     key's recirculation id (0 on first pass). The key is not modified.
     [log], when given, is called for every table visited with the matched
@@ -90,7 +87,7 @@ let translate t ?start_table
       incr visited;
       let rule, masks = Table.lookup t.tables.(table_id) key in
       probed := !probed + List.length masks;
-      List.iter (fun m -> or_mask mask m) masks;
+      List.iter (fun m -> FK.or_mask mask m) masks;
       (match log with Some f -> f table_id rule | None -> ());
       match rule with
       | None ->
@@ -193,9 +190,6 @@ let translate t ?start_table
     tables_visited = !visited;
     subtables_probed = !probed;
   }
-
-(** Forget learned MACs (port removal, aging). *)
-let flush_mac_table t = Hashtbl.reset t.mac_table
 
 (* non-strict del-flows semantics: a rule is covered when, on every field
    the spec constrains, the rule constrains at least as much and agrees *)

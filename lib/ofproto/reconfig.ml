@@ -108,9 +108,6 @@ let plan_of_string ~name text =
   in
   { plan_name = name; events = group_events timed }
 
-let op_count plan =
-  List.fold_left (fun n e -> n + List.length e.ops) 0 plan.events
-
 (* ------------------------------------------------------- OVSDB plans *)
 
 (** The churn database: one row per operation. [seq] preserves plan
@@ -226,7 +223,7 @@ let flow_mod_of_line command line =
     }
 
 (** Encode one op as its OpenFlow message. Swaps are programs, not
-    messages — {!wire_of_swap} below. *)
+    messages: {!attach} hands them to its [on_swap] callback. *)
 let msg_of_op = function
   | Insert line -> flow_mod_of_line `Add line
   | Modify line -> flow_mod_of_line `Modify line
@@ -243,23 +240,6 @@ let wire_of_ops ops =
     (fun op -> Stdlib.Buffer.add_bytes out (Ofp_codec.encode (msg_of_op op)))
     ops;
   Stdlib.Buffer.to_bytes out
-
-(** The naive swap's wire program: the delete barrage (OFPTT_ALL
-    catchall), then the replacement adds. The caller interleaves traffic
-    between the two halves — that interval is the loss window. *)
-let wire_delete_all () =
-  Ofp_codec.encode
-    (Ofp_codec.Flow_mod
-       {
-         command = `Delete;
-         table_id = 0xFF;
-         priority = 0;
-         cookie = 0;
-         match_ = Match_.catchall ();
-         actions = [];
-       })
-
-let wire_adds flows = wire_of_ops (List.map (fun l -> Insert l) flows)
 
 (** Feed ops through the switch connection; returns how many FLOW_MODs
     the switch applied. Any OFPT_ERROR reply aborts the plan. *)

@@ -37,7 +37,6 @@ type 'a t = {
 let create () = { subtables = []; rule_count = 0 }
 
 let rule_count t = t.rule_count
-let subtable_count t = List.length t.subtables
 
 let add t ?(cookie = 0) ~priority (match_ : Match_.t) value =
   let mask = match_.Match_.mask in

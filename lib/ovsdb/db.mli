@@ -13,7 +13,6 @@ type table_schema = { tbl_name : string; columns : column list }
 type schema = { db_name : string; tables : table_schema list }
 
 (** The subset of the Open_vSwitch schema the system needs. *)
-val open_vswitch_schema : schema
 
 type t
 

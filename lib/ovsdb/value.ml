@@ -26,7 +26,6 @@ type t =
 
 let string s = Atom (String s)
 let int i = Atom (Int i)
-let bool b = Atom (Bool b)
 let uuid u = Atom (Uuid u)
 let empty_set = Set []
 
@@ -77,21 +76,6 @@ let map_put v k x =
   match v with
   | Map m -> Map ((k, x) :: List.filter (fun (k', _) -> not (atom_equal k k')) m)
   | Atom _ | Set _ -> invalid_arg "Value.map_put: not a map"
-
-let pp_atom ppf = function
-  | String s -> Fmt.pf ppf "%S" s
-  | Int i -> Fmt.int ppf i
-  | Real r -> Fmt.float ppf r
-  | Bool b -> Fmt.bool ppf b
-  | Uuid u -> Fmt.pf ppf "<%s>" u
-
-let pp ppf = function
-  | Atom a -> pp_atom ppf a
-  | Set s -> Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any ", ") pp_atom) s
-  | Map m ->
-      Fmt.pf ppf "{%a}"
-        Fmt.(list ~sep:(any ", ") (pair ~sep:(any "=") pp_atom pp_atom))
-        m
 
 (** Reset uuid generation (test isolation). *)
 let reset_uuids () = uuid_counter := 0

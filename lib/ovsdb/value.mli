@@ -22,7 +22,6 @@ type t =
 
 val string : string -> t
 val int : int -> t
-val bool : bool -> t
 val uuid : uuid -> t
 val empty_set : t
 
@@ -43,9 +42,6 @@ val set_members : t -> atom list
 
 val map_get : t -> atom -> atom option
 val map_put : t -> atom -> atom -> t
-
-val pp_atom : Format.formatter -> atom -> unit
-val pp : Format.formatter -> t -> unit
 
 (** Reset uuid generation (test isolation). *)
 val reset_uuids : unit -> unit

@@ -79,7 +79,6 @@ let of_sub ?(headroom = default_headroom) (b : Bytes.t) ~off ~len =
 let of_bytes ?headroom (b : Bytes.t) = of_sub ?headroom b ~off:0 ~len:(Bytes.length b)
 
 let length t = t.len
-let headroom t = t.start
 
 (** Reset all metadata so the buffer can be reused for a new packet, as the
     preallocated dp_packet array does (optimization O4). *)
@@ -163,7 +162,3 @@ let copy_live t = of_sub t.data ~off:t.start ~len:t.len
 
 (** The live bytes as a fresh [Bytes.t] (for tests and tcpdump). *)
 let contents t = Bytes.sub t.data t.start t.len
-
-let pp ppf t =
-  Fmt.pf ppf "pkt[len=%d in_port=%d l3=%d l4=%d recirc=%d]" t.len t.in_port
-    t.l3_ofs t.l4_ofs t.recirc_id

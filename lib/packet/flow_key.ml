@@ -1,11 +1,15 @@
 (** The flow key: every packet header and metadata field the OVS pipeline
     can match on, extracted once per packet ("miniflow extraction").
 
-    Represented as a fixed-size [int array] indexed by {!Field.t}. This keeps
-    masking, hashing and comparison generic and fast, which is exactly what
-    the exact-match cache and the tuple-space classifier need. IPv6 addresses
-    are folded into two 62-bit halves per address (documented lossy fold;
-    prefix masks remain meaningful within each half). *)
+    Represented as a fixed-size [int array] indexed by {!Field.t}, private
+    to this module. This keeps masking, hashing and comparison generic and
+    fast, which is exactly what the exact-match cache and the tuple-space
+    classifier need. An OCaml int holds 63 bits, so each 128-bit IPv6
+    address is stored losslessly in three words: [ipv6_*_hi] holds bits
+    127..66, [ipv6_*_lo] bits 61..0 and the 4-bit [ipv6_*_mid] bits 65..62.
+    Prefix masks stay meaningful within each word. The two [mid] fields
+    come after [reg7], so every older field keeps its index and OXM
+    number. *)
 
 module Field = struct
   type t =
@@ -42,6 +46,8 @@ module Field = struct
     | Reg5
     | Reg6
     | Reg7
+    | Ip6_src_mid
+    | Ip6_dst_mid
 
   let all =
     [|
@@ -49,6 +55,7 @@ module Field = struct
       Nw_proto; Nw_tos; Nw_ttl; Nw_frag; Tp_src; Tp_dst; Tcp_flags; Tun_id;
       Tun_src; Tun_dst; Ct_state; Ct_zone; Ct_mark; Ip6_src_hi; Ip6_src_lo;
       Ip6_dst_hi; Ip6_dst_lo; Reg0; Reg1; Reg2; Reg3; Reg4; Reg5; Reg6; Reg7;
+      Ip6_src_mid; Ip6_dst_mid;
     |]
 
   let count = Array.length all
@@ -87,6 +94,8 @@ module Field = struct
     | Reg5 -> 30
     | Reg6 -> 31
     | Reg7 -> 32
+    | Ip6_src_mid -> 33
+    | Ip6_dst_mid -> 34
 
   let name = function
     | In_port -> "in_port"
@@ -122,6 +131,8 @@ module Field = struct
     | Reg5 -> "reg5"
     | Reg6 -> "reg6"
     | Reg7 -> "reg7"
+    | Ip6_src_mid -> "ipv6_src_mid"
+    | Ip6_dst_mid -> "ipv6_dst_mid"
 
   let of_name s =
     let rec find i =
@@ -151,6 +162,7 @@ module Field = struct
     | Ct_zone -> 16
     | Ct_mark -> 32
     | Ip6_src_hi | Ip6_src_lo | Ip6_dst_hi | Ip6_dst_lo -> 62
+    | Ip6_src_mid | Ip6_dst_mid -> 4
     | Reg0 | Reg1 | Reg2 | Reg3 | Reg4 | Reg5 | Reg6 | Reg7 -> 32
 
   let full_mask f =
@@ -175,6 +187,9 @@ let get (k : t) f = k.(Field.to_index f)
 let set (k : t) f v = k.(Field.to_index f) <- v
 let copy (k : t) : t = Array.copy k
 
+(** Overwrite [dst] with [src] (a cache reusing an evicted entry's key). *)
+let blit ~(src : t) ~(dst : t) = Array.blit src 0 dst 0 Field.count
+
 (* Field by field, without the polymorphic comparison's generic walk. *)
 let equal (a : t) (b : t) =
   a == b
@@ -197,14 +212,22 @@ let fnv_pow =
   done;
   a
 
+(* [hash] treats fields [0 .. n_base - 1] (through [Reg7]) as plain
+   FNV-1a; the IPv6 middle words after them enter only when nonzero. *)
+let n_base = Field.to_index Field.Ip6_src_mid
+
 (** FNV-1a over all fields; the EMC and SMC hash keys this way. A zero
     field only multiplies by the prime ([(h lxor 0) * p = h * p]), so a
     run of [n] zero fields is one multiplication by [p^n]: the value is
     exactly the field-by-field FNV-1a, with one multiplication per
-    nonzero field instead of one per field. *)
+    nonzero field instead of one per field. The fields after [Reg7] (the
+    IPv6 middle words) enter only when nonzero: an IPv4 key, which leaves
+    them zero, then hashes as FNV-1a over [In_port .. Reg7], so the EMC
+    and SMC place IPv4 flows, and charge their collisions, independently
+    of the IPv6 fields. *)
 let hash (k : t) =
   let h = ref 0x3bf29ce484222325 and zeros = ref 0 in
-  for i = 0 to Field.count - 1 do
+  for i = 0 to n_base - 1 do
     let v = Array.unsafe_get k i in
     if v = 0 then incr zeros
     else begin
@@ -212,7 +235,12 @@ let hash (k : t) =
       zeros := 0
     end
   done;
-  !h * Array.unsafe_get fnv_pow !zeros land max_int
+  let h = ref (!h * Array.unsafe_get fnv_pow !zeros) in
+  for i = n_base to Field.count - 1 do
+    let v = Array.unsafe_get k i in
+    if v <> 0 then h := (!h lxor v) * fnv_prime
+  done;
+  !h land max_int
 
 (** Hash restricted to fields selected by a mask (the OpenFlow tables' subtable
     hashing). *)
@@ -237,6 +265,61 @@ let apply_mask (k : t) (mask : t) : t =
   done;
   m
 
+(** {1 Sparse masks}
+
+    A classifier subtable touches only the words its mask covers. These
+    run the whole loop here, over the covered words' indices and mask
+    words, so a probe makes one call per key rather than one per word. *)
+
+(** The indices of [mask]'s nonzero words and those words, in field
+    order. *)
+let sparse_of_mask (mask : t) =
+  let n = ref 0 in
+  Array.iter (fun w -> if w <> 0 then incr n) mask;
+  let fields = Array.make !n 0 and words = Array.make !n 0 and j = ref 0 in
+  Array.iteri
+    (fun i w ->
+      if w <> 0 then begin
+        fields.(!j) <- i;
+        words.(!j) <- w;
+        incr j
+      end)
+    mask;
+  (fields, words)
+
+(** FNV-1a over [key]'s covered words, each masked ([key] need not be
+    masked). *)
+let hash_sparse fields words (key : t) =
+  let h = ref 0x3bf29ce484222325 in
+  for j = 0 to Array.length fields - 1 do
+    h :=
+      (!h lxor (Array.unsafe_get key (Array.unsafe_get fields j) land Array.unsafe_get words j))
+      * fnv_prime
+  done;
+  !h
+
+(** Whether pre-masked [stored] equals [key] masked, on the covered
+    words. *)
+let equal_sparse fields words (stored : t) (key : t) =
+  let n = Array.length fields in
+  let j = ref 0 in
+  while
+    !j < n
+    &&
+    let i = Array.unsafe_get fields !j in
+    Array.unsafe_get stored i = Array.unsafe_get key i land Array.unsafe_get words !j
+  do
+    incr j
+  done;
+  !j = n
+
+(** [acc] becomes [acc lor m], word by word (a translation's accumulated
+    wildcard mask). *)
+let or_mask (acc : t) (m : t) =
+  for i = 0 to Field.count - 1 do
+    acc.(i) <- acc.(i) lor m.(i)
+  done
+
 let rss_mix h v = (h lxor v) * 0x01000193 land 0x7FFFFFFF
 
 (** 5-tuple RSS hash, the value AF_XDP must compute in software (Sec 5.5). *)
@@ -258,8 +341,10 @@ let ix_dl_type = Field.to_index Field.Dl_type
 let ix_in_port = Field.to_index Field.In_port
 let ix_ip6_dst_hi = Field.to_index Field.Ip6_dst_hi
 let ix_ip6_dst_lo = Field.to_index Field.Ip6_dst_lo
+let ix_ip6_dst_mid = Field.to_index Field.Ip6_dst_mid
 let ix_ip6_src_hi = Field.to_index Field.Ip6_src_hi
 let ix_ip6_src_lo = Field.to_index Field.Ip6_src_lo
+let ix_ip6_src_mid = Field.to_index Field.Ip6_src_mid
 let ix_nw_dst = Field.to_index Field.Nw_dst
 let ix_nw_frag = Field.to_index Field.Nw_frag
 let ix_nw_proto = Field.to_index Field.Nw_proto
@@ -340,20 +425,23 @@ let extract_ipv4 (k : t) (buf : Buffer.t) ~l3 =
     end
   end
 
-(* An IPv6 address half, folded to 62 bits (see the module comment):
-   the 64-bit value [hi32 << 32 | lo32] shifted right by two. *)
-let fold_ipv6_half (buf : Buffer.t) ofs =
-  (u32 buf ofs lsl 30) lor (u32 buf (ofs + 4) lsr 2)
+(* An IPv6 address at [ofs], as 32-bit words [w0..w3] from the top,
+   split into the key's three words (see the module comment). *)
+let extract_ipv6_addr (k : t) (buf : Buffer.t) ofs ~hi ~mid ~lo =
+  let w1 = u32 buf (ofs + 4) and w2 = u32 buf (ofs + 8) in
+  k.(hi) <- (u32 buf ofs lsl 30) lor (w1 lsr 2);
+  k.(mid) <- ((w1 land 0x3) lsl 2) lor (w2 lsr 30);
+  k.(lo) <- ((w2 land 0x3FFF_FFFF) lsl 32) lor u32 buf (ofs + 12)
 
 let extract_ipv6 (k : t) (buf : Buffer.t) ~l3 =
   if buf.Buffer.len >= l3 + Ipv6.header_len then begin
     let w0 = u32 buf l3 in
     if w0 lsr 28 = 6 then begin
       buf.Buffer.l4_ofs <- l3 + Ipv6.header_len;
-      k.(ix_ip6_src_hi) <- fold_ipv6_half buf (l3 + 8);
-      k.(ix_ip6_src_lo) <- fold_ipv6_half buf (l3 + 16);
-      k.(ix_ip6_dst_hi) <- fold_ipv6_half buf (l3 + 24);
-      k.(ix_ip6_dst_lo) <- fold_ipv6_half buf (l3 + 32);
+      extract_ipv6_addr k buf (l3 + 8) ~hi:ix_ip6_src_hi ~mid:ix_ip6_src_mid
+        ~lo:ix_ip6_src_lo;
+      extract_ipv6_addr k buf (l3 + 24) ~hi:ix_ip6_dst_hi ~mid:ix_ip6_dst_mid
+        ~lo:ix_ip6_dst_lo;
       k.(ix_nw_proto) <- u8 buf (l3 + 6);
       k.(ix_nw_tos) <- (w0 lsr 20) land 0xFF;
       k.(ix_nw_ttl) <- u8 buf (l3 + 7)
@@ -428,6 +516,24 @@ let extract (buf : Buffer.t) : t =
   extract_into k buf;
   k
 
+(* An address from its three key words (bit [b] of the address is bit
+   [b - 66] of [hi], [b - 62] of [mid] or [b] of [lo]), as eight
+   colon-separated 16-bit groups. *)
+let ipv6_to_string hi mid lo =
+  let bit b =
+    if b >= 66 then (hi lsr (b - 66)) land 1
+    else if b >= 62 then (mid lsr (b - 62)) land 1
+    else (lo lsr b) land 1
+  in
+  let group i =
+    let v = ref 0 in
+    for b = 127 - (16 * i) downto 112 - (16 * i) do
+      v := (!v lsl 1) lor bit b
+    done;
+    Printf.sprintf "%x" !v
+  in
+  String.concat ":" (List.init 8 group)
+
 let pp ppf (k : t) =
   let open Field in
   Fmt.pf ppf "in_port=%d" (get k In_port);
@@ -443,4 +549,9 @@ let pp ppf (k : t) =
       (Ipv4.addr_to_string (get k Nw_dst))
       (Ipv4.Proto.to_string (get k Nw_proto))
       (get k Tp_src) (get k Tp_dst);
+  if get k Dl_type = Ethernet.Ethertype.ipv6 then
+    Fmt.pf ppf ",%s>%s,proto=%s"
+      (ipv6_to_string (get k Ip6_src_hi) (get k Ip6_src_mid) (get k Ip6_src_lo))
+      (ipv6_to_string (get k Ip6_dst_hi) (get k Ip6_dst_mid) (get k Ip6_dst_lo))
+      (Ipv4.Proto.to_string (get k Nw_proto));
   if get k Ct_state <> 0 then Fmt.pf ppf ",ct_state=0x%x" (get k Ct_state)

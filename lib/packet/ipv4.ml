@@ -115,7 +115,3 @@ let set_tos (buf : Buffer.t) tos = Buffer.set_u8 buf (buf.Buffer.l3_ofs + 1) tos
 let set_ttl (buf : Buffer.t) ttl = Buffer.set_u8 buf (buf.Buffer.l3_ofs + 8) ttl
 let set_src (buf : Buffer.t) a = Buffer.set_u32 buf (buf.Buffer.l3_ofs + 12) a
 let set_dst (buf : Buffer.t) a = Buffer.set_u32 buf (buf.Buffer.l3_ofs + 16) a
-
-let pp ppf t =
-  Fmt.pf ppf "%s > %s %s ttl=%d len=%d" (addr_to_string t.src)
-    (addr_to_string t.dst) (Proto.to_string t.proto) t.ttl t.total_len

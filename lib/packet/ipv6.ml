@@ -4,13 +4,9 @@ let header_len = 40
 
 type addr = { hi : int64; lo : int64 }
 
-let addr_zero = { hi = 0L; lo = 0L }
-
 (** Parse a full (uncompressed-or-[::]-style) address is out of scope for the
     dataplane; tests build addresses from integers instead. *)
 let addr_of_int i = { hi = 0x20010DB800000000L; lo = Int64.of_int i }
-
-let addr_to_string a = Printf.sprintf "%Lx:%Lx" a.hi a.lo
 
 type t = {
   tclass : int;

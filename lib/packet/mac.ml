@@ -29,8 +29,6 @@ let to_string (m : t) =
     ((m lsr 32) land 0xFF) ((m lsr 24) land 0xFF) ((m lsr 16) land 0xFF)
     ((m lsr 8) land 0xFF) (m land 0xFF)
 
-let pp ppf m = Fmt.string ppf (to_string m)
-
 let is_multicast (m : t) = (m lsr 40) land 0x01 = 1
 
 (** A locally-administered unicast MAC derived from a small integer, handy

@@ -9,15 +9,6 @@ module Flags = struct
   let rst = 0x04
   let psh = 0x08
   let ack = 0x10
-  let urg = 0x20
-
-  let to_string f =
-    let parts =
-      List.filter_map
-        (fun (bit, s) -> if f land bit <> 0 then Some s else None)
-        [ (syn, "S"); (fin, "F"); (rst, "R"); (psh, "P"); (ack, "."); (urg, "U") ]
-    in
-    String.concat "" parts
 end
 
 type t = {

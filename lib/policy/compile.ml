@@ -60,10 +60,6 @@ let mutation_name = function
   | Drop_filter -> "drop_filter"
   | Star_off_by_one -> "star_off_by_one"
 
-let all_mutations =
-  [ Drop_goto; Wrong_priority; Drop_restore; Drop_union_arm; Wrong_mod_value;
-    Drop_filter; Star_off_by_one ]
-
 type rule = {
   c_table : int;
   c_priority : int;

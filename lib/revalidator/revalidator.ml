@@ -77,7 +77,7 @@ end)
 type 'a entry = {
   e_mask : FK.t;
   e_key : FK.t;  (** a full packet key that translates to this megaflow *)
-  mutable e_actions : 'a;
+  e_actions : 'a;
   mutable e_deps : dep list;
 }
 

@@ -56,9 +56,6 @@ let incr ?(n = 1) (c : counter) =
   let r = Domain.DLS.get c.local in
   r := !r + n
 
-(** One-shot bump by name (slower: a mutex-guarded hashtable probe). *)
-let hit ?(n = 1) name = incr ~n (counter name)
-
 (* The calling domain's view of a counter: flushed history plus its own
    pending increments. *)
 let value c = c.merged + !(Domain.DLS.get c.local)

@@ -12,12 +12,6 @@
 
 type category = User | System | Softirq | Guest
 
-let category_to_string = function
-  | User -> "user"
-  | System -> "system"
-  | Softirq -> "softirq"
-  | Guest -> "guest"
-
 (** Busy time per category. All-float, so the record is stored flat and
     charging adds in place rather than allocating a fresh boxed float per
     charge. *)

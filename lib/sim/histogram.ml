@@ -66,22 +66,6 @@ let percentile t p =
     scan 0 0
   end
 
-(** Fold [src]'s samples into [into] (bucket-wise — exact, since both use
-    the same log bucketing). Requires identical [lo]/[hi] ranges. Used to
-    merge per-domain histograms into one readout on engine stop. *)
-let merge ~into src =
-  if into.lo <> src.lo || into.hi <> src.hi then
-    invalid_arg "Histogram.merge: mismatched ranges";
-  Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) src.buckets;
-  into.count <- into.count + src.count;
-  into.sum <- into.sum +. src.sum;
-  if src.min_seen < into.min_seen then into.min_seen <- src.min_seen;
-  if src.max_seen > into.max_seen then into.max_seen <- src.max_seen
-
 let p50 t = percentile t 50.
 let p90 t = percentile t 90.
 let p99 t = percentile t 99.
-
-let pp ppf t =
-  Fmt.pf ppf "n=%d mean=%.1f p50=%.1f p90=%.1f p99=%.1f" t.count (mean t)
-    (p50 t) (p90 t) (p99 t)

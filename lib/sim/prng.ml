@@ -31,9 +31,6 @@ let float t =
   let bits53 = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
   float_of_int bits53 /. 9007199254740992.0
 
-(** Uniform 32-bit value as an [int] (0 .. 2^32-1). *)
-let bits32 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 32)
-
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 (** Exponentially distributed sample with the given mean (for inter-arrival
@@ -49,8 +46,3 @@ let gaussian t ~mu ~sigma =
   let u1 = max epsilon_float (float t) in
   let u2 = float t in
   mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
-
-(** Pick an element of a non-empty array uniformly. *)
-let choose t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))

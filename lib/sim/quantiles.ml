@@ -14,9 +14,8 @@
     Unlike {!Histogram} (fixed 2048 buckets, per-bucket error that
     depends on the range), the bucket count here is derived from the
     requested [eps], so the bound holds for any range. Merging is
-    bucket-wise and exact for identical geometry, mirroring
-    [Histogram.merge]/[Trace.merge] so per-domain sketches fold into one
-    readout on engine stop. All state is plain ints/floats updated in a
+    bucket-wise and exact for identical geometry, so per-domain
+    sketches fold into one readout on engine stop. All state is plain ints/floats updated in a
     fixed order: byte-identical across runs under [Engine_vt]. *)
 
 type t = {
@@ -116,7 +115,3 @@ let reset t =
   t.sum <- 0.;
   t.min_seen <- infinity;
   t.max_seen <- neg_infinity
-
-let pp ppf t =
-  Fmt.pf ppf "n=%d mean=%.1f p50=%.1f p95=%.1f p99=%.1f p999=%.1f" t.count
-    (mean t) (p50 t) (p95 t) (p99 t) (p999 t)

@@ -17,7 +17,6 @@ let s (x : float) : ns = x *. ns_per_s
 
 let to_us (t : ns) = t /. ns_per_us
 let to_ms (t : ns) = t /. ns_per_ms
-let to_s (t : ns) = t /. ns_per_s
 
 (** Clock frequency of the modelled Xeon E5 2620 v3 / E5 2440 v2 (both
     2.4 GHz in the paper's testbeds). *)
@@ -33,8 +32,6 @@ let rate_pps ~(per_packet : ns) : float =
 (** Per-packet cost in ns for a given rate in packets per second. *)
 let per_packet_of_pps (pps : float) : ns =
   if pps <= 0. then infinity else ns_per_s /. pps
-
-let mpps (pps : float) = pps /. 1e6
 
 let pp_rate ppf pps =
   if pps >= 1e6 then Fmt.pf ppf "%.2f Mpps" (pps /. 1e6)

@@ -110,7 +110,6 @@ let create ~kind () =
     events = [];
   }
 
-let kind t = t.kind
 let packets t = t.packets
 
 (** Zero every aggregate (between a warmup and a measurement phase). The
@@ -170,22 +169,7 @@ let note t s detail =
   set_stage t s;
   if t.walking then t.events <- { ev_stage = s; ev_detail = detail } :: t.events
 
-(** Fold [src]'s aggregates (per-stage totals, histograms, packet count)
-    into [into]. The domains engine gives each worker domain its own
-    recorder — no shared mutable state on the hot path — and merges them
-    into one readout on stop. Walk state (events, in-flight scratch) is
-    per-recorder and deliberately not merged. *)
-let merge ~into src =
-  for i = 0 to n_stages - 1 do
-    into.totals.(i) <- into.totals.(i) +. src.totals.(i);
-    Histogram.merge ~into:into.hists.(i) src.hists.(i)
-  done;
-  into.packets <- into.packets + src.packets
-
 (** {1 Readouts} *)
-
-let stage_total t s = t.totals.(stage_index s)
-let stage_hist t s = t.hists.(stage_index s)
 
 (** Cumulative charged ns across all stages. *)
 let total t = Array.fold_left ( +. ) 0. t.totals

@@ -210,9 +210,3 @@ let lock_cost t (costs : Ovs_sim.Costs.t) =
   match t.strategy with
   | Mutex -> costs.Ovs_sim.Costs.mutex_lock
   | Spinlock | Spinlock_batched -> costs.Ovs_sim.Costs.spinlock
-
-let reset_stats t =
-  t.stats.lock_acquisitions <- 0;
-  t.stats.frame_ops <- 0;
-  t.stats.batch_ops <- 0;
-  t.stats.exhausted <- 0

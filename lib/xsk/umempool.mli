@@ -84,5 +84,3 @@ val reclaim_leaked : t -> int
 
 val lock_cost : t -> Ovs_sim.Costs.t -> float
 (** Virtual-time cost of one acquisition under this pool's strategy. *)
-
-val reset_stats : t -> unit

@@ -1,7 +1,7 @@
 (* The list-bucket connection table that Conntrack's open-addressed
    shards replaced, kept as the reference the equivalence property in
    test_conntrack.ml compares against. It is the old table verbatim but
-   for two fixes the new table also makes: the tuple carries the four
+   for two fixes the new table also makes: the tuple carries the six
    IPv6 address words (IPv6 hosts used to share one connection), and
    [active_conns] counts connections rather than halving the
    directional-entry count (a connection whose reply tuple is its
@@ -19,8 +19,8 @@ type tuple = {
   sport : int;
   dport : int;
   zone : int;
-  src6 : int * int;
-  dst6 : int * int;
+  src6 : int * int * int;
+  dst6 : int * int * int;
 }
 
 let tuple_reverse t =
@@ -35,8 +35,14 @@ let tuple_of_key ~zone (k : FK.t) =
     sport = FK.get k FK.Field.Tp_src;
     dport = FK.get k FK.Field.Tp_dst;
     zone;
-    src6 = (FK.get k FK.Field.Ip6_src_hi, FK.get k FK.Field.Ip6_src_lo);
-    dst6 = (FK.get k FK.Field.Ip6_dst_hi, FK.get k FK.Field.Ip6_dst_lo);
+    src6 =
+      ( FK.get k FK.Field.Ip6_src_hi,
+        FK.get k FK.Field.Ip6_src_mid,
+        FK.get k FK.Field.Ip6_src_lo );
+    dst6 =
+      ( FK.get k FK.Field.Ip6_dst_hi,
+        FK.get k FK.Field.Ip6_dst_mid,
+        FK.get k FK.Field.Ip6_dst_lo );
   }
 
 type tcp_state =
@@ -264,7 +270,7 @@ let related_conn t ~zone (buf : Ovs_packet.Buffer.t) : conn option =
               let dport = Buffer.get_u16 buf (buf.Buffer.l4_ofs + 2) in
               let tup =
                 { src = ip.Ipv4.src; dst = ip.Ipv4.dst; proto = ip.Ipv4.proto;
-                  sport; dport; zone; src6 = (0, 0); dst6 = (0, 0) }
+                  sport; dport; zone; src6 = (0, 0, 0); dst6 = (0, 0, 0) }
               in
               find_tuple t tup
           | Some _ | None -> None

@@ -386,8 +386,8 @@ let prop_ct_pressure_fault =
 
 (* -- IPv6 tuples and self-reverse connections -- *)
 
-(* A UDP frame between the IPv6 hosts 2001:db8::[src] and ::[dst]. *)
-let ipv6_udp ~src ~dst =
+(* A UDP frame between two IPv6 addresses. *)
+let ipv6_udp_addrs ~src ~dst =
   let open Ovs_packet in
   let payload = Udp.header_len + 16 in
   let flen = Ethernet.header_len + Ipv6.header_len + payload in
@@ -395,9 +395,12 @@ let ipv6_udp ~src ~dst =
   Buffer.put buf flen;
   Ethernet.write buf ~dst:(Mac.of_index 2) ~src:(Mac.of_index 1)
     ~eth_type:Ethernet.Ethertype.ipv6;
-  Ipv6.write buf ~next_header:Ipv4.Proto.udp ~src:(Ipv6.addr_of_int src)
-    ~dst:(Ipv6.addr_of_int dst) ~payload_len:payload ();
+  Ipv6.write buf ~next_header:Ipv4.Proto.udp ~src ~dst ~payload_len:payload ();
   buf
+
+(* A UDP frame between the IPv6 hosts 2001:db8::[src] and ::[dst]. *)
+let ipv6_udp ~src ~dst =
+  ipv6_udp_addrs ~src:(Ovs_packet.Ipv6.addr_of_int src) ~dst:(Ovs_packet.Ipv6.addr_of_int dst)
 
 let ipv6_udp_key ~src ~dst = FK.extract (ipv6_udp ~src ~dst)
 
@@ -426,6 +429,50 @@ let test_ipv6_hosts_distinct () =
     [ (0x10, a); (0x20, b) ];
   Alcotest.(check bool) "each reply moved only its own connection" true
     (Ct.state a = Ct.Udp_multiple && Ct.state b = Ct.Udp_multiple)
+
+(* Addresses that differ in any one bit — the low two and the four
+   around the 64-bit boundary included — are different hosts, as the
+   source and as the destination, and each reply finds its own
+   connection. *)
+let test_ipv6_every_address_bit () =
+  let module Ipv6 = Ovs_packet.Ipv6 in
+  let base = Ipv6.addr_of_int 0x10 and server = Ipv6.addr_of_int 0x100 in
+  let flip (a : Ipv6.addr) b =
+    if b >= 64 then { a with Ipv6.hi = Int64.(logxor a.Ipv6.hi (shift_left 1L (b - 64))) }
+    else { a with Ipv6.lo = Int64.(logxor a.Ipv6.lo (shift_left 1L b)) }
+  in
+  let hosts = base :: List.map (flip base) [ 0; 1; 2; 61; 62; 63; 64; 65; 66; 127 ] in
+  List.iter
+    (fun as_src ->
+      let ct = Ct.create () in
+      let key host =
+        FK.extract
+          (if as_src then ipv6_udp_addrs ~src:host ~dst:server
+           else ipv6_udp_addrs ~src:server ~dst:host)
+      and reply host =
+        FK.extract
+          (if as_src then ipv6_udp_addrs ~src:server ~dst:host
+           else ipv6_udp_addrs ~src:host ~dst:server)
+      in
+      let conns =
+        List.map
+          (fun h ->
+            match Ct.commit ct ~now:0. ~zone:1 (key h) with
+            | Some c -> (h, c)
+            | None -> Alcotest.fail "commit")
+          hosts
+      in
+      let what = if as_src then "source" else "destination" in
+      check Alcotest.int (what ^ ": one connection per address") (List.length hosts)
+        (Ct.active_conns ct);
+      List.iter
+        (fun (h, c) ->
+          let r = Ct.track ct ~now:1. ~zone:1 (reply h) in
+          Alcotest.(check bool) (what ^ ": reply on its own connection") true
+            (has r.Ct.ct_state Bits.rpl
+            && match r.Ct.conn with Some c' -> c' == c | None -> false))
+        conns)
+    [ true; false ]
 
 (* A connection whose reply tuple is its original tuple (src = dst,
    sport = dport) has one directional entry; it still counts as one. *)
@@ -797,6 +844,7 @@ let () =
       ( "tuples",
         [
           Alcotest.test_case "ipv6 hosts distinct" `Quick test_ipv6_hosts_distinct;
+          Alcotest.test_case "ipv6 every address bit" `Quick test_ipv6_every_address_bit;
           Alcotest.test_case "self-reverse conn counted" `Quick
             test_self_reverse_conn_counted;
           Alcotest.test_case "reshard keeps limits" `Quick test_reshard_keeps_limits;

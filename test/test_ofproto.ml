@@ -523,6 +523,76 @@ let test_ofconn_session () =
   | Ofp_codec.Error _, _, _ -> ()
   | _ -> Alcotest.fail "error reply expected"
 
+(* -- the flow-key field contract -- *)
+
+let ipv6_fields =
+  FK.Field.[ Ip6_src_hi; Ip6_src_mid; Ip6_src_lo; Ip6_dst_hi; Ip6_dst_mid; Ip6_dst_lo ]
+
+(* Each IPv6 address word parses by name to a mask on that word alone. *)
+let test_field_ipv6_names_parse () =
+  List.iter
+    (fun f ->
+      let name = FK.Field.name f in
+      let f' = Parser.parse_flow (Printf.sprintf "%s=1 actions=drop" name) in
+      let m = f'.Parser.match_ in
+      Alcotest.(check (list string)) (name ^ " masks one word") [ name ]
+        (List.map FK.Field.name (Match_.used_fields m));
+      check Alcotest.int (name ^ " mask is the full width") (FK.Field.full_mask f)
+        (FK.get m.Match_.mask f))
+    ipv6_fields
+
+(* IPv4 traffic leaves the IPv6 words 0, so the NSX ruleset's IPv6 guard
+   matches it. *)
+let prop_ipv4_matches_ipv6_zero =
+  let guard =
+    (Parser.parse_flow "ipv6_src_hi=0,ipv6_dst_hi=0,ipv6_src_lo=0 actions=drop")
+      .Parser.match_
+  in
+  QCheck.Test.make ~count:500 ~name:"every IPv4 key matches the IPv6-zero guard"
+    QCheck.(quad int int (int_bound 0xFFFF) (int_bound 2))
+    (fun (src, dst, port, kind) ->
+      let src_ip = src land 0xFFFF_FFFF and dst_ip = dst land 0xFFFF_FFFF in
+      let pkt =
+        match kind with
+        | 0 -> B.udp ~src_ip ~dst_ip ~src_port:port ()
+        | 1 -> B.tcp ~src_ip ~dst_ip ~dst_port:port ()
+        | _ -> B.icmp ~src_ip ~dst_ip ()
+      in
+      Match_.matches guard (FK.extract pkt))
+
+(* The middle IPv6 words cross the OXM codec like every other field. *)
+let test_field_ipv6_mid_oxm () =
+  List.iter
+    (fun f ->
+      let m = Match_.with_field (Match_.catchall ()) f 0xA in
+      match
+        roundtrip
+          (Ofp_codec.Flow_mod
+             { command = `Add; table_id = 0; priority = 1; cookie = 0; match_ = m;
+               actions = [] })
+      with
+      | Ofp_codec.Flow_mod { match_; _ } ->
+          Alcotest.(check bool) (FK.Field.name f ^ " round-trips") true (match_equal m match_)
+      | _ -> Alcotest.fail "flow_mod roundtrip")
+    FK.Field.[ Ip6_src_mid; Ip6_dst_mid ]
+
+(* Every field that existed before the IPv6 middle words keeps its index,
+   which is its OXM experimenter number. *)
+let test_field_indices_pinned () =
+  let pinned =
+    [ "in_port"; "recirc_id"; "dl_src"; "dl_dst"; "dl_type"; "vlan_tci"; "nw_src";
+      "nw_dst"; "nw_proto"; "nw_tos"; "nw_ttl"; "nw_frag"; "tp_src"; "tp_dst";
+      "tcp_flags"; "tun_id"; "tun_src"; "tun_dst"; "ct_state"; "ct_zone"; "ct_mark";
+      "ipv6_src_hi"; "ipv6_src_lo"; "ipv6_dst_hi"; "ipv6_dst_lo"; "reg0"; "reg1";
+      "reg2"; "reg3"; "reg4"; "reg5"; "reg6"; "reg7" ]
+  in
+  List.iteri
+    (fun i name ->
+      match FK.Field.of_name name with
+      | Some f -> check Alcotest.int name i (FK.Field.to_index f)
+      | None -> Alcotest.failf "%s does not parse" name)
+    pinned
+
 let () =
   Alcotest.run "ovs_ofproto"
     [
@@ -585,4 +655,12 @@ let () =
           Alcotest.test_case "switch session" `Quick test_ofconn_session;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_ofp_match_roundtrip ] );
+      ( "field contract",
+        [
+          Alcotest.test_case "ipv6 names parse to one word" `Quick
+            test_field_ipv6_names_parse;
+          Alcotest.test_case "ipv6 middle words cross OXM" `Quick test_field_ipv6_mid_oxm;
+          Alcotest.test_case "field indices pinned" `Quick test_field_indices_pinned;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_ipv4_matches_ipv6_zero ] );
     ]

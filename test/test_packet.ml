@@ -571,6 +571,78 @@ let prop_ipv6_extract_deterministic =
       && FK.get a FK.Field.Dl_type = Ethernet.Ethertype.ipv6
       && FK.get a FK.Field.Ip6_src_lo <> 0)
 
+(* An address's key words from its two 64-bit halves: bits 127..66,
+   65..62 and 61..0. *)
+let ipv6_words (a : Ipv6.addr) =
+  Int64.
+    ( to_int (shift_right_logical a.Ipv6.hi 2),
+      to_int (logor (shift_left (logand a.Ipv6.hi 3L) 2) (shift_right_logical a.Ipv6.lo 62)),
+      to_int (logand a.Ipv6.lo 0x3FFF_FFFF_FFFF_FFFFL) )
+
+(* The address back from its key words. *)
+let ipv6_of_words (hi, mid, lo) =
+  Int64.
+    {
+      Ipv6.hi = logor (shift_left (of_int hi) 2) (of_int (mid lsr 2));
+      lo = logor (shift_left (of_int (mid land 3)) 62) (of_int lo);
+    }
+
+let ipv6_key ~src ~dst = FK.extract (build_ipv6_udp ~src ~dst ())
+
+(* Hosts that differ only in their low two address bits get distinct
+   keys, as source and as destination. *)
+let test_ipv6_low_bits_distinct () =
+  let hosts = List.map Ipv6.addr_of_int [ 1; 2; 3 ] in
+  let other = Ipv6.addr_of_int 0x100 in
+  let distinct what keys =
+    List.iteri
+      (fun i a ->
+        List.iteri
+          (fun j b ->
+            if i < j then
+              Alcotest.(check bool) (Printf.sprintf "%s ::%d <> ::%d" what (i + 1) (j + 1))
+                false (FK.equal a b))
+          keys)
+      keys
+  in
+  distinct "src" (List.map (fun h -> ipv6_key ~src:h ~dst:other) hosts);
+  distinct "dst" (List.map (fun h -> ipv6_key ~src:other ~dst:h) hosts)
+
+let test_ipv6_key_pp () =
+  let src = { Ipv6.hi = 0x2001_0db8_0000_0003L; lo = 0xC000_0000_0000_0001L } in
+  let s = Fmt.str "%a" FK.pp (ipv6_key ~src ~dst:(Ipv6.addr_of_int 2)) in
+  let has sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) ("addresses in " ^ s) true
+    (has "2001:db8:0:3:c000:0:0:1>2001:db8:0:0:0:0:0:2")
+
+let gen_ipv6_addr =
+  QCheck.Gen.(map2 (fun hi lo -> { Ipv6.hi; lo }) int64 int64)
+
+(* The key keeps all 128 bits of both addresses: each address reads back
+   from its three words, and flipping any one of the 256 address bits
+   changes the key. *)
+let prop_ipv6_key_injective =
+  QCheck.Test.make ~count:2000 ~name:"ipv6: the key is injective over both addresses"
+    QCheck.(make Gen.(triple gen_ipv6_addr gen_ipv6_addr (int_bound 255)))
+    (fun (src, dst, bit) ->
+      let k = ipv6_key ~src ~dst in
+      let words hi mid lo = (FK.get k hi, FK.get k mid, FK.get k lo) in
+      let flip (a : Ipv6.addr) b =
+        if b >= 64 then { a with Ipv6.hi = Int64.(logxor a.Ipv6.hi (shift_left 1L (b - 64))) }
+        else { a with Ipv6.lo = Int64.(logxor a.Ipv6.lo (shift_left 1L b)) }
+      in
+      let flipped =
+        if bit < 128 then ipv6_key ~src:(flip src bit) ~dst
+        else ipv6_key ~src ~dst:(flip dst (bit - 128))
+      in
+      ipv6_of_words FK.Field.(words Ip6_src_hi Ip6_src_mid Ip6_src_lo) = src
+      && ipv6_of_words FK.Field.(words Ip6_dst_hi Ip6_dst_mid Ip6_dst_lo) = dst
+      && not (FK.equal k flipped))
+
 (* -- record-free extraction against the parsers --
 
    [FK.extract] reads header fields straight from the bytes. The
@@ -637,11 +709,14 @@ let reference_extract (buf : Buffer.t) : FK.t =
       else if eth.Ethernet.eth_type = Ethernet.Ethertype.ipv6 then
         Option.iter
           (fun ip6 ->
-            let fold h = Int64.to_int (Int64.shift_right_logical h 2) in
-            set Ip6_src_hi (fold ip6.Ipv6.src.Ipv6.hi);
-            set Ip6_src_lo (fold ip6.Ipv6.src.Ipv6.lo);
-            set Ip6_dst_hi (fold ip6.Ipv6.dst.Ipv6.hi);
-            set Ip6_dst_lo (fold ip6.Ipv6.dst.Ipv6.lo);
+            let src_hi, src_mid, src_lo = ipv6_words ip6.Ipv6.src
+            and dst_hi, dst_mid, dst_lo = ipv6_words ip6.Ipv6.dst in
+            set Ip6_src_hi src_hi;
+            set Ip6_src_mid src_mid;
+            set Ip6_src_lo src_lo;
+            set Ip6_dst_hi dst_hi;
+            set Ip6_dst_mid dst_mid;
+            set Ip6_dst_lo dst_lo;
             set Nw_proto ip6.Ipv6.next_header;
             set Nw_tos ip6.Ipv6.tclass;
             set Nw_ttl ip6.Ipv6.hop_limit)
@@ -752,7 +827,8 @@ let prop_extract_matches_parsers =
       && a.Buffer.l4_ofs = c.Buffer.l4_ofs)
 
 (* [FK.hash] skips the multiplications of zero fields; it must equal the
-   plain field-by-field FNV-1a, which places EMC entries. *)
+   plain field-by-field FNV-1a, which places EMC entries, except that the
+   fields after [Reg7] enter only when nonzero. *)
 let prop_hash_is_fnv1a =
   QCheck.Test.make ~count:1000 ~name:"flow-key hash equals field-by-field FNV-1a"
     QCheck.int
@@ -766,7 +842,12 @@ let prop_hash_is_fnv1a =
             FK.set k f (if i mod 3 = 0 then -1 - Random.State.bits st else Random.State.bits st))
         FK.Field.all;
       let h = ref 0x3bf29ce484222325 in
-      Array.iter (fun f -> h := (!h lxor FK.get k f) * 0x100000001b3) FK.Field.all;
+      Array.iter
+        (fun f ->
+          let v = FK.get k f in
+          if FK.Field.(to_index f <= to_index Reg7) || v <> 0 then
+            h := (!h lxor v) * 0x100000001b3)
+        FK.Field.all;
       FK.hash k = !h land max_int)
 
 (* A VLAN tag with no room for the inner ethertype: no [dl_*] field is
@@ -965,7 +1046,12 @@ let () =
         ]
         @ qcheck [ prop_mask_application_idempotent ] );
       ( "roundtrip",
-        [ Alcotest.test_case "ipv6 parse" `Quick test_ipv6_parse_roundtrip ]
+        [
+          Alcotest.test_case "ipv6 parse" `Quick test_ipv6_parse_roundtrip;
+          Alcotest.test_case "ipv6 low address bits distinct" `Quick
+            test_ipv6_low_bits_distinct;
+          Alcotest.test_case "ipv6 key prints its addresses" `Quick test_ipv6_key_pp;
+        ]
         @ qcheck
             [
               prop_udp_reserialize;
@@ -974,6 +1060,7 @@ let () =
               prop_extract_deterministic;
               prop_geneve_extract_tunnel_fields;
               prop_ipv6_extract_deterministic;
+              prop_ipv6_key_injective;
             ] );
       ( "extract",
         [ Alcotest.test_case "vlan runt" `Quick test_extract_vlan_runt ]

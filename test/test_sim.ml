@@ -2,7 +2,6 @@
 
 module Prng = Ovs_sim.Prng
 module Histogram = Ovs_sim.Histogram
-module Eventq = Ovs_sim.Eventq
 module Cpu = Ovs_sim.Cpu
 module Costs = Ovs_sim.Costs
 module Time = Ovs_sim.Time
@@ -116,62 +115,6 @@ let test_histogram_clamp () =
   Histogram.add h 1e9;
   check Alcotest.int "clamped values counted" 2 (Histogram.count h)
 
-(* -- Eventq -- *)
-
-let test_eventq_time_order () =
-  let q = Eventq.create () in
-  Eventq.push q ~at:30. "c";
-  Eventq.push q ~at:10. "a";
-  Eventq.push q ~at:20. "b";
-  let _, a = Eventq.pop q in
-  let _, b = Eventq.pop q in
-  let _, c = Eventq.pop q in
-  check (Alcotest.list Alcotest.string) "order" [ "a"; "b"; "c" ] [ a; b; c ]
-
-let test_eventq_fifo_ties () =
-  let q = Eventq.create () in
-  Eventq.push q ~at:5. 1;
-  Eventq.push q ~at:5. 2;
-  Eventq.push q ~at:5. 3;
-  let order = List.init 3 (fun _ -> snd (Eventq.pop q)) in
-  check (Alcotest.list Alcotest.int) "fifo on equal times" [ 1; 2; 3 ] order
-
-let test_eventq_growth () =
-  let q = Eventq.create () in
-  for i = 999 downto 0 do
-    Eventq.push q ~at:(float_of_int i) i
-  done;
-  check Alcotest.int "length" 1000 (Eventq.length q);
-  let prev = ref (-1.) in
-  while not (Eventq.is_empty q) do
-    let at, _ = Eventq.pop q in
-    if at < !prev then Alcotest.fail "heap order violated";
-    prev := at
-  done
-
-let test_eventq_run_handler () =
-  let q = Eventq.create () in
-  let fired = ref [] in
-  Eventq.push q ~at:1. `A;
-  Eventq.push q ~at:2. `B;
-  let final =
-    Eventq.run q ~handler:(fun ~now ev ->
-        fired := (now, ev) :: !fired;
-        (* the handler can schedule more events *)
-        if ev = `A then Eventq.push q ~at:1.5 `C)
-  in
-  check Alcotest.int "three events" 3 (List.length !fired);
-  check (Alcotest.float 1e-9) "final time" 2. final
-
-let test_eventq_until () =
-  let q = Eventq.create () in
-  Eventq.push q ~at:1. ();
-  Eventq.push q ~at:100. ();
-  let count = ref 0 in
-  ignore (Eventq.run q ~until:10. ~handler:(fun ~now:_ () -> incr count));
-  check Alcotest.int "only early events" 1 !count;
-  check Alcotest.int "late event still queued" 1 (Eventq.length q)
-
 (* -- Cpu -- *)
 
 let test_cpu_charge_categories () =
@@ -262,14 +205,6 @@ let () =
           Alcotest.test_case "mean and count" `Quick test_histogram_mean_count;
           Alcotest.test_case "empty" `Quick test_histogram_empty;
           Alcotest.test_case "clamping" `Quick test_histogram_clamp;
-        ] );
-      ( "eventq",
-        [
-          Alcotest.test_case "time order" `Quick test_eventq_time_order;
-          Alcotest.test_case "fifo ties" `Quick test_eventq_fifo_ties;
-          Alcotest.test_case "growth and heap order" `Quick test_eventq_growth;
-          Alcotest.test_case "run with handler" `Quick test_eventq_run_handler;
-          Alcotest.test_case "until bound" `Quick test_eventq_until;
         ] );
       ( "cpu",
         [
