@@ -172,26 +172,27 @@ let conntrack t = t.conntrack
 let set_ct_shards t n =
   t.conntrack <- Ovs_conntrack.Conntrack.reshard t.conntrack ~shards:n
 
-(* Translate and collect the rule-dependency set the revalidator
-   indexes megaflows by: per visited table, the rule that matched (by
-   id) or the miss. *)
+(* A translation [log] hook that collects, newest first, the
+   rule-dependency set the revalidator indexes megaflows by: per visited
+   table, the rule that matched (by id) or the miss. *)
+let dep_logger acc table_id rule =
+  acc :=
+    {
+      Reval.dep_table = table_id;
+      dep_outcome =
+        (match rule with
+        | Some ru ->
+            Reval.Matched
+              { rule = ru.Ovs_ofproto.Table.id;
+                priority = ru.Ovs_ofproto.Table.priority }
+        | None -> Reval.Missed);
+    }
+    :: !acc
+
+(* Translate and collect the rule-dependency set. *)
 let translate_with_deps t (key : FK.t) =
   let acc = ref [] in
-  let log table_id rule =
-    acc :=
-      {
-        Reval.dep_table = table_id;
-        dep_outcome =
-          (match rule with
-          | Some ru ->
-              Reval.Matched
-                { rule = ru.Ovs_ofproto.Table.id;
-                  priority = ru.Ovs_ofproto.Table.priority }
-          | None -> Reval.Missed);
-      }
-      :: !acc
-  in
-  let r = Ovs_ofproto.Pipeline.translate t.pipeline ~log key in
+  let r = Ovs_ofproto.Pipeline.translate t.pipeline ~log:(dep_logger acc) key in
   ( r.Ovs_ofproto.Pipeline.odp_actions,
     r.Ovs_ofproto.Pipeline.megaflow_mask,
     List.rev !acc )
@@ -362,6 +363,42 @@ let extract_cost t =
       c.Ovs_sim.Costs.xdp_prog_overhead
       +. (60. *. c.Ovs_sim.Costs.ebpf_insn)
 
+(* Install [key]'s actions in the microflow caches above the classifier:
+   the EMC, and the SMC under the megaflow's [mask]. *)
+let fill_caches t key ~mask actions =
+  (match t.emc with
+  | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
+  | Some _ | None -> ());
+  match t.smc with
+  | Some smc when t.smc_enabled -> Ovs_flow.Smc.insert smc key ~mask actions
+  | Some _ | None -> ()
+
+(* The charged cost of one dpcls subtable probe. Inlined, so the float
+   is never boxed. *)
+let[@inline] dpcls_probe_cost t =
+  let c = t.costs in
+  (match t.flavor with
+  | Flavor_userspace -> c.Ovs_sim.Costs.dpcls_subtable
+  | Flavor_kernel -> c.Ovs_sim.Costs.kmod_flow_lookup
+  | Flavor_kernel_ebpf ->
+      (* hash-map lookup from interpreted code, one per "subtable" *)
+      c.Ovs_sim.Costs.ebpf_map_lookup +. (12. *. c.Ovs_sim.Costs.ebpf_insn))
+  +. cold_penalty t
+
+(* A megaflow hit after [probes] subtable probes: charge the probes and
+   credit them to the entry, count the hit, fill the microflow caches,
+   and return the cached actions. *)
+let dpcls_hit t (charge : charge_fn) key e probes mf_mask =
+  let cost = float_of_int probes *. dpcls_probe_cost t in
+  charge (fastpath_category t) cost;
+  credit_entry e cost;
+  t.counters.dpcls_hits <- t.counters.dpcls_hits + 1;
+  t.counters.cycles.dpcls_ns <- t.counters.cycles.dpcls_ns +. cost;
+  Coverage.incr cov_masked_hit;
+  let actions = e.Ovs_flow.Dpcls.value in
+  fill_caches t key ~mask:mf_mask actions;
+  actions
+
 (** Look up the cached actions for [key] in the fast-path tiers only
     (EMC → SMC → dpcls), charging the flavor's costs. [None] is a full
     miss: every tier has been probed and charged, and the packet needs
@@ -445,13 +482,7 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
                         (masked_fields mf_mask) models steps valids
                         (if valids = 1 then "" else "s"));
                 let actions = e.Ovs_flow.Dpcls.value in
-                (match t.emc with
-                | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
-                | Some _ | None -> ());
-                (match t.smc with
-                | Some smc when t.smc_enabled ->
-                    Ovs_flow.Smc.insert smc key ~mask:mf_mask actions
-                | Some _ | None -> ());
+                fill_caches t key ~mask:mf_mask actions;
                 Some actions
             | None ->
                 (* indexed nowhere (or validation failed): the model work
@@ -465,40 +496,18 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
   match (emc_result, smc_result, ccache_result) with
   | Some actions, _, _ | _, Some actions, _ | _, _, Some actions -> Some actions
   | None, None, None -> begin
-      let per_probe =
-        (match t.flavor with
-        | Flavor_userspace -> c.Ovs_sim.Costs.dpcls_subtable
-        | Flavor_kernel -> c.Ovs_sim.Costs.kmod_flow_lookup
-        | Flavor_kernel_ebpf ->
-            (* hash-map lookup from interpreted code, one per "subtable" *)
-            c.Ovs_sim.Costs.ebpf_map_lookup +. (12. *. c.Ovs_sim.Costs.ebpf_insn))
-        +. cold_penalty t
-      in
       trace_stage t Trace.St_dpcls;
       match Ovs_flow.Dpcls.lookup_entry t.dpcls key with
       | Some (e, probes, mf_mask) ->
-          let cost = float_of_int probes *. per_probe in
-          charge cat cost;
-          credit_entry e cost;
-          t.counters.dpcls_hits <- t.counters.dpcls_hits + 1;
-          t.counters.cycles.dpcls_ns <- t.counters.cycles.dpcls_ns +. cost;
-          Coverage.incr cov_masked_hit;
+          let actions = dpcls_hit t charge key e probes mf_mask in
           if tracing t then
             trace_note t Trace.St_dpcls (fun () ->
                 Printf.sprintf "hit: megaflow on %s (%d subtable probe%s)"
                   (masked_fields mf_mask) probes (if probes = 1 then "" else "s"));
-          let actions = e.Ovs_flow.Dpcls.value in
-          (match t.emc with
-          | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
-          | Some _ | None -> ());
-          (match t.smc with
-          | Some smc when t.smc_enabled ->
-              Ovs_flow.Smc.insert smc key ~mask:mf_mask actions
-          | Some _ | None -> ());
           Some actions
       | None ->
           let probes = Int.max 1 (Ovs_flow.Dpcls.subtable_count t.dpcls) in
-          charge cat (float_of_int probes *. per_probe);
+          charge cat (float_of_int probes *. dpcls_probe_cost t);
           None
     end
 
@@ -576,34 +585,16 @@ let slowpath t (charge : charge_fn) (key : FK.t) : Action.odp list =
   in
   (* when the incremental revalidator is armed, the same translation
      also collects the rule-dependency set it indexes this megaflow by *)
-  let deps =
-    match t.reval with None -> None | Some _ -> Some (ref [])
-  in
+  let deps = ref [] in
   let log =
-    match deps with
-    | None -> log
-    | Some acc ->
-        let dep_log table_id rule =
-          acc :=
-            {
-              Reval.dep_table = table_id;
-              dep_outcome =
-                (match rule with
-                | Some ru ->
-                    Reval.Matched
-                      { rule = ru.Ovs_ofproto.Table.id;
-                        priority = ru.Ovs_ofproto.Table.priority }
-                | None -> Reval.Missed);
-            }
-            :: !acc
-        in
+    match (t.reval, log) with
+    | None, _ -> log
+    | Some _, None -> Some (dep_logger deps)
+    | Some _, Some f ->
         Some
-          (match log with
-          | None -> dep_log
-          | Some f ->
-              fun table_id rule ->
-                f table_id rule;
-                dep_log table_id rule)
+          (fun table_id rule ->
+            f table_id rule;
+            dep_logger deps table_id rule)
   in
   let result = Ovs_ofproto.Pipeline.translate t.pipeline ?log key in
   charge Ovs_sim.Cpu.User
@@ -619,11 +610,11 @@ let slowpath t (charge : charge_fn) (key : FK.t) : Action.odp list =
           actions);
   Ovs_flow.Dpcls.insert t.dpcls
     ~mask:result.Ovs_ofproto.Pipeline.megaflow_mask ~key actions;
-  (match (t.reval, deps) with
-  | Some rv, Some acc ->
-      Reval.record rv ~mask:result.Ovs_ofproto.Pipeline.megaflow_mask ~key
-        ~actions (List.rev !acc)
-  | _ -> ());
+  (match t.reval with
+  | Some rv ->
+      Reval.record rv ~mask:result.Ovs_ofproto.Pipeline.megaflow_mask ~key ~actions
+        (List.rev !deps)
+  | None -> ());
   charge cat c.Ovs_sim.Costs.megaflow_insert;
   (* a fresh megaflow is safe for a trained ccache (an unindexed flow just
      misses through to dpcls), but count it toward the retrain trigger *)
@@ -635,14 +626,7 @@ let slowpath t (charge : charge_fn) (key : FK.t) : Action.odp list =
       | Some _ | None -> ()
     end
   | Some _ | None -> ());
-  (match t.emc with
-  | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
-  | Some _ | None -> ());
-  (match t.smc with
-  | Some smc when t.smc_enabled ->
-      Ovs_flow.Smc.insert smc key
-        ~mask:result.Ovs_ofproto.Pipeline.megaflow_mask actions
-  | Some _ | None -> ());
+  fill_caches t key ~mask:result.Ovs_ofproto.Pipeline.megaflow_mask actions;
   actions
 
 let action_cost t =
@@ -871,32 +855,7 @@ let handle_upcall t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t
          megaflow hit like any other, keeping hits + misses = packets *)
       trace_stage t Trace.St_dpcls;
       match Ovs_flow.Dpcls.lookup_entry t.dpcls key with
-      | Some (e, probes, mf_mask) ->
-          let cat = fastpath_category t in
-          let per_probe =
-            (match t.flavor with
-            | Flavor_userspace -> t.costs.Ovs_sim.Costs.dpcls_subtable
-            | Flavor_kernel -> t.costs.Ovs_sim.Costs.kmod_flow_lookup
-            | Flavor_kernel_ebpf ->
-                t.costs.Ovs_sim.Costs.ebpf_map_lookup
-                +. (12. *. t.costs.Ovs_sim.Costs.ebpf_insn))
-            +. cold_penalty t
-          in
-          let cost = float_of_int probes *. per_probe in
-          charge cat cost;
-          credit_entry e cost;
-          t.counters.dpcls_hits <- t.counters.dpcls_hits + 1;
-          t.counters.cycles.dpcls_ns <- t.counters.cycles.dpcls_ns +. cost;
-          Coverage.incr cov_masked_hit;
-          let actions = e.Ovs_flow.Dpcls.value in
-          (match t.emc with
-          | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
-          | Some _ | None -> ());
-          (match t.smc with
-          | Some smc when t.smc_enabled ->
-              Ovs_flow.Smc.insert smc key ~mask:mf_mask actions
-          | Some _ | None -> ());
-          actions
+      | Some (e, probes, mf_mask) -> dpcls_hit t charge key e probes mf_mask
       | None -> slowpath t charge key
     in
     execute t charge pkt key actions
@@ -926,17 +885,9 @@ let flush_caches t =
 let dump_megaflows t : string list =
   let out = ref [] in
   Ovs_flow.Dpcls.iter_entries t.dpcls (fun ~mask e ->
-      let key = e.Ovs_flow.Dpcls.key in
-      let parts =
-        Array.to_list FK.Field.all
-        |> List.filter_map (fun f ->
-               let m = FK.get mask f in
-               if m = 0 then None
-               else Some (Printf.sprintf "%s=0x%x/0x%x" (FK.Field.name f) (FK.get key f) m))
-      in
       out :=
-        Fmt.str "%s, packets:%d, cycles:%.0f, actions:%a"
-          (String.concat "," parts)
+        Fmt.str "%a, packets:%d, cycles:%.0f, actions:%a" Ovs_ofproto.Match_.pp
+          { Ovs_ofproto.Match_.key = e.Ovs_flow.Dpcls.key; mask }
           e.Ovs_flow.Dpcls.hits e.Ovs_flow.Dpcls.cycles.Ovs_flow.Dpcls.ns
           Fmt.(list ~sep:(any ",") Action.pp_odp)
           e.Ovs_flow.Dpcls.value
@@ -997,16 +948,9 @@ let incremental_sweep t rv : Reval.sweep_stats * (FK.t * FK.t) list =
       ~evict:(fun ~mask ~key ->
         evicted := (FK.copy mask, FK.copy key) :: !evicted)
   in
-  (* the sweep already dropped evicted entries from its own tracker;
-     mirror the eviction into dpcls and the packet caches *)
-  if !evicted <> [] then begin
-    (match t.ccache with Some cc -> Ovs_nmu.Ccache.invalidate cc | None -> ());
-    List.iter
-      (fun (mask, key) -> ignore (Ovs_flow.Dpcls.remove t.dpcls ~mask ~key))
-      !evicted;
-    (match t.emc with Some emc -> Ovs_flow.Emc.flush emc | None -> ());
-    (match t.smc with Some smc -> Ovs_flow.Smc.flush smc | None -> ())
-  end;
+  (* mirror the eviction into dpcls and the packet caches; the sweep
+     has already dropped these entries, so forgetting them is a no-op *)
+  evict_megaflows t !evicted;
   (stats, !evicted)
 
 let revalidate_incremental t : Reval.sweep_stats option =

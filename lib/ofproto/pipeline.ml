@@ -49,7 +49,6 @@ type result = {
   odp_actions : Action.odp list;
   megaflow_mask : FK.t;
   tables_visited : int;
-  subtables_probed : int;
 }
 
 (* fields every translation depends on, so every megaflow matches them *)
@@ -76,7 +75,6 @@ let translate t ?start_table
   base_unwildcard mask;
   let odp = ref [] in
   let visited = ref 0 in
-  let probed = ref 0 in
   let emit a = odp := a :: !odp in
   let max_hops = 2 * Array.length t.tables in
   let rec walk table_id hops =
@@ -85,9 +83,7 @@ let translate t ?start_table
       emit Action.Odp_drop
     else begin
       incr visited;
-      let rule, masks = Table.lookup t.tables.(table_id) key in
-      probed := !probed + List.length masks;
-      List.iter (fun m -> FK.or_mask mask m) masks;
+      let rule = Table.lookup t.tables.(table_id) key ~wc:mask in
       (match log with Some f -> f table_id rule | None -> ());
       match rule with
       | None ->
@@ -188,7 +184,6 @@ let translate t ?start_table
     odp_actions = List.rev !odp;
     megaflow_mask = mask;
     tables_visited = !visited;
-    subtables_probed = !probed;
   }
 
 (* non-strict del-flows semantics: a rule is covered when, on every field

@@ -18,7 +18,6 @@ type result = {
   odp_actions : Action.odp list;
   megaflow_mask : Ovs_packet.Flow_key.t;
   tables_visited : int;
-  subtables_probed : int;
 }
 val translate :
   t ->

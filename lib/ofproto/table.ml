@@ -1,14 +1,15 @@
 (** One OpenFlow table: a priority-aware tuple-space classifier.
 
-    Rules are grouped into subtables by wildcard mask; a lookup probes every
-    subtable (priorities interleave across masks, so none can be skipped
-    once a lower-priority hit exists — we probe all and keep the best) and
-    returns the highest-priority match. The set of subtable masks probed is
-    reported so translation can accumulate the megaflow wildcards: every
-    mask examined narrows the megaflow, which is exactly how OVS builds
-    megaflow entries from the OpenFlow rule set. *)
+    Rules are grouped by wildcard mask into {!Ovs_flow.Subtable}s, the
+    core the megaflow cache uses too; a slot holds the rules that share
+    a masked key, by descending priority and newest first among equals.
+    The subtables sit in an array in probe order, which [add] and
+    [remove_where] keep, so a lookup never sorts. [lookup] is the one
+    place the probing rule, and with it every megaflow's mask, is
+    defined. *)
 
 module FK = Ovs_packet.Flow_key
+module Subtable = Ovs_flow.Subtable
 
 type 'a rule = {
   id : int;  (** unique per process; what ofproto/trace names rules by *)
@@ -23,118 +24,118 @@ type 'a rule = {
 let next_rule_id = ref 0
 
 type 'a subtable = {
-  mask : FK.t;
-  tbl : (int, 'a rule list ref) Hashtbl.t;
+  rules : 'a rule list Subtable.t;  (** emptied slots are deleted *)
   mutable max_priority : int;
-  mutable rule_count : int;
+  created : int;  (** creation order: larger for a newer subtable *)
 }
 
 type 'a t = {
-  mutable subtables : 'a subtable list;
+  mutable subtables : 'a subtable array;  (** in probe order *)
   mutable rule_count : int;
+  mutable created : int;  (** subtables made so far *)
+  mutable probes : int;
 }
 
-let create () = { subtables = []; rule_count = 0 }
+let create () = { subtables = [||]; rule_count = 0; created = 0; probes = 0 }
 
 let rule_count t = t.rule_count
 
+let probes t = t.probes
+
+(* Probe order: descending max priority; among equals the newest first,
+   which is where a new subtable goes. *)
+let probe_order a b =
+  match Int.compare b.max_priority a.max_priority with 0 -> Int.compare b.created a.created | c -> c
+
+(* Move the [i]th subtable forward past every subtable it now precedes. *)
+let rec move_up t i =
+  if i > 0 && probe_order t.subtables.(i) t.subtables.(i - 1) < 0 then begin
+    let st = t.subtables.(i) in
+    t.subtables.(i) <- t.subtables.(i - 1);
+    t.subtables.(i - 1) <- st;
+    move_up t (i - 1)
+  end
+
+(* The index of the subtable for [mask] from the [i]th on, or -1. *)
+let rec subtable_index t mask i =
+  if i >= Array.length t.subtables then -1
+  else if FK.equal t.subtables.(i).rules.Subtable.mask mask then i
+  else subtable_index t mask (i + 1)
+
+(* [r] into a slot's rules, ahead of every rule of no higher priority. *)
+let rec insert_rule r = function
+  | r' :: rest when r'.priority > r.priority -> r' :: insert_rule r rest
+  | rules -> r :: rules
+
 let add t ?(cookie = 0) ~priority (match_ : Match_.t) value =
   let mask = match_.Match_.mask in
-  let st =
-    match List.find_opt (fun st -> FK.equal st.mask mask) t.subtables with
-    | Some st -> st
-    | None ->
+  let i =
+    match subtable_index t mask 0 with
+    | -1 ->
         let st =
-          {
-            mask = FK.copy mask;
-            tbl = Hashtbl.create 64;
-            max_priority = min_int;
-            rule_count = 0;
-          }
+          { rules = Subtable.create mask []; max_priority = min_int; created = t.created }
         in
-        t.subtables <- st :: t.subtables;
-        st
+        t.created <- t.created + 1;
+        t.subtables <- Array.append t.subtables [| st |];
+        Array.length t.subtables - 1
+    | i -> i
   in
-  let h = FK.hash_masked match_.Match_.key mask in
-  let bucket =
-    match Hashtbl.find_opt st.tbl h with
-    | Some b -> b
-    | None ->
-        let b = ref [] in
-        Hashtbl.replace st.tbl h b;
-        b
-  in
+  let st = t.subtables.(i) in
   incr next_rule_id;
-  bucket := { id = !next_rule_id; priority; match_; value; cookie; hits = 0 } :: !bucket;
+  let r = { id = !next_rule_id; priority; match_; value; cookie; hits = 0 } in
+  (match Subtable.find st.rules match_.Match_.key with
+  | -1 -> Subtable.add st.rules match_.Match_.key [ r ]
+  | s -> Subtable.set_value st.rules s (insert_rule r (Subtable.value st.rules s)));
   st.max_priority <- Int.max st.max_priority priority;
-  st.rule_count <- st.rule_count + 1;
-  t.rule_count <- t.rule_count + 1
+  t.rule_count <- t.rule_count + 1;
+  move_up t i
 
-(** Find the highest-priority matching rule. Also returns the list of
-    subtable masks probed (for megaflow wildcard accumulation) — a
-    subtable whose max priority cannot beat the current best is still
-    "probed" for wildcarding purposes only if it was examined; we follow
-    OVS in skipping it entirely when the priority proves it irrelevant. *)
-let lookup t (key : FK.t) : ('a rule option * FK.t list) =
-  let best = ref None in
-  let best_priority () =
-    match !best with Some r -> r.priority | None -> min_int
-  in
-  let probed = ref [] in
-  let ordered =
-    List.sort (fun a b -> compare b.max_priority a.max_priority) t.subtables
-  in
-  List.iter
-    (fun st ->
-      if st.max_priority > best_priority () then begin
-        probed := st.mask :: !probed;
-        let h = FK.hash_masked key st.mask in
-        match Hashtbl.find_opt st.tbl h with
-        | None -> ()
-        | Some bucket ->
-            List.iter
-              (fun r ->
-                if r.priority > best_priority () && Match_.matches r.match_ key
-                then best := Some r)
-              !bucket
-      end)
-    ordered;
-  (match !best with Some r -> r.hits <- r.hits + 1 | None -> ());
-  (!best, !probed)
+(* Probe the subtables from the [i]th while one can still beat [best],
+   whose priority is [prio]. *)
+let rec probe t (key : FK.t) wc i best prio =
+  if i >= Array.length t.subtables then best
+  else
+    let st = Array.unsafe_get t.subtables i in
+    if st.max_priority <= prio then best
+    else begin
+      FK.or_mask wc st.rules.Subtable.mask;
+      t.probes <- t.probes + 1;
+      let s = Subtable.find st.rules key in
+      match if s < 0 then [] else Subtable.value st.rules s with
+      | r :: _ when r.priority > prio -> probe t key wc (i + 1) (Some r) r.priority
+      | _ -> probe t key wc (i + 1) best prio
+    end
+
+let lookup t (key : FK.t) ~(wc : FK.t) : 'a rule option =
+  let best = probe t key wc 0 None min_int in
+  (match best with Some r -> r.hits <- r.hits + 1 | None -> ());
+  best
 
 (** Remove rules matching a predicate; returns how many went away. *)
 let remove_where t pred =
   let removed = ref 0 in
-  List.iter
-    (fun (st : 'a subtable) ->
-      let before_st = st.rule_count in
-      Hashtbl.iter
-        (fun _ bucket ->
-          let before = List.length !bucket in
-          bucket := List.filter (fun r -> not (pred r)) !bucket;
-          let gone = before - List.length !bucket in
-          removed := !removed + gone;
-          st.rule_count <- st.rule_count - gone)
-        st.tbl;
+  Array.iter
+    (fun (st : _ subtable) ->
       (* keep max_priority exact: a stale upper bound would make probe
          pruning — and thus megaflow masks — depend on deleted rules *)
-      if st.rule_count < before_st && st.rule_count > 0 then begin
-        let m = ref min_int in
-        Hashtbl.iter
-          (fun _ bucket ->
-            List.iter (fun r -> if r.priority > !m then m := r.priority) !bucket)
-          st.tbl;
-        st.max_priority <- !m
-      end)
+      st.max_priority <- min_int;
+      for s = st.rules.Subtable.count - 1 downto 0 do
+        let rules = Subtable.value st.rules s in
+        let kept = List.filter (fun r -> not (pred r)) rules in
+        removed := !removed + List.length rules - List.length kept;
+        match kept with
+        | [] -> Subtable.delete st.rules s
+        | r :: _ ->
+            Subtable.set_value st.rules s kept;
+            st.max_priority <- Int.max st.max_priority r.priority
+      done)
     t.subtables;
   t.subtables <-
-    List.filter (fun (st : 'a subtable) -> st.rule_count > 0) t.subtables;
+    Array.of_seq (Seq.filter (fun st -> st.rules.Subtable.count > 0) (Array.to_seq t.subtables));
+  Array.sort probe_order t.subtables;
   t.rule_count <- t.rule_count - !removed;
   !removed
 
 (** Iterate every rule (statistics, dumps). *)
 let iter t f =
-  List.iter
-    (fun (st : 'a subtable) ->
-      Hashtbl.iter (fun _ bucket -> List.iter f !bucket) st.tbl)
-    t.subtables
+  Array.iter (fun st -> Subtable.iter st.rules (List.iter f)) t.subtables

@@ -242,15 +242,6 @@ let hash (k : t) =
   done;
   !h land max_int
 
-(** Hash restricted to fields selected by a mask (the OpenFlow tables' subtable
-    hashing). *)
-let hash_masked (k : t) (mask : t) =
-  let h = ref 0x3bf29ce484222325 in
-  for i = 0 to Field.count - 1 do
-    if mask.(i) <> 0 then h := (!h lxor (k.(i) land mask.(i))) * 0x100000001b3
-  done;
-  !h land max_int
-
 let rec equal_masked_from (a : t) (b : t) (mask : t) i =
   i >= Field.count
   || (a.(i) land mask.(i) = b.(i) land mask.(i) && equal_masked_from a b mask (i + 1))
@@ -298,20 +289,23 @@ let hash_sparse fields words (key : t) =
   done;
   !h
 
-(** Whether pre-masked [stored] equals [key] masked, on the covered
-    words. *)
-let equal_sparse fields words (stored : t) (key : t) =
+(** Whether [key] masked equals, on the covered words, the words stored
+    at [flat.(off) ..] by {!store_sparse}. *)
+let equal_sparse fields words (flat : int array) off (key : t) =
   let n = Array.length fields in
   let j = ref 0 in
   while
     !j < n
-    &&
-    let i = Array.unsafe_get fields !j in
-    Array.unsafe_get stored i = Array.unsafe_get key i land Array.unsafe_get words !j
+    && Array.unsafe_get flat (off + !j)
+       = Array.unsafe_get key (Array.unsafe_get fields !j) land Array.unsafe_get words !j
   do
     incr j
   done;
   !j = n
+
+(** Store [key]'s covered words, each masked, at [flat.(off) ..]. *)
+let store_sparse fields words (key : t) (flat : int array) off =
+  Array.iteri (fun j i -> flat.(off + j) <- key.(i) land words.(j)) fields
 
 (** [acc] becomes [acc lor m], word by word (a translation's accumulated
     wildcard mask). *)

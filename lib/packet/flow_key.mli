@@ -72,9 +72,6 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** FNV-1a over the fields, never negative; the EMC and SMC hash. *)
 
-val hash_masked : t -> t -> int
-(** [hash_masked k mask]: FNV-1a over the fields [mask] selects. *)
-
 val equal_masked : t -> t -> t -> bool
 (** [equal_masked a b mask]: [a] and [b] agree on [mask]'s bits. *)
 
@@ -97,9 +94,14 @@ val hash_sparse : int array -> int array -> t -> int
 (** [hash_sparse fields words key]: FNV-1a over [key]'s covered words,
     each masked; [key] need not be masked. *)
 
-val equal_sparse : int array -> int array -> t -> t -> bool
-(** [equal_sparse fields words stored key]: whether pre-masked [stored]
-    equals [key] masked, on the covered words. *)
+val equal_sparse : int array -> int array -> int array -> int -> t -> bool
+(** [equal_sparse fields words flat off key]: whether [key] masked
+    equals, on the covered words, the words {!store_sparse} put at
+    [flat.(off) ..]. *)
+
+val store_sparse : int array -> int array -> t -> int array -> int -> unit
+(** [store_sparse fields words key flat off]: [key]'s covered words,
+    each masked, into [flat.(off) ..], one word per field. *)
 
 val rss_hash : t -> int
 (** The 5-tuple RSS hash AF_XDP computes in software. *)

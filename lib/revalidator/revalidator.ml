@@ -8,7 +8,7 @@
     churn from the controller) is exactly the wrong variable: churn
     touches a handful of rules per event.
 
-    This module makes revalidation proportional to *churn* instead.
+    This module re-translates in proportion to *churn* instead.
     At translate time the datapath records, per megaflow, the rule
     dependency set: for every table the translation visited, either
     the rule that matched ([Matched]) or the fact that it fell
@@ -27,7 +27,13 @@
     mask changed are evicted through a caller-supplied callback (the
     datapath invalidates its caches there). The companion flush-all
     oracle ({!Dp_core.revalidate}) lets tests and the scale bench
-    prove the incremental result identical on every churn event. *)
+    prove the incremental result identical on every churn event.
+
+    The marking itself is not proportional to churn: each added rule
+    is tested for overlap against every megaflow indexed under its
+    table, so a round costs (megaflows that visited a churned table) ×
+    (rules added there) cube tests — the bulk of a churn-heavy
+    round. *)
 
 module FK = Ovs_packet.Flow_key
 module Table = Ovs_ofproto.Table
@@ -228,11 +234,11 @@ let add_affects e ~tid ~prio ~match_ =
          | Matched { priority = p; _ } -> prio >= p)
 
 (* A table's subtable profile: (mask, max rule priority) per distinct
-   rule mask. Table.lookup probes a subtable iff its max priority can
-   still beat the best match, so a megaflow's wildcard mask is a
-   function of exactly the profile entries whose max priority reaches
-   its matched priority. Subtable counts are small; an assoc list with
-   FK.equal keys is fine. *)
+   rule mask. Table.lookup, the one place the probing rule is defined,
+   probes a subtable iff its max priority can still beat the best match,
+   so a megaflow's wildcard mask is a function of exactly the profile
+   entries whose max priority reaches its matched priority. Subtable
+   counts are small; an assoc list with FK.equal keys is fine. *)
 let profile rules =
   List.fold_left
     (fun acc (_, prio, (m : Match_.t)) ->
@@ -303,8 +309,9 @@ let diff_rules old_rules new_rules =
     (actions, megaflow mask, dependency set) for a packet key; when
     the result no longer matches what was recorded, [evict] is called
     (the datapath removes the megaflow and invalidates caches there)
-    and the entry is dropped. Work is proportional to churn plus the
-    dirty set — never to the number of tracked megaflows. *)
+    and the entry is dropped. Re-translation is proportional to the
+    dirty set, but marking is not: every megaflow indexed under a table
+    that gained rules is tested against each added rule. *)
 let sweep t ~translate ~evict : sweep_stats =
   let fresh = snapshot_tables t.pipeline in
   let n_added = ref 0 and n_removed = ref 0 in

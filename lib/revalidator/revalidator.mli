@@ -1,5 +1,5 @@
-(** Incremental megaflow revalidation: make revalidation work
-    proportional to rule churn, not datapath table size.
+(** Incremental megaflow revalidation: re-translate in proportion to
+    rule churn, not datapath table size.
 
     The datapath records, per installed megaflow, the rule-dependency
     set collected at translate time ({!record}). On {!sweep} the
@@ -72,8 +72,9 @@ val sweep :
   sweep_stats
 (** One revalidation pass: diff tables against the previous snapshot,
     mark dirty megaflows, re-translate exactly those, and [evict] the
-    ones whose actions or megaflow mask changed. Work is proportional
-    to churn + dirty set, never to {!flows}. *)
+    ones whose actions or megaflow mask changed. Re-translation is
+    proportional to the dirty set; marking tests each megaflow indexed
+    under a table that gained rules against every added rule. *)
 
 val render : 'a t -> (string -> unit) -> unit
 (** Feed the cumulative counters, one line at a time, through a sink

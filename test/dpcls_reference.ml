@@ -1,6 +1,8 @@
 (* The list-bucket megaflow classifier that Dpcls's open-addressed
-   subtables replaced, kept verbatim as the reference the equivalence
-   property in test_flow.ml compares against. *)
+   subtables replaced, kept verbatim (but for a local copy of the masked
+   hash it used from Flow_key, which has since been deleted) as the
+   reference the equivalence property in test_flow.ml compares
+   against. *)
 
 (** The megaflow cache: a tuple-space-search classifier (dpcls), the second
     level of the datapath lookup hierarchy — and the structure whose
@@ -13,6 +15,17 @@
     cost is proportional to it. *)
 
 module FK = Ovs_packet.Flow_key
+
+(** FNV-1a over the fields [mask] selects, each masked: the hash
+    [Flow_key.hash_masked] computed for both list-bucket references. *)
+let hash_masked (k : FK.t) (mask : FK.t) =
+  let h = ref 0x3bf29ce484222325 in
+  Array.iter
+    (fun f ->
+      let m = FK.get mask f in
+      if m <> 0 then h := (!h lxor (FK.get k f land m)) * 0x100000001b3)
+    FK.Field.all;
+  !h land max_int
 
 (** A float accumulator in a record of its own, so adding to it stores
     the float in place instead of allocating a box. *)
@@ -70,7 +83,7 @@ let insert t ~mask ~key value =
         st
   in
   (* hash exactly as lookup will: over the masked-in fields only *)
-  let h = FK.hash_masked masked st.mask in
+  let h = hash_masked masked st.mask in
   let bucket =
     match Hashtbl.find_opt st.tbl h with
     | Some b -> b
@@ -103,7 +116,7 @@ let rec probe t key n = function
       None
   | st :: rest -> begin
       let hit =
-        match Hashtbl.find st.tbl (FK.hash_masked key st.mask) with
+        match Hashtbl.find st.tbl (hash_masked key st.mask) with
         | bucket -> find_in_bucket key st.mask !bucket
         | exception Not_found -> None
       in
@@ -155,7 +168,7 @@ let peek t (key : FK.t) : ('a * FK.t) option =
   let rec probe = function
     | [] -> None
     | st :: rest -> begin
-        let h = FK.hash_masked key st.mask in
+        let h = hash_masked key st.mask in
         let hit =
           match Hashtbl.find_opt st.tbl h with
           | None -> None
@@ -178,7 +191,7 @@ let remove t ~mask ~key =
   | None -> false
   | Some st ->
       let masked = FK.apply_mask key mask in
-      let h = FK.hash_masked masked st.mask in
+      let h = hash_masked masked st.mask in
       let removed = ref false in
       (match Hashtbl.find_opt st.tbl h with
       | None -> ()

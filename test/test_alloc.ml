@@ -98,6 +98,39 @@ let test_dpcls_peek () =
   budget "Dpcls.peek hit" ~limit:5.
     (words_per_call (fun () -> ignore (Dpcls.peek t key : (int list * FK.t) option)))
 
+module Pipeline = Ovs_ofproto.Pipeline
+module Match_ = Ovs_ofproto.Match_
+module Action = Ovs_ofproto.Action
+
+(* A three-table pipeline whose middle table has two subtables that tie
+   on max priority: the key misses the newer and matches the older, so a
+   translate probes five subtables over three tables. *)
+let translate_fixture () =
+  let p = Pipeline.create ~n_tables:3 () in
+  let m f v = Match_.with_field (Match_.catchall ()) f v in
+  Pipeline.add_flow p ~table:0 ~priority:20 (m FK.Field.In_port 99) [ Action.Drop ];
+  Pipeline.add_flow p ~table:0 ~priority:10 (Match_.catchall ()) [ Action.Goto_table 1 ];
+  Pipeline.add_flow p ~table:1 ~priority:10 (m FK.Field.In_port 1) [ Action.Goto_table 2 ];
+  Pipeline.add_flow p ~table:1 ~priority:10 (m FK.Field.Tp_dst 80) [ Action.Drop ];
+  Pipeline.add_flow p ~table:2 ~priority:5
+    (Match_.with_prefix (Match_.catchall ()) FK.Field.Nw_src 0x0a000000 8)
+    [ Action.Output 2 ];
+  Pipeline.add_flow p ~table:2 ~priority:0 (Match_.catchall ()) [ Action.Drop ];
+  p
+
+(* A warm translate: 113 words, most of them the key and mask copies
+   (36 each); the rest are the walk's closures and refs, one [Some] per
+   better match, the datapath actions and the result. *)
+let test_translate () =
+  let p = translate_fixture () in
+  let key = FK.extract (B.udp ~src_ip:0x0a000001 ~dst_port:22 ()) in
+  FK.set key FK.Field.In_port 1;
+  let r = Pipeline.translate p key in
+  Alcotest.(check bool) "reaches table 2's output" true
+    (r.Pipeline.tables_visited = 3 && r.Pipeline.odp_actions = [ Action.Odp_output 2 ]);
+  budget "Pipeline.translate, 3 tables" ~limit:113.
+    (words_per_call (fun () -> ignore (Pipeline.translate p key : Pipeline.result)))
+
 let test_smc_hit () =
   let smc = Ovs_flow.Smc.create () in
   let key = FK.extract (B.udp ()) in
@@ -228,6 +261,7 @@ let () =
           Alcotest.test_case "dpcls miss" `Quick test_dpcls_miss;
           Alcotest.test_case "dpcls peek hit" `Quick test_dpcls_peek;
           Alcotest.test_case "smc hit" `Quick test_smc_hit;
+          Alcotest.test_case "warm translate" `Quick test_translate;
           Alcotest.test_case "vm xsk_default" `Quick test_vm_xsk_default;
           Alcotest.test_case "warm p2p engine step" `Quick test_engine_step_p2p;
           Alcotest.test_case "conntrack track hit" `Quick test_ct_track_hit;

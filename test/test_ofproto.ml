@@ -52,12 +52,12 @@ let test_table_priority_wins () =
   Table.add tbl ~priority:100
     (Match_.with_field (Match_.catchall ()) FK.Field.Tp_dst 80)
     "high";
-  (match Table.lookup tbl (key ~dst_port:80 ()) with
-  | Some r, _ -> check Alcotest.string "high wins" "high" r.Table.value
-  | None, _ -> Alcotest.fail "no match");
-  match Table.lookup tbl (key ~dst_port:22 ()) with
-  | Some r, _ -> check Alcotest.string "fallback" "low" r.Table.value
-  | None, _ -> Alcotest.fail "no fallback"
+  (match Table.lookup tbl (key ~dst_port:80 ()) ~wc:(FK.create ()) with
+  | Some r -> check Alcotest.string "high wins" "high" r.Table.value
+  | None -> Alcotest.fail "no match");
+  match Table.lookup tbl (key ~dst_port:22 ()) ~wc:(FK.create ()) with
+  | Some r -> check Alcotest.string "fallback" "low" r.Table.value
+  | None -> Alcotest.fail "no fallback"
 
 let test_table_priority_across_subtables () =
   let tbl = Table.create () in
@@ -68,11 +68,12 @@ let test_table_priority_across_subtables () =
   Table.add tbl ~priority:60
     (Match_.with_field (Match_.catchall ()) FK.Field.Tp_dst 80)
     "by-dport";
-  match Table.lookup tbl (key ~in_port:1 ~dst_port:80 ()) with
-  | Some r, masks ->
+  let wc = FK.create () in
+  match Table.lookup tbl (key ~in_port:1 ~dst_port:80 ()) ~wc with
+  | Some r ->
       check Alcotest.string "higher priority subtable" "by-dport" r.Table.value;
-      Alcotest.(check bool) "at least one mask probed" true (List.length masks >= 1)
-  | None, _ -> Alcotest.fail "no match"
+      Alcotest.(check bool) "the matching mask is ORed in" true (FK.get wc FK.Field.Tp_dst <> 0)
+  | None -> Alcotest.fail "no match"
 
 let test_table_remove_where () =
   let tbl = Table.create () in
@@ -87,9 +88,9 @@ let test_table_miss () =
   Table.add tbl ~priority:5
     (Match_.with_field (Match_.catchall ()) FK.Field.In_port 99)
     "x";
-  match Table.lookup tbl (key ~in_port:1 ()) with
-  | None, _ -> ()
-  | Some _, _ -> Alcotest.fail "unexpected match"
+  match Table.lookup tbl (key ~in_port:1 ()) ~wc:(FK.create ()) with
+  | None -> ()
+  | Some _ -> Alcotest.fail "unexpected match"
 
 (* Property: the tuple-space table agrees with a brute-force linear scan
    on which priority wins (ties may resolve to either rule, as in OVS
@@ -124,11 +125,173 @@ let prop_table_vs_linear_oracle =
             (fun best (p, m, _) -> if Match_.matches m k then Int.max best p else best)
             min_int !rules
         in
-        match Table.lookup tbl k with
-        | Some r, _ -> if r.Table.priority <> best_priority then ok := false
-        | None, _ -> if best_priority <> min_int then ok := false
+        match Table.lookup tbl k ~wc:(FK.create ()) with
+        | Some r -> if r.Table.priority <> best_priority then ok := false
+        | None -> if best_priority <> min_int then ok := false
       done;
       !ok)
+
+(* Two subtables tie on max priority: the newer is probed first, and
+   when it matches at that priority the older is neither probed nor ORed
+   into the megaflow mask. When the newer misses, both are. *)
+let test_table_tie_order () =
+  let tbl = Table.create () in
+  Table.add tbl ~priority:10 (Match_.with_field (Match_.catchall ()) FK.Field.In_port 1) "older";
+  Table.add tbl ~priority:10 (Match_.with_field (Match_.catchall ()) FK.Field.Tp_dst 80) "newer";
+  let lookup k =
+    let wc = FK.create () and before = Table.probes tbl in
+    let r = Table.lookup tbl k ~wc in
+    ( (Option.map (fun r -> r.Table.value) r, Table.probes tbl - before),
+      (FK.get wc FK.Field.In_port <> 0, FK.get wc FK.Field.Tp_dst <> 0) )
+  in
+  (* (rule, probes), (in_port ORed in, tp_dst ORed in) *)
+  let result = Alcotest.(pair (pair (option string) int) (pair bool bool)) in
+  check result "newer matches: older unprobed"
+    ((Some "newer", 1), (false, true))
+    (lookup (key ~in_port:1 ~dst_port:80 ()));
+  check result "newer misses: older probed"
+    ((Some "older", 2), (true, true))
+    (lookup (key ~in_port:1 ~dst_port:22 ()))
+
+(* -- equivalence with the list-bucket reference table -- *)
+
+module Ref = Table_reference
+
+let equiv_fields = FK.Field.[| In_port; Nw_src; Tp_dst |]
+
+(* Overlapping masks, so a key matches in several subtables; a prefix
+   mask and the catch-all cover partial and no words. *)
+let equiv_masks =
+  let mask fields =
+    let m = FK.create () in
+    List.iter (fun (f, w) -> FK.set m f w) fields;
+    m
+  in
+  let full f = (f, FK.Field.full_mask f) in
+  FK.Field.
+    [|
+      mask [ full In_port ];
+      mask [ full Nw_src ];
+      mask [ (Nw_src, 0xFFFF0000) ];
+      mask [ full In_port; full Tp_dst ];
+      mask [ full Nw_src; full Tp_dst ];
+      mask [];
+    |]
+
+(* Key [code]: base-4 digits, one per field of [equiv_fields], each
+   spread over every byte of the field so the prefix mask sees it. *)
+let equiv_key code =
+  let k = FK.create () in
+  Array.iteri (fun i f -> FK.set k f ((code lsr (2 * i)) land 3 * 0x01010101)) equiv_fields;
+  k
+
+type top =
+  | Add of int * int * int * int
+      (** mask, key, priority, cookie; the key is left unmasked when odd *)
+  | Remove_cookie of int
+  | Remove_priority of int
+  | Remove_mask of int
+  | Lookup of int
+
+let pp_top = function
+  | Add (m, k, p, c) -> Printf.sprintf "add m%d k%d p%d c%d" m k p c
+  | Remove_cookie c -> Printf.sprintf "remove cookie %d" c
+  | Remove_priority p -> Printf.sprintf "remove priority %d" p
+  | Remove_mask m -> Printf.sprintf "remove m%d" m
+  | Lookup k -> Printf.sprintf "lookup %d" k
+
+(* Few priorities, so rules tie within a slot and subtables tie on max
+   priority. *)
+let gen_top =
+  QCheck.Gen.(
+    let mask = int_bound (Array.length equiv_masks - 1) and key = int_bound 63 in
+    let prio = int_bound 3 in
+    frequency
+      [
+        (8, map4 (fun m k p c -> Add (m, k, p, c)) mask key prio (int_bound 3));
+        (1, map (fun c -> Remove_cookie c) (int_bound 3));
+        (1, map (fun p -> Remove_priority p) prio);
+        (1, map (fun m -> Remove_mask m) mask);
+        (8, map (fun k -> Lookup k) key);
+      ])
+
+let arb_tops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "\n" (List.map pp_top ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 80) gen_top)
+
+(* Every rule as (value, priority, cookie, hits), sorted: values are
+   unique per added rule, so this is the rule multiset with hit counts. *)
+let table_rules t =
+  let l = ref [] in
+  Table.iter t (fun r -> l := Table.(r.value, r.priority, r.cookie, r.hits) :: !l);
+  List.sort compare !l
+
+let ref_rules t =
+  let l = ref [] in
+  Ref.iter t (fun r -> l := Ref.(r.value, r.priority, r.cookie, r.hits) :: !l);
+  List.sort compare !l
+
+(* Run one operation sequence on the table and the reference, failing
+   at the first difference: every lookup's rule, OR of probed masks and
+   probe count, every removal's count, and after every operation the
+   rule count and the rules with their hits. *)
+let run_table_equivalence ops =
+  let t = Table.create () and r = Ref.create () in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+  let next_value = ref 0 in
+  let remove what pred_t pred_r =
+    let a = Table.remove_where t pred_t and b = Ref.remove_where r pred_r in
+    if a <> b then fail "%s: removed %d vs %d" what a b
+  in
+  let step i op =
+    let what = Printf.sprintf "op %d (%s)" i (pp_top op) in
+    (match op with
+    | Add (m, k, priority, cookie) ->
+        incr next_value;
+        let mask = equiv_masks.(m) in
+        let key = if k land 1 = 1 then equiv_key k else FK.apply_mask (equiv_key k) mask in
+        Table.add t ~cookie ~priority { Match_.key = FK.copy key; mask = FK.copy mask } !next_value;
+        Ref.add r ~cookie ~priority { Match_.key = FK.copy key; mask = FK.copy mask } !next_value
+    | Remove_cookie c ->
+        remove what (fun x -> x.Table.cookie = c) (fun x -> x.Ref.cookie = c)
+    | Remove_priority p ->
+        remove what (fun x -> x.Table.priority = p) (fun x -> x.Ref.priority = p)
+    | Remove_mask m ->
+        let mask = equiv_masks.(m) in
+        remove what
+          (fun x -> FK.equal x.Table.match_.Match_.mask mask)
+          (fun x -> FK.equal x.Ref.match_.Match_.mask mask)
+    | Lookup k ->
+        let key = equiv_key k in
+        let wc = FK.create () and before = Table.probes t in
+        let a = Option.map (fun x -> x.Table.value) (Table.lookup t key ~wc) in
+        let probes = Table.probes t - before in
+        let b, masks = Ref.lookup r key in
+        let b = Option.map (fun x -> x.Ref.value) b in
+        let wc' = FK.create () in
+        List.iter (FK.or_mask wc') masks;
+        let pp = function Some v -> string_of_int v | None -> "miss" in
+        if a <> b then fail "%s: rule %s vs %s" what (pp a) (pp b);
+        if probes <> List.length masks then
+          fail "%s: %d probes vs %d" what probes (List.length masks);
+        if not (FK.equal wc wc') then fail "%s: probed masks differ" what);
+    if Table.rule_count t <> Ref.rule_count r then
+      fail "%s: %d rules vs %d" what (Table.rule_count t) (Ref.rule_count r);
+    if table_rules t <> ref_rules r then fail "%s: rules or hits differ" what
+  in
+  List.iteri step ops;
+  true
+
+(* The default count keeps tier-1 quick; [make table-equiv] runs the
+   property in QCheck's long mode at 100,000 cases. *)
+let table_equivalence_count = 300
+
+let prop_table_reference_equivalence =
+  QCheck.Test.make ~count:table_equivalence_count
+    ~long_factor:(100_000 / table_equivalence_count)
+    ~name:"subtable-core table == list-bucket reference" arb_tops run_table_equivalence
 
 (* -- Parser -- *)
 
@@ -610,8 +773,10 @@ let () =
             test_table_priority_across_subtables;
           Alcotest.test_case "remove where" `Quick test_table_remove_where;
           Alcotest.test_case "miss" `Quick test_table_miss;
+          Alcotest.test_case "tie order" `Quick test_table_tie_order;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_table_vs_linear_oracle ] );
+      ("equivalence", List.map QCheck_alcotest.to_alcotest [ prop_table_reference_equivalence ]);
       ( "parser",
         [
           Alcotest.test_case "basic flow" `Quick test_parser_basic_flow;
