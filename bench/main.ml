@@ -824,8 +824,7 @@ let multicore_rows () =
   List.map
     (fun n ->
       let cfg =
-        Scenario.config ~n_flows:256 ~measure:multicore_target
-          ~upcall_capacity:1024 ()
+        Scenario.config ~n_flows:256 ~measure:multicore_target ()
       in
       let stats, viols = Scenario.run_multicore cfg ~n_domains:n () in
       List.iter

@@ -877,6 +877,7 @@ let handle_upcall t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t
 let flush_caches t =
   (match t.ccache with Some cc -> Ovs_nmu.Ccache.invalidate cc | None -> ());
   (match t.emc with Some emc -> Ovs_flow.Emc.flush emc | None -> ());
+  (match t.smc with Some smc -> Ovs_flow.Smc.flush smc | None -> ());
   Ovs_flow.Dpcls.flush t.dpcls;
   match t.reval with Some rv -> Reval.clear rv | None -> ()
 

@@ -19,6 +19,7 @@ type 'a t = {
   mask_bits : int;
   mutable lookups : int;
   mutable hits : int;
+  mutable dirty : bool;  (** an insert since the last flush *)
 }
 
 let default_entries = 32768
@@ -26,7 +27,8 @@ let default_entries = 32768
 let create ?(entries = default_entries) () =
   if entries <= 0 || entries land (entries - 1) <> 0 then
     invalid_arg "Smc.create: entries must be a power of two";
-  { slots = Array.make entries None; mask_bits = entries - 1; lookups = 0; hits = 0 }
+  { slots = Array.make entries None; mask_bits = entries - 1; lookups = 0;
+    hits = 0; dirty = false }
 
 let lookup t (key : FK.t) : 'a option =
   t.lookups <- t.lookups + 1;
@@ -42,6 +44,7 @@ let lookup t (key : FK.t) : 'a option =
 (** Install the megaflow a dpcls lookup just returned. *)
 let insert t (key : FK.t) ~(mask : FK.t) (value : 'a) =
   let signature = FK.hash key in
+  t.dirty <- true;
   t.slots.(signature land t.mask_bits) <-
     Some
       {
@@ -51,4 +54,10 @@ let insert t (key : FK.t) ~(mask : FK.t) (value : 'a) =
         found = Some value;
       }
 
-let flush t = Array.fill t.slots 0 (Array.length t.slots) None
+(* An SMC nothing was inserted into since the last flush is already
+   empty: skip the fill, so flushing a disabled SMC costs nothing. *)
+let flush t =
+  if t.dirty then begin
+    Array.fill t.slots 0 (Array.length t.slots) None;
+    t.dirty <- false
+  end

@@ -18,3 +18,5 @@ val insert : 'a t -> Ovs_packet.Flow_key.t -> mask:Ovs_packet.Flow_key.t -> 'a -
     lookup for this key just returned. *)
 
 val flush : 'a t -> unit
+(** Empty every slot. Free when nothing was inserted since the last
+    flush, as in an SMC that is switched off. *)

@@ -200,6 +200,48 @@ type rig = {
           explorer reaches its fine-grained steps through this *)
 }
 
+(* A catch-all rule from [in_port] to [out]. *)
+let forward pipeline in_port out =
+  let m =
+    Ovs_ofproto.Match_.with_field (Ovs_ofproto.Match_.catchall ())
+      Ovs_packet.Flow_key.Field.In_port in_port
+  in
+  Ovs_ofproto.Pipeline.add_flow pipeline ~priority:100 m
+    [ Ovs_ofproto.Action.Output out ]
+
+(* The P2P rules from port [p0] to port [p1]: the catch-all by default,
+   or [strict_match]'s or [ct_zone]'s. *)
+let install_p2p pipeline (cfg : config) ~p0 ~p1 =
+  match (cfg.ct_zone, cfg.strict_match) with
+  | Some z, _ ->
+      (* traffic commits into a conntrack zone; invalid state (the
+         zone-limit verdict) is an accounted drop *)
+      ignore
+        (Ovs_ofproto.Parser.install_flows pipeline
+           [
+             Printf.sprintf
+               "table=0,priority=100,in_port=%d,ip \
+                actions=ct(commit,zone=%d,table=1)"
+               p0 z;
+             "table=0,priority=1 actions=drop";
+             "table=1,priority=200,ct_state=+trk+inv actions=drop";
+             Printf.sprintf
+               "table=1,priority=100,ct_state=+trk actions=output:%d" p1;
+           ])
+  | None, true ->
+      (* match the offered traffic exactly, with a default drop —
+         mangled packets become accounted drops instead of riding
+         an in_port wildcard *)
+      ignore
+        (Ovs_ofproto.Parser.install_flows pipeline
+           [
+             Printf.sprintf
+               "table=0,priority=100,in_port=%d,udp actions=output:%d"
+               p0 p1;
+             "table=0,priority=1 actions=drop";
+           ])
+  | None, false -> forward pipeline p0 p1
+
 let setup (cfg : config) : rig =
   let costs = Costs.default in
   let machine = Cpu.create () in
@@ -248,12 +290,7 @@ let setup (cfg : config) : rig =
   let container = Cpu.ctx machine "container" in
 
   (* virtual endpoint and flow rules *)
-  let fk = Ovs_packet.Flow_key.Field.In_port in
-  let rule in_port out =
-    let m = Ovs_ofproto.Match_.with_field (Ovs_ofproto.Match_.catchall ()) fk in_port in
-    Ovs_ofproto.Pipeline.add_flow pipeline ~priority:100 m
-      [ Ovs_ofproto.Action.Output out ]
-  in
+  let rule = forward pipeline in
   (* a PVP-style guest bounce: the virtual endpoint forwards everything
      straight back onto its own rx queue *)
   let guest_bounce virt dev =
@@ -271,35 +308,7 @@ let setup (cfg : config) : rig =
   let vdevs, pmd_v =
     match cfg.topology with
     | P2P ->
-        (match (cfg.ct_zone, cfg.strict_match) with
-        | Some z, _ ->
-            (* traffic commits into a conntrack zone; invalid state (the
-               zone-limit verdict) is an accounted drop *)
-            ignore
-              (Ovs_ofproto.Parser.install_flows pipeline
-                 [
-                   Printf.sprintf
-                     "table=0,priority=100,in_port=%d,ip \
-                      actions=ct(commit,zone=%d,table=1)"
-                     p0 z;
-                   "table=0,priority=1 actions=drop";
-                   "table=1,priority=200,ct_state=+trk+inv actions=drop";
-                   Printf.sprintf
-                     "table=1,priority=100,ct_state=+trk actions=output:%d" p1;
-                 ])
-        | None, true ->
-            (* match the offered traffic exactly, with a default drop —
-               mangled packets become accounted drops instead of riding
-               an in_port wildcard *)
-            ignore
-              (Ovs_ofproto.Parser.install_flows pipeline
-                 [
-                   Printf.sprintf
-                     "table=0,priority=100,in_port=%d,udp actions=output:%d"
-                     p0 p1;
-                   "table=0,priority=1 actions=drop";
-                 ])
-        | None, false -> rule p0 p1);
+        install_p2p pipeline cfg ~p0 ~p1;
         ([], None)
     | PVP virt -> begin
         let kind = match virt with Vm_tap -> Netdev.Tap | _ -> Netdev.Vhostuser in
@@ -741,13 +750,19 @@ let ndr_probe (r : rig) ~rate_pps n : Ndr.probe_result =
 (* -- the real-parallelism leg: the P2P rig on Engine_domains -- *)
 
 (* The P2P rig on real domains: the generator's pre-built templates
-   become the injector's wire frames. *)
+   become the injector's wire frames, and the pipeline holds the rules
+   {!setup} installs (ingress port 0, egress port 1). Conntrack is per
+   PMD core there and the injector deals packets round-robin, so one
+   connection would be split over several tables: [ct_zone] is
+   refused. *)
 let domains_config ?(oracles = false) ?lock ?frames_per_queue ?ring_size
-    (cfg : config) ~n_domains ~translate =
+    (cfg : config) ~n_domains =
   (match cfg.topology with
   | P2P -> ()
   | PVP _ | PCP _ | Chain _ ->
       invalid_arg "Scenario: only P2P runs on real domains");
+  if cfg.ct_zone <> None then
+    invalid_arg "Scenario: conntrack does not run on real domains";
   let gen =
     Pktgen.create ~mix:cfg.mix ~n_flows:cfg.n_flows ~frame_len:cfg.frame_len ()
   in
@@ -758,25 +773,25 @@ let domains_config ?(oracles = false) ?lock ?frames_per_queue ?ring_size
           b.Ovs_packet.Buffer.len)
       gen.Pktgen.templates
   in
+  let pipeline = Ovs_ofproto.Pipeline.create ~n_tables:4 () in
+  install_p2p pipeline cfg ~p0:0 ~p1:1;
   Engine_domains.config ~n_domains ~frame_len:cfg.frame_len
-    ~target:cfg.measure ~upcall_capacity:cfg.upcall_capacity ~oracles
-    ~latency:cfg.latency ?lock ?frames_per_queue ?ring_size ~translate
-    ~templates ()
+    ~target:cfg.measure ~oracles ~latency:cfg.latency ?lock ?frames_per_queue
+    ?ring_size ~pipeline ~templates ()
 
 (** Drive the P2P scenario through {!Ovs_datapath.Engine_domains}: the
     generator's pre-built templates become the injector's wire frames,
     [cfg.measure] packets are offered, and the readout is wall-clock
     Mpps. Returns the engine stats and the violations the engine recorded:
-    the stop-time books and frame census always, the per-poll checks
-    with [oracles:true]. Only P2P is meaningful here — the virtual
-    endpoints are virtual-time constructs. *)
+    the stop-time books, frame census and megaflow check always, the
+    per-poll checks with [oracles:true]. Only P2P is meaningful here —
+    the virtual endpoints are virtual-time constructs. *)
 let run_multicore ?oracles ?lock ?frames_per_queue ?ring_size (cfg : config)
     ~n_domains () : Engine.stats * string list =
   let eng =
     Engine_domains.create
       (domains_config ?oracles ?lock ?frames_per_queue ?ring_size cfg
-         ~n_domains
-         ~translate:(fun _ -> true) (* P2P: one wildcard rule, port0 -> port1 *))
+         ~n_domains)
   in
   Engine_domains.start eng;
   let stats = Engine_domains.stop eng in
@@ -1219,15 +1234,15 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
   }
 
 (** The real-parallelism cutover: drive the P2P rig on OCaml domains
-    while the slow path consults a live classifier pointer held in an
-    [Atomic.t]; halfway through the offered target the shadow pipeline
-    (built through the wire, as always) replaces it in one atomic store.
-    PMD domains keep polling throughout — there is no barrier. Returns
-    the engine stats, the violations (per-poll checks armed), and how many
-    packets had been delivered when the cutover landed (proof it
-    happened mid-run). Both rule sets must forward the template flows:
-    the hitless property under domains is that the atomic pointer swap
-    never presents a half-built classifier to a racing translation. *)
+    over the [flows_before] pipeline; halfway through the offered target
+    the shadow pipeline for [flows_after] (built through the wire, as
+    always) is published with {!Ovs_datapath.Engine_domains.swap_pipeline}.
+    PMD domains keep polling throughout — there is no barrier; each
+    adopts the new pipeline at its next poll and re-translates its
+    megaflows against it, and stop checks that none is left stale.
+    Returns the engine stats, the violations (per-poll checks armed), and
+    how many packets had been delivered when the cutover landed (proof it
+    happened mid-run). [flows_before] must forward the template flows. *)
 let run_reconfig_multicore ?(n_domains = 2) (cfg : config)
     ~(flows_before : string list) ~(flows_after : string list) () :
     Engine.stats * string list * int =
@@ -1237,16 +1252,14 @@ let run_reconfig_multicore ?(n_domains = 2) (cfg : config)
     let p, _mods = Reconfig.build_shadow ~like flows in
     p
   in
-  let live = Atomic.make (wire_pipeline flows_before) in
-  let translate key =
-    (Ovs_ofproto.Pipeline.translate (Atomic.get live) key)
-      .Ovs_ofproto.Pipeline.odp_actions
-    <> []
-  in
   let eng =
     Engine_domains.create
-      (domains_config ~oracles:true cfg ~n_domains ~translate)
+      { (domains_config ~oracles:true cfg ~n_domains) with
+        Engine_domains.pipeline = wire_pipeline flows_before }
   in
+  (* built before the run, so the cutover is one store that lands while
+     the PMDs still poll *)
+  let after = wire_pipeline flows_after in
   let cut_at = cfg.measure / 2 in
   Engine_domains.start eng;
   let seen = ref 0 and spins = ref 0 in
@@ -1255,7 +1268,7 @@ let run_reconfig_multicore ?(n_domains = 2) (cfg : config)
     seen := !seen + Engine_domains.step eng
   done;
   (* the cutover: one atomic store while every PMD domain races on *)
-  Atomic.set live (wire_pipeline flows_after);
+  Engine_domains.swap_pipeline eng after;
   let at_cutover = !seen in
   let stats = Engine_domains.stop eng in
   (stats, Engine_domains.violations eng, at_cutover)

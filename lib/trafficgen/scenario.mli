@@ -112,8 +112,7 @@ val domains_config :
   ?frames_per_queue:int ->
   ?ring_size:int ->
   config ->
-  n_domains:int ->
-  translate:(Ovs_packet.Flow_key.t -> bool) -> Ovs_datapath.Engine_domains.config
+  n_domains:int -> Ovs_datapath.Engine_domains.config
 val run_multicore :
   ?oracles:bool ->
   ?lock:Ovs_xsk.Umempool.lock_strategy ->

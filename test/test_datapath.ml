@@ -382,6 +382,27 @@ let test_smc_serves_after_emc_disabled () =
   Alcotest.(check bool) "dpcls not hit per packet" true (c.Dp_core.dpcls_hits <= 2);
   check Alcotest.int "all forwarded" 10 (tx_count r)
 
+(* flush_caches empties the SMC too: with the EMC off, a packet after
+   the flush must not keep a flushed megaflow's actions via an SMC hit *)
+let test_flush_caches_flushes_smc () =
+  let r = make_rig () in
+  ignore
+    (Ovs_ofproto.Parser.install_flows r.pipeline
+       [ Printf.sprintf "table=0,priority=10 actions=output:%d" r.p1 ]);
+  Dpif.set_emc_enabled r.dp false;
+  Dpif.set_smc_enabled r.dp true;
+  push_and_poll r;
+  check Alcotest.int "forwarded" 1 (tx_count r);
+  ignore
+    (Ovs_ofproto.Parser.install_flows r.pipeline
+       [ "table=0,priority=100 actions=drop" ]);
+  Dpif.flush_caches r.dp;
+  let smc_hits = (Dpif.counters r.dp).Dp_core.smc_hits in
+  push_and_poll r;
+  check Alcotest.int "dropped after flush" 1 (tx_count r);
+  check Alcotest.int "no SMC hit after flush" smc_hits
+    (Dpif.counters r.dp).Dp_core.smc_hits
+
 let test_meter_action_executes () =
   let r = make_rig () in
   ignore
@@ -471,6 +492,8 @@ let () =
           Alcotest.test_case "software GSO on egress" `Quick test_gso_on_non_tso_device;
           Alcotest.test_case "SMC layer" `Quick test_smc_serves_after_emc_disabled;
           Alcotest.test_case "ct reshard" `Quick test_set_ct_shards;
+          Alcotest.test_case "flush_caches flushes the SMC" `Quick
+            test_flush_caches_flushes_smc;
         ] );
       ( "costing",
         [

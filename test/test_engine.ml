@@ -1,8 +1,8 @@
 (* Tests for the execution engines: Engine_vt byte-determinism (golden
    values captured on the pre-engine scheduler), the Engine_vt stats
-   readout, the cross-domain primitives (atomic SPSC ring, Spscq,
-   contended umempool, domain-safe coverage), and the Engine_domains
-   parallel rig with its invariant oracles armed. *)
+   readout, the cross-domain primitives (atomic SPSC ring, contended
+   umempool, domain-safe coverage), and the Engine_domains parallel rig
+   with its invariant oracles armed. *)
 
 module Scenario = Ovs_trafficgen.Scenario
 module Engine = Ovs_datapath.Engine
@@ -10,7 +10,6 @@ module Engine_vt = Ovs_datapath.Engine_vt
 module Dpif = Ovs_datapath.Dpif
 module Engine_domains = Ovs_datapath.Engine_domains
 module Ring = Ovs_xsk.Ring
-module Spscq = Ovs_xsk.Spscq
 module Umempool = Ovs_xsk.Umempool
 module Coverage = Ovs_sim.Coverage
 
@@ -171,30 +170,6 @@ let ring_spsc_bursts () =
   check Alcotest.bool "burst stream in order" true !in_order;
   check Alcotest.int "all consumed" n !got
 
-let spscq_two_domains () =
-  let n = 50_000 in
-  let q : int Spscq.t = Spscq.create ~capacity:37 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          while not (Spscq.try_push q i) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let got = ref 0 and ok = ref true in
-  while !got < n do
-    match Spscq.try_pop q with
-    | Some v ->
-        if v <> !got then ok := false;
-        if Spscq.length q > Spscq.capacity q then ok := false;
-        incr got
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  check Alcotest.bool "fifo order and bound held" true !ok;
-  check Alcotest.bool "drained" true (Spscq.is_empty q)
-
 (* -- contended umempool: 4 domains allocating under the real mutex -- *)
 
 let umempool_contended () =
@@ -259,19 +234,28 @@ let domains_smoke ~n_domains () =
     stats.Engine.s_offered
     (stats.Engine.s_delivered + stats.Engine.s_dropped);
   check Alcotest.bool "made progress" true (stats.Engine.s_delivered > 0);
-  check Alcotest.bool "saw upcalls (cold EMC)" true (stats.Engine.s_upcalls > 0);
+  (* a deferred upcall re-probes its core's dpcls first: the catch-all
+     megaflow is translated once per PMD core *)
+  check Alcotest.int "one translation per PMD core" n_domains
+    stats.Engine.s_upcalls;
   check Alcotest.bool "wall clock advanced" true (stats.Engine.s_wall_ns > 0.);
-  check Alcotest.int "unit detail: pmds + revalidator + injector"
-    (n_domains + 2)
+  check Alcotest.int "unit detail: pmds + injector" (n_domains + 1)
     (List.length stats.Engine.s_units_detail)
 
-(* Every verdict is drop: the books balance on the engine's own
-   verdict-drop counter, and stop's census finds every frame home. *)
+let drop_all () =
+  let p = Ovs_ofproto.Pipeline.create ~n_tables:4 () in
+  ignore
+    (Ovs_ofproto.Parser.install_flows p [ "table=0,priority=1 actions=drop" ]);
+  p
+
+(* Every packet meets a drop rule: the books balance on the PMD cores'
+   datapath drop counter, and stop's census finds every frame home. *)
 let domains_verdict_drop () =
   let cfg = Scenario.config ~n_flows:8 ~measure:5_000 () in
   let eng =
     Engine_domains.create
-      (Scenario.domains_config cfg ~n_domains:2 ~translate:(fun _ -> false))
+      { (Scenario.domains_config cfg ~n_domains:2) with
+        Engine_domains.pipeline = drop_all () }
   in
   Engine_domains.start eng;
   let stats = Engine_domains.stop eng in
@@ -283,8 +267,69 @@ let domains_verdict_drop () =
   check Alcotest.bool text true (Engine.conserved books);
   check Alcotest.int "drops = s_dropped" stats.Engine.s_dropped
     (Engine.drops books);
-  check Alcotest.bool "render names the verdict-drop counter" true
-    (Astring.String.is_infix ~affix:"domains.verdict_drop +" text)
+  check Alcotest.bool "render names the datapath drop counter" true
+    (Astring.String.is_infix ~affix:"dp.dropped +" text)
+
+(* The cutover to a drop-all pipeline: every PMD re-translates its
+   megaflows, so packets after the swap are dropped, and no megaflow is
+   left stale at stop. *)
+let domains_cutover_to_drop () =
+  let drops0 = Coverage.read "datapath_drop" in
+  let stats, viols, at_cutover =
+    Scenario.run_reconfig_multicore ~n_domains:2
+      (Scenario.config ~n_flows:8 ~measure:60_000 ())
+      ~flows_before:[ "table=0,priority=10,actions=output:1" ]
+      ~flows_after:[ "table=0,priority=200,actions=drop" ]
+      ()
+  in
+  check Alcotest.(list string) "no violations" [] viols;
+  check Alcotest.int "books conserved" stats.Engine.s_offered
+    (stats.Engine.s_delivered + stats.Engine.s_dropped);
+  check Alcotest.bool "cutover mid-run" true (at_cutover > 0);
+  check Alcotest.bool "dp.dropped moved" true
+    (Coverage.read "datapath_drop" - drops0 > 0)
+
+let conntrack_refused () =
+  Alcotest.check_raises "ct_zone on domains"
+    (Invalid_argument "Scenario: conntrack does not run on real domains")
+    (fun () ->
+      ignore
+        (Scenario.domains_config
+           (Scenario.config ~ct_zone:(Some 1) ())
+           ~n_domains:2))
+
+(* The same P2P config through both engines installs the same megaflows
+   (match and actions; the statistics differ by engine) and conserves
+   both books. *)
+let strip_stats line =
+  match Astring.String.cut ~sep:", packets:" line with
+  | None -> line
+  | Some (m, rest) -> (
+      match Astring.String.cut ~sep:", actions:" rest with
+      | None -> line
+      | Some (_, acts) -> m ^ ", actions:" ^ acts)
+
+let engines_agree ~strict_match () =
+  let cfg = Scenario.config ~n_flows:64 ~measure:4_000 ~strict_match () in
+  let r = Scenario.setup cfg in
+  let ledger = Scenario.reset r "differential" in
+  Scenario.drive ~ledger r cfg.Scenario.measure;
+  Scenario.quiesce r;
+  let vt_books = Scenario.Ledger.diff ledger r in
+  check Alcotest.bool (Engine.render vt_books) true (Engine.conserved vt_books);
+  let vt =
+    List.sort_uniq String.compare
+      (List.map strip_stats (Dpif.dump_megaflows r.Scenario.r_dp))
+  in
+  let eng = Engine_domains.create (Scenario.domains_config cfg ~n_domains:2) in
+  Engine_domains.start eng;
+  ignore (Engine_domains.stop eng : Engine.stats);
+  let books = Engine_domains.books eng in
+  check Alcotest.(list string) "no violations" [] (Engine_domains.violations eng);
+  check Alcotest.bool (Engine.render books) true (Engine.conserved books);
+  check Alcotest.bool "a megaflow installed" true (vt <> []);
+  check Alcotest.(list string) "same megaflows" vt
+    (Engine_domains.dump_megaflows eng)
 
 (* -- phase goldens: the chaos, reconfig, latency/NDR and explorer phases --
 
@@ -511,7 +556,6 @@ let () =
           QCheck_alcotest.to_alcotest ring_flavor_equiv;
           Alcotest.test_case "ring 2 domains" `Quick ring_spsc_two_domains;
           Alcotest.test_case "ring bursts 2 domains" `Quick ring_spsc_bursts;
-          Alcotest.test_case "spscq 2 domains" `Quick spscq_two_domains;
         ] );
       ( "shared-state",
         [
@@ -524,5 +568,11 @@ let () =
           Alcotest.test_case "4 domains, oracles" `Quick (domains_smoke ~n_domains:4);
           Alcotest.test_case "8 domains, oracles" `Quick (domains_smoke ~n_domains:8);
           Alcotest.test_case "every verdict drop" `Quick domains_verdict_drop;
+          Alcotest.test_case "cutover to drop-all" `Quick domains_cutover_to_drop;
+          Alcotest.test_case "conntrack refused" `Quick conntrack_refused;
+          Alcotest.test_case "same megaflows as vt" `Quick
+            (engines_agree ~strict_match:false);
+          Alcotest.test_case "same megaflows as vt, strict" `Quick
+            (engines_agree ~strict_match:true);
         ] );
     ]
