@@ -816,30 +816,57 @@ let mc_exp () =
 
 (* Wall-clock Mpps on real OCaml domains (the Engine_domains rig) next to
    the virtual-time Figure 12 curve at the same PMD counts. The scaling
-   gate (1 -> 2 domains monotone, 10% tolerance for scheduler noise) only
-   arms when the host actually has cores to scale onto. *)
+   gate (1 -> 2 domains monotone, 10% tolerance) only arms when the host
+   actually has cores to scale onto, and compares medians: the 1- and
+   2-domain points run [multicore_repeats] times each, alternating, so
+   one run's scheduler noise cannot fail it. *)
 let multicore_target = 120_000
+let multicore_repeats = 3
 
+let multicore_run n =
+  let cfg = Scenario.config ~n_flows:256 ~measure:multicore_target () in
+  let stats, viols = Scenario.run_multicore cfg ~n_domains:n () in
+  List.iter
+    (fun v -> fail_check "multicore %d domains: oracle violation: %s" n v)
+    viols;
+  stats
+
+(* the run with the median wall-clock Mpps (an odd number of runs) *)
+let median_run runs =
+  let sorted =
+    List.sort
+      (fun (a : Engine.stats) (b : Engine.stats) ->
+        Float.compare a.Engine.s_mpps b.Engine.s_mpps)
+      runs
+  in
+  List.nth sorted (List.length sorted / 2)
+
+(* (domains, every run in run order, virtual-time Mpps) *)
 let multicore_rows () =
+  let pairs =
+    List.init multicore_repeats (fun _ ->
+        let one = multicore_run 1 in
+        (one, multicore_run 2))
+  in
   List.map
     (fun n ->
-      let cfg =
-        Scenario.config ~n_flows:256 ~measure:multicore_target ()
+      let runs =
+        match n with
+        | 1 -> List.map fst pairs
+        | 2 -> List.map snd pairs
+        | n -> [ multicore_run n ]
       in
-      let stats, viols = Scenario.run_multicore cfg ~n_domains:n () in
-      List.iter
-        (fun v -> fail_check "multicore %d domains: oracle violation: %s" n v)
-        viols;
       let vt =
         Scenario.run
           (Scenario.config ~n_pmds:n ~queues:n ~n_flows:256
              ~measure:multicore_target ())
       in
-      (n, stats, vt.Scenario.rate_mpps))
+      (n, runs, vt.Scenario.rate_mpps))
     [ 1; 2; 4; 8 ]
 
 let multicore_json ~cores rows =
-  let row_json (n, (s : Engine.stats), vt_mpps) =
+  let row_json (n, runs, vt_mpps) =
+    let s = median_run runs in
     Json.(
       Obj
         [ int "domains" n; num 4 "mpps_wall" s.Engine.s_mpps;
@@ -860,18 +887,29 @@ let multicore_exp () =
     "dropped" "upcalls";
   let rows = multicore_rows () in
   List.iter
-    (fun (n, (s : Engine.stats), vt) ->
+    (fun (n, runs, vt) ->
+      let s = median_run runs in
       row "%-8d %10.2f Mpps %10.2f Mpps %10d %10d@." n s.Engine.s_mpps vt
-        s.Engine.s_dropped s.Engine.s_upcalls)
+        s.Engine.s_dropped s.Engine.s_upcalls;
+      if List.length runs > 1 then
+        row "         runs: %s Mpps (median above)@."
+          (String.concat " "
+             (List.map
+                (fun (r : Engine.stats) -> Printf.sprintf "%.2f" r.Engine.s_mpps)
+                runs)))
     rows;
   (match (rows, cores >= 2) with
-  | (1, s1, _) :: (2, s2, _) :: _, true ->
-      (* monotone 1 -> 2 with 10% tolerance: real schedulers jitter, but
-         a parallel dataplane that gets slower with a second core is a
-         regression (lock convoy, false sharing, broken sharding) *)
-      if s2.Engine.s_mpps < 0.9 *. s1.Engine.s_mpps then
-        fail_check "multicore: 2 domains slower than 1 (%.2f < 0.9 * %.2f Mpps)"
-          s2.Engine.s_mpps s1.Engine.s_mpps
+  | (1, r1, _) :: (2, r2, _) :: _, true ->
+      (* monotone 1 -> 2 with 10% tolerance on the medians: real
+         schedulers jitter, but a parallel dataplane that gets slower
+         with a second core is a regression (lock convoy, false sharing,
+         broken sharding) *)
+      let m1 = (median_run r1).Engine.s_mpps
+      and m2 = (median_run r2).Engine.s_mpps in
+      if m2 < 0.9 *. m1 then
+        fail_check
+          "multicore: 2 domains slower than 1 (median %.2f < 0.9 * %.2f Mpps)"
+          m2 m1
   | _, false ->
       row "(single-core host: 1 -> 2 scaling gate not armed, numbers are@.";
       row " time-sliced and informational only)@."
@@ -1107,7 +1145,12 @@ let latency_exp () =
   let dom = if cores >= 2 then latency_domains () else [] in
   if dom = [] then
     row "(single-core host: wall-clock domains leg not armed)@."
-  else List.iter lat_print dom;
+  else begin
+    List.iter lat_print dom;
+    row "(domains2 times ring backlog, not the datapath: its injector offers@.";
+    row " as fast as fill frames allow, so each packet waits behind the frames@.";
+    row " queued ahead of it in wall-clock time)@."
+  end;
   row "@.(ladder rungs are fractions of each leg's measured capacity; the@.";
   row " burst rung offers 64-packet bursts with 50 us gaps at 0.7x; every@.";
   row " row is gated on samples == delivered — drops record nothing)@.";

@@ -21,14 +21,11 @@ let default_config =
     n_tables = 64;
   }
 
-type meter = { rate_pps : float; mutable hits : int; mutable drops : int }
-
 type t = {
   config : config;
   pipeline : Ovs_ofproto.Pipeline.t;
   mutable dp : Dpif.t;
   mutable port_names : (string * int) list;
-  meters : (int, meter) Hashtbl.t;
   mutable restarts : int;
   mutable crashes : int;
   log : string list ref;
@@ -52,7 +49,6 @@ let create ?(config = default_config) () =
       pipeline;
       dp = Dpif.create ~kind:config.datapath ~pipeline ();
       port_names = [];
-      meters = Hashtbl.create 8;
       restarts = 0;
       crashes = 0;
       log = ref [];
@@ -150,7 +146,6 @@ let connect_controller t (ctrl : Ovs_ofproto.Controller.t) =
     Sec 6 "Some features must be reimplemented"). The token bucket is
     enforced by the datapath's [meter:N] action. *)
 let set_meter t ?(burst = 64.) ~id ~rate_pps () =
-  Hashtbl.replace t.meters id { rate_pps; hits = 0; drops = 0 };
   Dpif.set_meter t.dp ~id ~rate_pps ~burst
 
 let meter_stats t ~id = Dpif.meter_stats t.dp ~id
@@ -171,15 +166,11 @@ let inject t ~machine_ctx (pkt : Ovs_packet.Buffer.t) ~port_no =
 
 (** Restart the process in place: caches and conntrack state are lost,
     configuration (rules, ports) survives — the whole upgrade story of the
-    AF_XDP design (Sec 6: "upgrading ... only needs to restart OVS"). *)
+    AF_XDP design (Sec 6: "upgrading ... only needs to restart OVS").
+    The caller that owns the devices re-adds the ports. *)
 let restart t =
   t.restarts <- t.restarts + 1;
   t.dp <- Dpif.create ~kind:t.config.datapath ~pipeline:t.pipeline ();
-  List.iter
-    (fun (name, _) ->
-      ignore name
-      (* ports re-added by the caller that owns the devices *))
-    t.port_names;
   log t "ovs-vswitchd restarted (%d restarts so far)" t.restarts
 
 (** What happens when a datapath bug fires (e.g. the Geneve parser bug of

@@ -18,8 +18,6 @@ type config = {
 val default_config : config
 (** AF_XDP with every Sec 3.2 optimization, on a kernel-5.3-class host. *)
 
-type meter = { rate_pps : float; mutable hits : int; mutable drops : int }
-
 type crash_outcome = Host_panic | Process_restart of { core_dump : bool }
 
 type t = {
@@ -27,7 +25,6 @@ type t = {
   pipeline : Ovs_ofproto.Pipeline.t;
   mutable dp : Dpif.t;
   mutable port_names : (string * int) list;
-  meters : (int, meter) Hashtbl.t;
   mutable restarts : int;
   mutable crashes : int;
   log : string list ref;

@@ -108,9 +108,9 @@ type t = {
       (** where the [controller] action punts packets (PACKET_IN) *)
   mutable upcall_hook : (Ovs_packet.Buffer.t -> FK.t -> bool) option;
       (** When set, a full fast-path miss does not translate inline:
-          the hook enqueues the packet for a deferred slow-path pass
-          (the PMD runtime's bounded upcall queue). A [false] return
-          means the queue was full and the packet is lost. *)
+          the hook keeps the packet for a slow-path pass later in the
+          PMD's step. A [false] return means the upcall failed and the
+          packet is lost. *)
   mutable tracer : Trace.t option;
       (** per-stage cycle attribution + packet-walk recorder; [None]
           (the default) keeps the hot path untraced and allocation-free *)
@@ -801,8 +801,8 @@ and lookup_and_execute t charge pkt key =
       | Some hook ->
           (* the hook queues the key past this pass: it gets its own copy *)
           if not (hook pkt (FK.copy key)) then begin
-            (* bounded upcall queue overflow: the packet is lost, exactly
-               like the kernel datapath's "lost" netlink upcalls *)
+            (* a failed upcall: the packet is lost, exactly like the
+               kernel datapath's "lost" netlink upcalls *)
             t.counters.dropped <- t.counters.dropped + 1;
             Coverage.incr cov_upcall_lost
           end
@@ -845,7 +845,7 @@ let process_extracted t charge pkt = process_pass ~extracted:true t charge pkt
 
 (** Run one deferred upcall to completion: translate, install the megaflow,
     and execute the resulting actions over the queued packet. This is what
-    drains a PMD's bounded upcall queue into the shared slow path. *)
+    runs a PMD step's misses through the shared slow path. *)
 let handle_upcall t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t) =
   let run (charge : charge_fn) =
     let actions =

@@ -120,13 +120,13 @@ val set_now : t -> Ovs_sim.Time.ns -> unit
 
 val now : t -> Ovs_sim.Time.ns
 
-(** {1 The deferred slow path (PMD upcall queues)} *)
+(** {1 The deferred slow path (PMD upcalls)} *)
 
 (** When a hook is installed, a full fast-path miss does not translate
-    inline: the hook enqueues the packet for a deferred slow-path pass,
-    with its own copy of the flow key (the datapath reuses its key
-    buffers).
-    A [false] return means the queue was full — the packet is counted
+    inline: the hook keeps the packet for a slow-path pass later in the
+    PMD's step, with its own copy of the flow key (the datapath reuses
+    its key buffers).
+    A [false] return means the upcall failed — the packet is counted
     [dropped] and the [dpif_upcall_lost] coverage counter fires. *)
 val set_upcall_hook : t -> (Ovs_packet.Buffer.t -> FK.t -> bool) option -> unit
 
@@ -144,7 +144,7 @@ val tracer : t -> Ovs_sim.Trace.t option
 (** Run one deferred upcall to completion: re-probe the megaflow table
     (another queued upcall of the same flow may have installed it),
     translate + install on a true miss, then execute over the queued
-    packet. This is what drains a PMD's bounded upcall queue. *)
+    packet. This is how a PMD runs its step's misses. *)
 val handle_upcall : t -> charge_fn -> Ovs_packet.Buffer.t -> FK.t -> unit
 
 (** {1 Meters} *)

@@ -237,10 +237,11 @@ val process : t -> Dp_core.charge_fn -> Ovs_packet.Buffer.t -> unit
 val set_upcall_hook :
   t -> (Ovs_packet.Buffer.t -> Ovs_packet.Flow_key.t -> bool) option -> unit
 (** Install (or clear) the miss hook: when set, a full fast-path miss
-    enqueues instead of translating inline; [false] means the bounded
-    queue was full and the packet is lost. *)
+    goes to the hook instead of translating inline (the PMD runs it
+    through {!handle_upcall} later in the same step); [false] means the
+    upcall failed and the packet is lost. *)
 
 val handle_upcall :
   t -> Dp_core.charge_fn -> Ovs_packet.Buffer.t -> Ovs_packet.Flow_key.t -> unit
-(** Drain one deferred upcall: translate + install the megaflow (unless a
-    sibling upcall already did) and execute over the queued packet. *)
+(** Run one deferred upcall: translate + install the megaflow (unless a
+    sibling upcall already did) and execute over the packet. *)

@@ -8,7 +8,8 @@
     byte for byte by the determinism goldens in [test/test_engine.ml].
 
     The schedule explorer ([lib/mc]) takes the poll-mode runtime from
-    {!runtime} and schedules {!Pmd}'s single-phase steps itself. *)
+    {!runtime} and schedules {!Pmd.poll_rxq}, the step {!Pmd.poll_all}
+    takes for every rxq, itself. *)
 
 module Cpu = Ovs_sim.Cpu
 
@@ -27,7 +28,7 @@ let create ~dp ~machine ~softirq ~rt ~port_no () =
 let runtime t = t.rt
 
 (** The traffic rig reports packets it offered, so engine stats can close
-    the conservation triangle (offered = delivered + dropped + queued). *)
+    the conservation triangle (offered = delivered + dropped + in flight). *)
 let note_offered t n = t.offered <- t.offered + n
 
 (* One poll sweep over the phy leg: the runtime's poll_all, or one

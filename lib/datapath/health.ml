@@ -164,14 +164,13 @@ let render t ~now =
   | Some rt ->
       List.iter
         (fun p ->
-          add "  pmd%d: %s, %d restarts, rx %d, lost %d, retried %d\n"
+          add "  pmd%d: %s, %d restarts, rx %d, lost %d\n"
             (Pmd.pmd_id p)
             (if Pmd.alive p then
                if List.memq p (stalled_pmds t) then "stalled" else "alive"
              else "down")
             (Pmd.restarts p)
-            (Pmd.stats_of p).Pmd.rx_packets (Pmd.stats_of p).Pmd.lost
-            (Pmd.stats_of p).Pmd.retried)
+            (Pmd.stats_of p).Pmd.rx_packets (Pmd.stats_of p).Pmd.lost)
         (Pmd.pmds rt));
   List.iter
     (fun (p : Dpif.port) ->

@@ -2,11 +2,11 @@
 
     Shards one port's receive queues across N simulated PMD cores using
     {!Rxq_sched} assignments. Each PMD is its own {!Ovs_sim.Cpu.ctx} with
-    batched polling (batch size from the datapath's [afxdp_opts]) and a
-    bounded upcall queue draining into the shared slow path on the PMD's
-    own core. Every userspace run is driven by this loop. Per-PMD
-    counters mirror
-    [dpif-netdev/pmd-stats-show]; {!assignment} is pmd-rxq-show. *)
+    batched polling (batch size from the datapath's [afxdp_opts]) and
+    runs each burst's misses through the shared slow path on its own
+    core, in the step that received them. Every userspace run is driven
+    by this loop. Per-PMD counters mirror [dpif-netdev/pmd-stats-show];
+    {!assignment} is pmd-rxq-show. *)
 
 (** One receive queue as a PMD sees it. *)
 type rxq = {
@@ -16,8 +16,8 @@ type rxq = {
   mutable rxq_packets : int;
 }
 
-(** pmd-stats-show counters. [miss] reached the slow path; [lost] is an
-    upcall the bounded queue had no room for (packet dropped). *)
+(** pmd-stats-show counters. [miss] reached the slow path; [lost] is a
+    miss whose upcall failed (packet dropped). *)
 type stats = {
   mutable rx_packets : int;
   mutable emc_hits : int;
@@ -25,7 +25,6 @@ type stats = {
   mutable megaflow_hits : int;
   mutable miss : int;
   mutable lost : int;
-  mutable retried : int;  (** upcalls parked in the retry queue *)
   mutable polls : int;
   mutable idle_polls : int;  (** polls that dequeued nothing *)
 }
@@ -34,9 +33,6 @@ type pmd
 type t
 
 val create :
-  ?upcall_capacity:int ->
-  ?retry_capacity:int ->
-  ?max_retries:int ->
   dp:Dpif.t ->
   machine:Ovs_sim.Cpu.t ->
   softirq:Ovs_sim.Cpu.ctx array ->
@@ -47,13 +43,9 @@ val create :
   t
 (** Build a runtime polling [queues] rx queues of [port_no], sharded
     round-robin over [n_pmds] fresh PMD contexts created on [machine].
-    [softirq.(q)] is the kernel-side context for queue [q].
-    [upcall_capacity] (default 512) bounds each PMD's upcall queue;
-    refused upcalls park in a bounded retry queue ([retry_capacity],
-    default 256) and are retried with backoff up to [max_retries]
-    (default 3) times before being lost. On AF_XDP ports each queue's
-    XSK is claimed for its owning PMD (single-producer/single-consumer
-    rings). *)
+    [softirq.(q)] is the kernel-side context for queue [q]. On AF_XDP
+    ports each queue's XSK is claimed for its owning PMD
+    (single-producer/single-consumer rings). *)
 
 (** {1 Polling} *)
 
@@ -61,29 +53,18 @@ val poll_all : t -> int
 (** One main-loop iteration for every PMD (each polls each of its rxqs
     once). Returns total packets dequeued. *)
 
-(** {1 Schedule-explorer steps}
-
-    The three phases of a PMD main-loop iteration as separately
-    schedulable actions for the [Ovs_mc] explorer. Each installs and
-    removes the upcall hook around itself and does its own counter
-    attribution, so any interleaving of steps across PMDs is a
-    well-formed execution; [step_poll; step_retry; step_drain] on one
-    PMD reproduces {!poll_rxq} except for [rxq_cycles]. *)
-
-val step_poll : t -> pmd -> rxq -> int
-(** One burst from one rxq through the datapath — no retry pass, no
-    drain; misses accumulate in the PMD's bounded queues. *)
-
-val step_retry : t -> pmd -> unit
-(** One bounded-retry backoff pass over the PMD's parked upcalls. *)
-
-val step_drain : t -> pmd -> unit
-(** Drain the PMD's upcall queue into the shared slow path. *)
+val poll_rxq : t -> pmd -> rxq -> int
+(** One PMD step, the one the main loop and the [Ovs_mc] explorer both
+    take: a burst from [rxq] through the datapath, then that burst's
+    misses through the shared slow path, charged to the PMD's core and
+    attributed to its stats. No upcall outlives the step: an upcall an
+    upcall-storm fault refuses counts [lost] and its packet is dropped.
+    Returns packets dequeued; a dead or stalled PMD does nothing. *)
 
 val handle_crashes : t -> unit
-(** Apply any pending crash fault: queued upcalls die with the thread
-    (counted lost and dropped) and the shared caches flush. Run by
-    {!poll_all} automatically; exposed as an explorer step. *)
+(** Apply any pending crash fault: the PMD goes down and the shared
+    caches flush. Run by {!poll_all} automatically; exposed as an
+    explorer step. *)
 
 (** {1 Introspection} *)
 
@@ -96,13 +77,6 @@ val alive : pmd -> bool
 (** [false] between a crash fault and the health monitor's restart. *)
 
 val restarts : pmd -> int
-
-val queued : pmd -> int
-(** Upcalls waiting in this PMD (main + retry queues) — in-flight
-    packets for conservation accounting. *)
-
-val upcall_queue_len : pmd -> int
-val retry_queue_len : pmd -> int
 
 val rxqs_of : pmd -> rxq list
 (** The rxqs currently assigned to this PMD. *)

@@ -31,7 +31,7 @@ type action =
   | Pmd_stall of { pmd : int }  (** the PMD thread stops making progress *)
   | Pmd_crash of { pmd : int }
       (** the PMD dies at window start (stays dead until restarted) *)
-  | Upcall_storm  (** the upcall queue behaves as permanently full *)
+  | Upcall_storm  (** every PMD upcall fails (the slow path refuses) *)
   | Pkt_truncate of { prob : float }
       (** each offered packet is truncated with probability [prob] *)
   | Pkt_corrupt of { prob : float }
@@ -251,7 +251,7 @@ let mark_pmd_restarted ~pmd =
           | _ -> ())
         i.states
 
-(** PMD upcall enqueue: does the bounded queue behave as full right now? *)
+(** PMD upcall: does the slow path refuse it right now (the upcall fails)? *)
 let upcall_storm () =
   match !armed with
   | None -> false

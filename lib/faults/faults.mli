@@ -21,7 +21,7 @@ type action =
   | Pmd_stall of { pmd : int }  (** the PMD thread stops making progress *)
   | Pmd_crash of { pmd : int }
       (** the PMD dies at window start (stays dead until restarted) *)
-  | Upcall_storm  (** the upcall queue behaves as permanently full *)
+  | Upcall_storm  (** every PMD upcall fails (the slow path refuses) *)
   | Pkt_truncate of { prob : float }
   | Pkt_corrupt of { prob : float }
   | Ct_pressure of { zone : int; limit : int }
@@ -90,7 +90,7 @@ val pmd_crashed_at : pmd:int -> Ovs_sim.Time.ns option
 val mark_pmd_restarted : pmd:int -> unit
 
 val upcall_storm : unit -> bool
-(** PMD upcall enqueue: does the bounded queue behave as full? *)
+(** PMD upcall: does it fail (the slow path refuses it)? *)
 
 val ct_limit : zone:int -> int option
 (** Conntrack commit: forced effective zone limit, when open for [zone]. *)

@@ -2,8 +2,8 @@
 
     Implementation notes. The explored object is a {!Scenario} rig (the
     same one the chaos bench drives): an AF_XDP datapath with 2 rxqs
-    sharded over 2 PMDs, a tracer attached, tiny upcall/retry queues and
-    a shrunken umem so a fresh model costs ~1ms to build. Exploration is
+    sharded over 2 PMDs, a tracer attached and a shrunken umem so a
+    fresh model costs ~1ms to build. Exploration is
     stateless-model-checking style: schedules are byte strings of thread
     ids, and every schedule re-executes against a fresh model, which is
     also exactly what makes violations replayable. Oracles run after
@@ -43,9 +43,8 @@ let mode_of_name = function
 (** One schedulable action of the concurrency model. PMD ids double as
     queue owners: round-robin sharding assigns queue [q] to PMD [q]. *)
 type step =
-  | S_poll of int * int  (** (pmd, queue): one rx burst, no drain *)
-  | S_retry of int  (** one retry-backoff pass *)
-  | S_drain of int  (** drain the upcall queue into the slow path *)
+  | S_poll of int * int
+      (** (pmd, queue): one rx burst and its upcalls, {!Pmd.poll_rxq} *)
   | S_fault_tick  (** advance the fault clock one quantum *)
   | S_health  (** one health-monitor sweep *)
   | S_reclaim  (** umempool leak reclaim *)
@@ -53,8 +52,6 @@ type step =
 
 let step_name = function
   | S_poll (p, q) -> Printf.sprintf "poll(pmd%d,q%d)" p q
-  | S_retry p -> Printf.sprintf "retry(pmd%d)" p
-  | S_drain p -> Printf.sprintf "drain(pmd%d)" p
   | S_fault_tick -> "fault-tick"
   | S_health -> "health-check"
   | S_reclaim -> "umem-reclaim"
@@ -64,31 +61,23 @@ let scripts_of mode : (string * step array) array =
   match mode with
   | Tiny ->
       [|
-        ("pmd0", [| S_poll (0, 0); S_retry 0; S_drain 0 |]);
+        ("pmd0", [| S_poll (0, 0) |]);
         ("pmd1", [| S_poll (1, 1) |]);
         ("fault", [| S_fault_tick; S_fault_tick |]);
         ("health", [| S_health |]);
       |]
   | Small ->
       [|
-        ("pmd0", [| S_poll (0, 0); S_retry 0; S_drain 0 |]);
-        ("pmd1", [| S_poll (1, 1); S_retry 1; S_drain 1 |]);
+        ("pmd0", [| S_poll (0, 0) |]);
+        ("pmd1", [| S_poll (1, 1) |]);
         ("fault", [| S_fault_tick; S_fault_tick |]);
         ("health", [| S_health |]);
         ("reclaim", [| S_reclaim |]);
       |]
   | Large ->
       [|
-        ( "pmd0",
-          [|
-            S_poll (0, 0); S_retry 0; S_drain 0;
-            S_poll (0, 0); S_retry 0; S_drain 0;
-          |] );
-        ( "pmd1",
-          [|
-            S_poll (1, 1); S_retry 1; S_drain 1;
-            S_poll (1, 1); S_retry 1; S_drain 1;
-          |] );
+        ("pmd0", [| S_poll (0, 0); S_poll (0, 0) |]);
+        ("pmd1", [| S_poll (1, 1); S_poll (1, 1) |]);
         ( "fault",
           [| S_fault_tick; S_fault_tick; S_fault_tick; S_fault_tick;
              S_fault_tick |] );
@@ -107,7 +96,6 @@ type mutation =
   | M_second_claim
   | M_leak_frame
   | M_lose_packet
-  | M_overflow_queue
   | M_ring_rewind
   | M_untraced_charge
 
@@ -117,7 +105,6 @@ let mutations =
     ("second_claim", M_second_claim);
     ("leak_frame", M_leak_frame);
     ("lose_packet", M_lose_packet);
-    ("overflow_queue", M_overflow_queue);
     ("ring_rewind", M_ring_rewind);
     ("untraced_charge", M_untraced_charge);
   ]
@@ -126,12 +113,11 @@ let mutation_name m = fst (List.find (fun (_, m') -> m' = m) mutations)
 
 (* -- oracles -- *)
 
-type oracle = O_ring | O_frames | O_queues | O_packets | O_trace
+type oracle = O_ring | O_frames | O_packets | O_trace
 
 let oracle_name = function
   | O_ring -> "ring-sanity"
   | O_frames -> "frame-conservation"
-  | O_queues -> "queue-bounds"
   | O_packets -> "packet-conservation"
   | O_trace -> "trace-accounting"
 
@@ -151,10 +137,8 @@ type schedule = int array
 (* -- the model -- *)
 
 (* Shrunken scale so a fresh model per schedule stays ~1ms: 128 umem
-   frames per queue (fill target 64), queue capacities of 4 so the
-   bounded-queue oracle bites at a 16-packet preload. *)
+   frames per queue (fill target 64). *)
 let frames_per_queue = 128
-let declared_capacity = 4
 
 type port_view = {
   pv_pool : Umempool.t;
@@ -205,18 +189,10 @@ let fault_plan mode =
 (** Build a fresh model and arm its fault plan. The caller must
     [Faults.disarm] when done (the plan is process-global). *)
 let build ?mutation mode =
-  (* the overflow mutation weakens the implementation's guard (real
-     capacity 2x the declared bound) while the oracle keeps the spec *)
-  let real_capacity =
-    match mutation with
-    | Some M_overflow_queue -> 2 * declared_capacity
-    | _ -> declared_capacity
-  in
   let opts = { Dpif.afxdp_default with Dpif.frames_per_queue } in
   let cfg =
     Scenario.config ~kind:(Dpif.Afxdp opts) ~n_flows:8 ~queues:2 ~n_pmds:2
-      ~trace:true ~upcall_capacity:real_capacity
-      ~retry_capacity:real_capacity ()
+      ~trace:true ()
   in
   let rig = Scenario.setup cfg in
   let rt =
@@ -317,10 +293,10 @@ let apply_mutation m step =
               0 (Pmd.assignment m.rt)
           in
           Xsk.set_owner pv0.pv_xsks.(0) ~pmd:(assigned + 1)
-      | M_leak_frame, S_retry _ when Faults.upcall_storm () ->
+      | M_leak_frame, S_poll _ when Faults.upcall_storm () ->
           (* a frame vanishes outside the accounted leak quarantine *)
           ignore (Umempool.get pv0.pv_pool : int option)
-      | M_lose_packet, S_drain _ ->
+      | M_lose_packet, S_poll _ ->
           (* an offered packet is discarded with no drop counter *)
           let phy0 = m.rig.Scenario.r_phy0 in
           let rec steal q =
@@ -335,7 +311,7 @@ let apply_mutation m step =
              otherwise quiet *)
           let rx = pv0.pv_xsks.(0).Xsk.rx in
           if Ring.cons_idx rx > 0 then Ring.corrupt_rewind_cons rx
-      | M_untraced_charge, S_retry p ->
+      | M_untraced_charge, S_poll (p, _) ->
           (* PMD-side work the stage tracer never sees *)
           Cpu.charge (Pmd.pmd_ctx (pmd_of m p)) Cpu.User 500.
       | _ -> ())
@@ -352,9 +328,7 @@ let exec_step m tid =
       (match step with
       | S_poll (p, q) ->
           let pmd = pmd_of m p in
-          ignore (Pmd.step_poll m.rt pmd (rxq_of pmd q) : int)
-      | S_retry p -> Pmd.step_retry m.rt (pmd_of m p)
-      | S_drain p -> Pmd.step_drain m.rt (pmd_of m p)
+          ignore (Pmd.poll_rxq m.rt pmd (rxq_of pmd q) : int)
       | S_fault_tick -> fault_tick m
       | S_health -> ignore (Health.check m.health ~now:m.now : int)
       | S_reclaim ->
@@ -391,19 +365,6 @@ let check_frames m =
       Audit.check_frames (fun s -> raise (Violated (O_frames, s))) pv.pv_census)
     m.ports
 
-(* The per-PMD upcall and retry queues respect the declared bound. *)
-let check_queues m =
-  List.iter
-    (fun pmd ->
-      let u = Pmd.upcall_queue_len pmd and r = Pmd.retry_queue_len pmd in
-      if u > declared_capacity then
-        fail O_queues "pmd %d upcall queue holds %d > bound %d"
-          (Pmd.pmd_id pmd) u declared_capacity;
-      if r > declared_capacity then
-        fail O_queues "pmd %d retry queue holds %d > bound %d" (Pmd.pmd_id pmd)
-          r declared_capacity)
-    (Pmd.pmds m.rt)
-
 (* Chaos-rig packet conservation: offered = delivered + drops + in flight
    after every step, on the rig's ledger. *)
 let check_packets m =
@@ -429,7 +390,6 @@ let check_oracles m =
   try
     check_rings m;
     check_frames m;
-    check_queues m;
     check_packets m;
     check_trace m;
     None
@@ -498,18 +458,15 @@ type outcome = {
 
 (* Static independence relation for the canonical-order reduction. Two
    steps are independent when executing them in either order reaches the
-   same oracle-observable state (commutes up to frame identity — see
-   DESIGN.md for the argument and the EMC caveat). Everything touching
-   the shared slow path, the fault clock, or the monitor is dependent. *)
+   same oracle-observable state: polls of different PMDs on different
+   queues commute up to frame identity and up to which PMD translates a
+   megaflow both bursts need — see DESIGN.md for the argument and the
+   EMC caveat. Everything touching the fault clock, the monitor or the
+   umempool's reclaim path is dependent. *)
 let independent a b =
-  let one a b =
-    match (a, b) with
-    | S_poll (p1, q1), S_poll (p2, q2) -> p1 <> p2 && q1 <> q2
-    | S_retry p1, (S_retry p2 | S_poll (p2, _) | S_drain p2) -> p1 <> p2
-    | S_reclaim, S_retry _ -> true
-    | _ -> false
-  in
-  one a b || one b a
+  match (a, b) with
+  | S_poll (p1, q1), S_poll (p2, q2) -> p1 <> p2 && q1 <> q2
+  | _ -> false
 
 let explore ?mutation ?por ?(max_schedules = 500_000) mode =
   let por = match por with Some p -> p | None -> mutation = None in

@@ -4,18 +4,18 @@
     The simulator is single-threaded, but the system it models is not:
     PMD threads, the fault injector's windows, the health monitor and the
     umempool's reclaim path all interleave in the real OVS process, and
-    the interesting bugs (double frame grants, lost upcalls, rings
+    the interesting bugs (double frame grants, lost packets, rings
     claimed by two threads) live in those interleavings. This module
-    drives the per-step actions of that concurrency model — rxq poll,
-    retry-backoff pass, upcall drain, fault-window tick, health sweep,
-    umem reclaim, crash sweep — through an explicit scheduler and checks
-    a set of invariant oracles after {e every} step:
+    drives the per-step actions of that concurrency model — a PMD's rxq
+    poll with that burst's upcalls ({!Ovs_datapath.Pmd.poll_rxq}, the
+    step the main loop takes), fault-window tick, health sweep, umem
+    reclaim, crash sweep — through an explicit scheduler and checks four
+    invariant oracles after {e every} step:
 
     - frame conservation: every umem frame has exactly one owner among
       pool free stack, leak quarantine, fill/completion/rx/tx rings;
     - ring sanity: SPSC index monotonicity plus single-claimant XSK
       ownership against the PMD runtime's assignment;
-    - bounded-queue capacity on the per-PMD upcall and retry queues;
     - packet conservation, reusing the chaos rig's accounting:
       offered = delivered + accounted drops + in flight;
     - trace accounting: the per-stage cycle sums equal the charged busy
@@ -31,9 +31,10 @@
 
 (** {1 Bounds} *)
 
-(** Exploration bound. [Tiny] (7 steps) is sized for unit tests, [Small]
-    (10 steps, 2 PMDs x 2 rxqs) for exhaustive exploration, [Large]
-    (24 steps, adds crash/restart) for seeded random sampling only. *)
+(** Exploration bound. [Tiny] (5 steps) is sized for unit tests, [Small]
+    (6 steps, 2 PMDs x 2 rxqs) for exhaustive exploration, [Large]
+    (16 steps, two polls per PMD, adds crash/restart) for seeded random
+    sampling only. *)
 type mode = Tiny | Small | Large
 
 (** {1 Mutations}
@@ -47,7 +48,6 @@ type mutation =
   | M_second_claim  (** an XSK ring is claimed by a second PMD *)
   | M_leak_frame  (** a frame silently vanishes from the pool *)
   | M_lose_packet  (** an offered packet is discarded uncounted *)
-  | M_overflow_queue  (** the upcall queue admits past its declared bound *)
   | M_ring_rewind  (** an rx ring's consumer index moves backwards *)
   | M_untraced_charge  (** PMD work charged outside the stage tracer *)
 
@@ -58,7 +58,6 @@ val mutations : (string * mutation) list
 type oracle =
   | O_ring  (** SPSC monotonicity / single-claimant ownership *)
   | O_frames  (** umem frame conservation *)
-  | O_queues  (** bounded-queue capacity *)
   | O_packets  (** packet conservation *)
   | O_trace  (** stage-cycle sums vs charged totals *)
 

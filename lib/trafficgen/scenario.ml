@@ -102,10 +102,6 @@ type config = {
   ct_zone : int option;
       (** P2P: send traffic through ct(commit) in this zone with an
           invalid-state drop rule (the conntrack-pressure target) *)
-  upcall_capacity : int;  (** per-PMD upcall queue bound *)
-  retry_capacity : int;
-      (** per-PMD retry queue bound — the schedule explorer shrinks both
-          so its bounded-queue oracle bites at tiny packet counts *)
   latency : bool;
       (** arm per-packet sojourn-time measurement: the generator becomes
           a paced line-rate core ([offered_mpps]), stamps each packet's
@@ -139,8 +135,6 @@ let default_config =
     rx_policy = Netdev.Rx_drop;
     strict_match = false;
     ct_zone = None;
-    upcall_capacity = 512;
-    retry_capacity = 256;
     latency = false;
     offered_mpps = 0.;
     burst = None;
@@ -157,14 +151,12 @@ let config ?(kind = default_config.kind) ?(topology = default_config.topology)
     ?(faults = default_config.faults) ?(rx_policy = default_config.rx_policy)
     ?(strict_match = default_config.strict_match)
     ?(ct_zone = default_config.ct_zone)
-    ?(upcall_capacity = default_config.upcall_capacity)
-    ?(retry_capacity = default_config.retry_capacity)
     ?(latency = default_config.latency)
     ?(offered_mpps = default_config.offered_mpps)
     ?(burst = default_config.burst) () =
   { kind; topology; n_flows; frame_len; queues; gbps; warmup; measure; cache;
     ccache; mix; n_pmds; trace; faults; rx_policy; strict_match; ct_zone;
-    upcall_capacity; retry_capacity; latency; offered_mpps; burst }
+    latency; offered_mpps; burst }
 
 let is_userspace = function
   | Dpif.Dpdk | Dpif.Afxdp _ -> true
@@ -278,9 +270,7 @@ let setup (cfg : config) : rig =
   let rt =
     if is_userspace cfg.kind then
       Some
-        (Pmd.create ~upcall_capacity:cfg.upcall_capacity
-           ~retry_capacity:cfg.retry_capacity ~dp ~machine ~softirq:sirq
-           ~port_no:p0 ~queues
+        (Pmd.create ~dp ~machine ~softirq:sirq ~port_no:p0 ~queues
            ~n_pmds:(if cfg.n_pmds >= 1 then cfg.n_pmds else queues)
            ())
     else None
@@ -455,17 +445,15 @@ let poll_sweep (r : rig) =
 module Dp_core = Ovs_datapath.Dp_core
 module Xsk = Ovs_xsk.Xsk
 
-(* packets inside the rig: NIC rx queues, XSK rx rings, PMD upcall and
-   retry queues — everything offered but not yet delivered or dropped *)
+(* packets inside the rig: NIC rx queues and XSK rx rings — everything
+   offered but not yet delivered or dropped (no upcall outlives the PMD
+   step that received it) *)
 let in_flight (r : rig) =
   Netdev.pending r.r_phy0
   + List.fold_left (fun a (d, _) -> a + Netdev.pending d) 0 r.r_vdevs
   + (match Dpif.xsks r.r_dp ~port_no:r.r_p0 with
     | Some xs ->
         Array.fold_left (fun a x -> a + Ovs_xsk.Ring.available x.Xsk.rx) 0 xs
-    | None -> 0)
-  + (match r.r_rt with
-    | Some rt -> List.fold_left (fun a p -> a + Pmd.queued p) 0 (Pmd.pmds rt)
     | None -> 0)
 
 (** The rig's conservation ledger. A ledger records every drop counter
@@ -879,8 +867,8 @@ let fault_tick (r : rig) ~now =
     (fun (f : Faults.fault) ->
       match f.Faults.f_action with
       | Faults.Upcall_storm ->
-          (* the storm begins with a cache flush: every packet misses
-             into the (refusing) upcall queue *)
+          (* the storm begins with a cache flush: every packet misses,
+             and every upcall fails while the window is open *)
           Dpif.flush_caches r.r_dp
       | Faults.Ct_pressure { zone; limit } ->
           (* table pressure early-drops existing connections; they must

@@ -31,8 +31,6 @@ type config = {
   rx_policy : Ovs_netdev.Netdev.rx_policy;
   strict_match : bool;
   ct_zone : int option;
-  upcall_capacity : int;
-  retry_capacity : int;
   latency : bool;
   offered_mpps : float;
   burst : Pktgen.onoff option;
@@ -56,8 +54,6 @@ val config :
   ?rx_policy:Ovs_netdev.Netdev.rx_policy ->
   ?strict_match:bool ->
   ?ct_zone:int option ->
-  ?upcall_capacity:int ->
-  ?retry_capacity:int ->
   ?latency:bool ->
   ?offered_mpps:float -> ?burst:Pktgen.onoff option -> unit -> config
 type rig = {

@@ -508,20 +508,18 @@ let golden_latency () =
 
 let golden_mc () =
   check Alcotest.string "tiny exploration and mutation catches identical"
-    "explored=300 pruned=35 clean\ndouble_grant: explored=6 pruned=0 \
+    "explored=48 pruned=9 clean\ndouble_grant: explored=6 pruned=0 \
      frame-conservation@2/t1 len=3 mc1 mode=tiny seed=0 \
      mut=double_grant sched=221\nsecond_claim: explored=1 pruned=0 \
      ring-sanity@0/t3 len=1 mc1 mode=tiny seed=0 mut=second_claim \
-     sched=3\nleak_frame: explored=79 pruned=0 frame-conservation@3/t0 \
-     len=4 mc1 mode=tiny seed=0 mut=leak_frame sched=0220\nlose_packet: \
-     explored=1 pruned=0 packet-conservation@2/t0 len=3 mc1 mode=tiny \
-     seed=0 mut=lose_packet sched=000\noverflow_queue: explored=1 \
-     pruned=0 queue-bounds@0/t0 len=1 mc1 mode=tiny seed=0 \
-     mut=overflow_queue sched=0\nring_rewind: explored=1 pruned=0 \
+     sched=3\nleak_frame: explored=6 pruned=0 frame-conservation@2/t1 \
+     len=3 mc1 mode=tiny seed=0 mut=leak_frame sched=221\nlose_packet: \
+     explored=1 pruned=0 packet-conservation@0/t0 len=1 mc1 mode=tiny \
+     seed=0 mut=lose_packet sched=0\nring_rewind: explored=1 pruned=0 \
      ring-sanity@1/t3 len=2 mc1 mode=tiny seed=0 mut=ring_rewind \
      sched=03\nuntraced_charge: explored=1 pruned=0 \
-     trace-accounting@1/t0 len=2 mc1 mode=tiny seed=0 \
-     mut=untraced_charge sched=00"
+     trace-accounting@0/t0 len=1 mc1 mode=tiny seed=0 \
+     mut=untraced_charge sched=0"
     (mc_golden ())
 
 

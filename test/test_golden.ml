@@ -17,8 +17,9 @@ module Time = Ovs_sim.Time
 module Tools = Ovs_tools.Tools
 
 (* The mc explorer's small model: AF_XDP with a shrunken umem, 2 PMDs x
-   2 rxqs, 16 preloaded packets polled and drained once, one fault tick
-   inside the umem-leak window, one health sweep. *)
+   2 rxqs, 16 preloaded packets, one fault tick inside the umem-leak
+   window, each rxq polled once (its upcalls run in the same step), one
+   health sweep. *)
 let fixture () =
   let opts = { Dpif.afxdp_default with Dpif.frames_per_queue = 128 } in
   let cfg =
@@ -54,10 +55,8 @@ let fixture () =
   List.iter
     (fun pmd ->
       List.iter
-        (fun rxq -> ignore (Pmd.step_poll rt pmd rxq))
-        (Pmd.rxqs_of pmd);
-      Pmd.step_retry rt pmd;
-      Pmd.step_drain rt pmd)
+        (fun rxq -> ignore (Pmd.poll_rxq rt pmd rxq : int))
+        (Pmd.rxqs_of pmd))
     (Pmd.pmds rt);
   ignore (Health.check health ~now:(Time.us 100.));
   (rig, rt, health)
@@ -115,8 +114,8 @@ let test_cache_hierarchy rig _rt _health =
 let test_health_show _rig _rt health =
   golden "dpif/health-show"
     {|health: DEGRADED
-  pmd0: alive, 0 restarts, rx 9, lost 0, retried 0
-  pmd1: alive, 0 restarts, rx 7, lost 0, retried 0
+  pmd0: alive, 0 restarts, rx 9, lost 0
+  pmd1: alive, 0 restarts, rx 7, lost 0
   port 0 (eth0): carrier up, pending 0, rx_dropped 0, umem 160 free / 32 leaked
   port 1 (eth1): carrier up, pending 0, rx_dropped 0, umem 192 free / 0 leaked
   recoveries: 0 (repairs 0)

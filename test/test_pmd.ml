@@ -1,6 +1,6 @@
 (* Tests for the poll-mode runtime: rxq sharding, per-PMD counter
-   attribution, bounded upcall queues, and the schedule-explorer steps
-   reproducing the fused main loop. *)
+   attribution, and upcalls resolved (or failed) in the step that
+   received them. *)
 
 module Dpif = Ovs_datapath.Dpif
 module Dp_core = Ovs_datapath.Dp_core
@@ -39,8 +39,8 @@ let make_rig ?(queues = 4) () =
   in
   { dp; phy0; phy1; p0; machine; softirq }
 
-let make_rt ?upcall_capacity ?(queues = 4) ~n_pmds (r : rig) =
-  Pmd.create ?upcall_capacity ~dp:r.dp ~machine:r.machine ~softirq:r.softirq
+let make_rt ?(queues = 4) ~n_pmds (r : rig) =
+  Pmd.create ~dp:r.dp ~machine:r.machine ~softirq:r.softirq
     ~port_no:r.p0 ~queues ~n_pmds ()
 
 (* every (port, queue) appears exactly once, on a valid pmd id *)
@@ -103,126 +103,52 @@ let test_per_pmd_totals_match_aggregate () =
        (List.filter (fun p -> (Pmd.stats_of p).Pmd.rx_packets > 0) (Pmd.pmds rt))
     > 1)
 
-let test_upcall_overflow_counts_lost () =
-  let r = make_rig () in
-  (* capacity 2 with a 32-packet burst of distinct megaflow-missing flows:
-     the EMC/dpcls are empty on first contact, so one burst overflows *)
-  let rt = make_rt ~upcall_capacity:2 ~n_pmds:1 r in
-  Dpif.flush_caches r.dp;
-  for i = 0 to 31 do
-    ignore (Netdev.enqueue_on r.phy0 ~queue:0 (B.udp ~src_port:(2000 + i) ()) : bool)
-  done;
-  ignore (Pmd.poll_all rt);
-  let lost = List.fold_left (fun acc p -> acc + (Pmd.stats_of p).Pmd.lost) 0 (Pmd.pmds rt) in
-  Alcotest.(check bool) "overflow increments lost" true (lost > 0);
-  let agg = Dpif.counters r.dp in
-  Alcotest.(check bool) "lost packets are dropped" true (agg.Dp_core.dropped >= lost);
-  (* the runtime keeps working afterwards: the surviving upcalls installed
-     the megaflow, so the next burst forwards without loss *)
-  let tx0 = r.phy1.Netdev.stats.Netdev.tx_packets in
-  for i = 0 to 31 do
-    ignore (Netdev.enqueue_on r.phy0 ~queue:0 (B.udp ~src_port:(2000 + i) ()) : bool)
-  done;
-  ignore (Pmd.poll_all rt);
-  check Alcotest.int "no deadlock, burst forwarded" 32
-    (r.phy1.Netdev.stats.Netdev.tx_packets - tx0)
-
-(* The schedule explorer drives a PMD through step_poll, step_retry and
-   step_drain; its findings hold for the real loop only if those steps
-   are poll_all. Twin 2-PMD/2-rxq rigs see the same traffic under an
-   upcall-storm window (so parked upcalls take the retry path): one runs
-   poll_all, the other the three steps per rxq. After every sweep the
-   Dp_core counters, the per-PMD stats (all but rxq_cycles), each
-   context's charged busy ns and the delivered count must agree. *)
-let test_steps_are_the_loop () =
-  let storm =
-    Faults.plan ~name:"steps" ~seed:7
-      [
-        {
-          Faults.f_name = "storm";
-          f_action = Faults.Upcall_storm;
-          f_start = Time.us 30.;
-          f_stop = Time.us 50.;
-        };
-      ]
-  in
-  let snapshot (r : rig) rt =
-    let c = Dpif.counters r.dp in
-    let pmd p =
-      let s = Pmd.stats_of p in
-      Printf.sprintf
-        "rx=%d emc=%d smc=%d mf=%d miss=%d lost=%d retried=%d polls=%d idle=%d"
-        s.Pmd.rx_packets s.Pmd.emc_hits s.Pmd.smc_hits s.Pmd.megaflow_hits
-        s.Pmd.miss s.Pmd.lost s.Pmd.retried s.Pmd.polls s.Pmd.idle_polls
-    in
-    let busy (ctx : Cpu.ctx) =
-      Printf.sprintf "%s=%.17g" ctx.Cpu.name (Cpu.busy ctx)
-    in
-    String.concat " | "
-      ([
-         Printf.sprintf
-           "packets=%d passes=%d upcalls=%d emc=%d smc=%d dpcls=%d \
-            dropped=%d sent=%d delivered=%d"
-           c.Dp_core.packets c.Dp_core.passes c.Dp_core.upcalls
-           c.Dp_core.emc_hits c.Dp_core.smc_hits c.Dp_core.dpcls_hits
-           c.Dp_core.dropped c.Dp_core.sent
-           r.phy1.Netdev.stats.Netdev.tx_packets;
-       ]
-      @ List.map pmd (Pmd.pmds rt)
-      @ List.map busy r.machine.Cpu.ctxs)
-  in
-  let run sweep =
-    let r = make_rig ~queues:2 () in
-    let rt = make_rt ~queues:2 ~n_pmds:2 r in
-    Faults.arm storm;
-    let pmd_wall () =
-      List.fold_left (fun a p -> Float.max a (Cpu.busy (Pmd.pmd_ctx p))) 0.
-        (Pmd.pmds rt)
-    in
-    let trail = ref [] in
-    let sweep () =
-      sweep rt;
-      trail := snapshot r rt :: !trail
-    in
-    for round = 0 to 39 do
-      (* the storm begins with a cache flush, as in the chaos rig: every
-         packet misses into the refusing upcall queue *)
-      if Faults.tick (pmd_wall ()) <> [] then Dpif.flush_caches r.dp;
-      for i = 0 to 15 do
-        ignore
-          (Netdev.rss_enqueue r.phy0
-             (B.udp ~src_port:(3000 + (round mod 4 * 16) + i) ())
-            : bool)
-      done;
-      sweep ()
-    done;
-    ignore (Faults.tick (Time.ms 1.) : Faults.fault list);
-    for _ = 1 to 8 do
-      sweep ()
-    done;
-    Faults.disarm ();
-    let retried =
-      List.fold_left (fun a p -> a + (Pmd.stats_of p).Pmd.retried) 0 (Pmd.pmds rt)
-    in
-    (List.rev !trail, retried, r.phy1.Netdev.stats.Netdev.tx_packets)
-  in
-  let fused, retried, sent = run (fun rt -> ignore (Pmd.poll_all rt : int)) in
-  let stepped, _, _ =
-    run (fun rt ->
-        Pmd.handle_crashes rt;
-        List.iter
-          (fun p ->
-            List.iter
-              (fun rxq ->
-                ignore (Pmd.step_poll rt p rxq : int);
-                Pmd.step_retry rt p;
-                Pmd.step_drain rt p)
-              (Pmd.rxqs_of p))
-          (Pmd.pmds rt))
-  in
-  Alcotest.(check bool) "the storm parked upcalls for retry" true (retried > 0);
-  Alcotest.(check bool) "traffic was forwarded" true (sent > 0);
-  check Alcotest.(list string) "identical after every sweep" fused stepped
+(* One PMD step runs its own misses: with an upcall-storm window open
+   every upcall of the burst fails inside the poll that received it, so
+   each received packet is already sent or counted dropped when poll_all
+   returns (nothing waits in a queue for a later step), and [lost] counts
+   exactly the misses. One rxq, so poll_all is exactly one step. After
+   the window the next burst of fresh flows forwards in full. *)
+let test_storm_fails_upcalls_in_step () =
+  let r = make_rig ~queues:1 () in
+  let rt = make_rt ~queues:1 ~n_pmds:1 r in
+  Faults.arm
+    (Faults.plan ~name:"storm" ~seed:7
+       [
+         {
+           Faults.f_name = "storm";
+           f_action = Faults.Upcall_storm;
+           f_start = 0.;
+           f_stop = Time.ms 1.;
+         };
+       ]);
+  Fun.protect ~finally:Faults.disarm (fun () ->
+      ignore (Faults.tick 0. : Faults.fault list);
+      Dpif.flush_caches r.dp;
+      let burst base n =
+        for i = 0 to n - 1 do
+          ignore
+            (Netdev.enqueue_on r.phy0 ~queue:0 (B.udp ~src_port:(base + i) ())
+              : bool)
+        done;
+        ignore (Pmd.poll_all rt : int)
+      in
+      burst 2000 16;
+      let s = Pmd.stats_of (List.hd (Pmd.pmds rt)) in
+      let agg = Dpif.counters r.dp in
+      let sent = r.phy1.Netdev.stats.Netdev.tx_packets in
+      check Alcotest.int "the burst was received" 16 s.Pmd.rx_packets;
+      check Alcotest.int "every received packet is sent or dropped"
+        s.Pmd.rx_packets (sent + agg.Dp_core.dropped);
+      let misses =
+        s.Pmd.rx_packets - s.Pmd.emc_hits - s.Pmd.smc_hits - s.Pmd.megaflow_hits
+      in
+      check Alcotest.int "every flow missed" 16 misses;
+      check Alcotest.int "lost = misses" misses s.Pmd.lost;
+      ignore (Faults.tick (Time.ms 1.) : Faults.fault list);
+      burst 3000 32;
+      check Alcotest.int "after the window, the burst is forwarded" 32
+        (r.phy1.Netdev.stats.Netdev.tx_packets - sent))
 
 let test_scaling_and_reports () =
   let run n_pmds =
@@ -277,10 +203,8 @@ let () =
             test_assignment_is_partition;
           Alcotest.test_case "per-PMD totals equal aggregate" `Quick
             test_per_pmd_totals_match_aggregate;
-          Alcotest.test_case "upcall overflow -> lost, no deadlock" `Quick
-            test_upcall_overflow_counts_lost;
-          Alcotest.test_case "poll_all = step_poll; step_retry; step_drain"
-            `Quick test_steps_are_the_loop;
+          Alcotest.test_case "upcall storm fails upcalls in the step" `Quick
+            test_storm_fails_upcalls_in_step;
           Alcotest.test_case "scaling + appctl reports" `Quick
             test_scaling_and_reports;
           Alcotest.test_case "coverage counters fire" `Quick
