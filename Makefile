@@ -1,5 +1,5 @@
 # Tier-1 verification in one command.
-.PHONY: all check check-mli build test smoke perf-smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff ct-equiv dpcls-equiv table-equiv clean
+.PHONY: all check check-mli build test smoke perf-smoke bench chaos ccache mc multicore latency ndr policy scale reconfig charged-diff ct-equiv dpcls-equiv table-equiv reval-equiv clean
 
 all: build
 
@@ -134,6 +134,17 @@ dpcls-equiv:
 # every step. Not part of check: it takes a few minutes.
 table-equiv:
 	QCHECK_LONG=1 dune exec test/test_ofproto.exe -- test equivalence
+
+# The revalidator equivalence property at 100,000 cases (QCheck's long
+# mode): the tracker that reads the tables' rule journals against the
+# snapshot-and-diff reference in test/revalidator_reference.ml over one
+# two-table pipeline. With one table operation per sweep their
+# sweep_stats, evictions and re-translated megaflows are equal; with
+# several, and traffic between them, the journal evicts exactly the
+# flush-all oracle's stale set and re-translates at least what the
+# reference does. Not part of check: it takes a few minutes.
+reval-equiv:
+	QCHECK_LONG=1 dune exec test/test_revalidator.exe -- test equivalence
 
 check: check-mli build test smoke perf-smoke chaos ccache mc multicore latency ndr policy scale reconfig
 

@@ -165,12 +165,22 @@ let inject t ~machine_ctx (pkt : Ovs_packet.Buffer.t) ~port_no =
         (Dpif.poll t.dp ~softirq:machine_ctx ~pmd:machine_ctx ~port_no ~queue:0 ())
 
 (** Restart the process in place: caches and conntrack state are lost,
-    configuration (rules, ports) survives — the whole upgrade story of the
-    AF_XDP design (Sec 6: "upgrading ... only needs to restart OVS").
+    configuration survives — the whole upgrade story of the AF_XDP design
+    (Sec 6: "upgrading ... only needs to restart OVS"). The rules stay in
+    the shared pipeline; the new datapath takes each meter's rate and
+    burst (with a full bucket) and the controller hook from the old one.
     The caller that owns the devices re-adds the ports. *)
 let restart t =
   t.restarts <- t.restarts + 1;
-  t.dp <- Dpif.create ~kind:t.config.datapath ~pipeline:t.pipeline ();
+  let old = t.dp in
+  let dp = Dpif.create ~kind:t.config.datapath ~pipeline:t.pipeline () in
+  List.iter
+    (fun (id, rate_pps, burst) -> Dpif.set_meter dp ~id ~rate_pps ~burst)
+    (Dpif.meter_configs old);
+  Option.iter (Dpif.set_controller dp) (Dpif.controller old);
+  (* the old revalidator, if armed, would go on journaling the shared tables *)
+  Dpif.set_revalidator_enabled old false;
+  t.dp <- dp;
   log t "ovs-vswitchd restarted (%d restarts so far)" t.restarts
 
 (** What happens when a datapath bug fires (e.g. the Geneve parser bug of

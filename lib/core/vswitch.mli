@@ -70,8 +70,9 @@ val inject : t -> machine_ctx:Ovs_sim.Cpu.ctx -> Ovs_packet.Buffer.t -> port_no:
     it through the datapath. *)
 
 val restart : t -> unit
-(** In-place process restart: configuration survives, caches and
-    conntrack state are rebuilt; the caller re-adds its ports. *)
+(** In-place process restart: configuration survives (rules, meters
+    with full buckets, the controller connection), caches and conntrack
+    state are rebuilt; the caller re-adds its ports. *)
 
 val inject_datapath_bug : t -> crash_outcome
 (** What a datapath bug does under this architecture (Sec 6's Geneve

@@ -203,9 +203,12 @@ let revalidator_render t add = Option.iter (fun rv -> Reval.render rv add) t.rev
 
 (* Arm the incremental revalidator. Already-installed megaflows are
    adopted by re-translating them for their dependency sets, so a
-   mid-life arm tracks the whole table. *)
+   mid-life arm tracks the whole table. Disarming unwatches the tables. *)
 let set_revalidator_enabled t v =
-  if not v then t.reval <- None
+  if not v then begin
+    Option.iter Reval.close t.reval;
+    t.reval <- None
+  end
   else
     match t.reval with
     | Some _ -> ()
@@ -244,6 +247,7 @@ let dpcls_stats t =
     Ovs_flow.Dpcls.mean_probes t.dpcls )
 let set_output t f = t.output <- f
 let set_controller t f = t.controller <- Some f
+let controller t = t.controller
 let set_now t now = t.now <- now
 let now t = t.now
 let set_upcall_hook t h = t.upcall_hook <- h
@@ -312,6 +316,10 @@ let meter_stats t ~id =
   match Hashtbl.find_opt t.meters id with
   | Some m -> Some (m.m_passed, m.m_dropped)
   | None -> None
+
+let meter_configs t =
+  Hashtbl.fold (fun id m acc -> (id, m.rate_pps, m.burst) :: acc) t.meters []
+  |> List.sort compare
 
 (* token-bucket admission at virtual time [t.now] *)
 let meter_admits t id =
@@ -937,10 +945,10 @@ let revalidate t =
   evict_megaflows t stale;
   List.length stale
 
-(** The incremental pass: diff the OpenFlow tables against the last
-    sweep's snapshot, re-translate only the megaflows whose recorded
-    dependencies are affected, and evict the ones that changed. [None]
-    when the revalidator is not armed. *)
+(** The incremental pass: read the OpenFlow tables' rule journals,
+    re-translate only the megaflows whose recorded dependencies are
+    affected, and evict the ones that changed. [None] when the
+    revalidator is not armed. *)
 let incremental_sweep t rv : Reval.sweep_stats * (FK.t * FK.t) list =
   let evicted = ref [] in
   let stats =
@@ -987,14 +995,16 @@ let revalidate_check t : int * int * int =
     the revalidation every lookup is still consistent — cached megaflows
     keep forwarding with the old actions, and misses translate against
     the complete new table set — so no packet ever sees a half-built
-    classifier (the naive path's loss window). The armed revalidator's
-    dependency snapshot references the old pipeline's rule ids, so it is
-    rebuilt: disarm, full revalidate, re-adopt the survivors. Returns the
-    number of stale megaflows evicted (the cutover's upcall-storm size). *)
+    classifier (the naive path's loss window). The armed revalidator
+    watches the old pipeline's tables and indexes its rule ids, so it is
+    rebuilt: disarm (unwatching the old tables), full revalidate,
+    re-adopt the survivors under a tracker that watches the new tables.
+    Returns the number of stale megaflows evicted (the cutover's
+    upcall-storm size). *)
 let swap_pipeline t new_pipeline =
   let was_armed = t.reval <> None in
+  set_revalidator_enabled t false;
   t.pipeline <- new_pipeline;
-  if was_armed then t.reval <- None;
   let evicted = revalidate t in
   if was_armed then set_revalidator_enabled t true;
   evicted

@@ -115,6 +115,9 @@ val set_output : t -> (charge_fn -> int -> Ovs_packet.Buffer.t -> unit) -> unit
 (** Where the [controller] action punts packets (PACKET_IN). *)
 val set_controller : t -> (Ovs_packet.Buffer.t -> unit) -> unit
 
+(** The hook {!set_controller} installed, if any. *)
+val controller : t -> (Ovs_packet.Buffer.t -> unit) option
+
 (** Advance the core's virtual clock (meters and conntrack read it). *)
 val set_now : t -> Ovs_sim.Time.ns -> unit
 
@@ -155,6 +158,10 @@ val set_meter : t -> id:int -> rate_pps:float -> burst:float -> unit
 (** [(passed, dropped)] for the meter, if configured. *)
 val meter_stats : t -> id:int -> (int * int) option
 
+(** Every configured meter as [(id, rate_pps, burst)], by id: what a
+    restarted datapath re-applies. *)
+val meter_configs : t -> (int * float * float) list
+
 (** {1 Per-packet processing} *)
 
 (** Full per-packet fast path: extract, look up, execute (or defer to the
@@ -185,11 +192,11 @@ val revalidate : t -> int
 
 (** The two-phase upgrade's atomic cutover: replace the classifier
     pointer with a fully-populated shadow pipeline, then revalidate the
-    megaflow cache against it (rebuilding the armed revalidator's
-    dependency snapshot, which referenced the old pipeline). Lookups are
-    consistent at every instant — surviving megaflows keep forwarding
-    and misses translate against the complete new tables — which is the
-    zero-loss property the naive in-place swap lacks. Returns the number
+    megaflow cache against it (the armed revalidator watched the old
+    pipeline's tables, so it is closed and rebuilt over the new ones).
+    Lookups are consistent at every instant — surviving megaflows keep
+    forwarding and misses translate against the complete new tables —
+    which is the zero-loss property the naive in-place swap lacks. Returns the number
     of stale megaflows evicted. *)
 val swap_pipeline : t -> Ovs_ofproto.Pipeline.t -> int
 
@@ -198,9 +205,10 @@ val swap_pipeline : t -> Ovs_ofproto.Pipeline.t -> int
 (** Arm (or disarm) the incremental revalidator: translations record
     their rule-dependency sets, and {!revalidate_incremental}
     re-translates only megaflows whose dependencies are touched by
-    rule churn. Arming mid-life adopts already-installed megaflows.
-    Disarmed (the default), the datapath is byte-identical to one
-    built before the subsystem existed. *)
+    rule churn. Arming mid-life adopts already-installed megaflows and
+    watches the pipeline's tables; disarming closes the tracker, so the
+    tables stop journaling for it. Disarmed (the default), the datapath
+    is byte-identical to one built before the subsystem existed. *)
 val set_revalidator_enabled : t -> bool -> unit
 
 val revalidator_enabled : t -> bool
@@ -211,11 +219,11 @@ val revalidator_stats : t -> Ovs_revalidator.Revalidator.stats option
     disarmed. *)
 val revalidator_render : t -> (string -> unit) -> unit
 
-(** The incremental pass: diff the OpenFlow tables against the last
-    sweep's snapshot, re-translate only affected megaflows, evict the
-    changed ones (invalidating the computational cache first and
-    flushing the microflow caches, like {!revalidate}). [None] when
-    the revalidator is not armed. *)
+(** The incremental pass: read the OpenFlow tables' rule journals,
+    re-translate only affected megaflows, evict the changed ones
+    (invalidating the computational cache first and flushing the
+    microflow caches, like {!revalidate}). [None] when the revalidator
+    is not armed. *)
 val revalidate_incremental : t -> Ovs_revalidator.Revalidator.sweep_stats option
 
 (** Prove the incremental pass equals the flush-all oracle on the

@@ -560,7 +560,9 @@ let revalidate_check t = Dp_core.revalidate_check t.core
 let dump_megaflows t = Dp_core.dump_megaflows t.core
 let set_meter t ~id ~rate_pps ~burst = Dp_core.set_meter t.core ~id ~rate_pps ~burst
 let meter_stats t ~id = Dp_core.meter_stats t.core ~id
+let meter_configs t = Dp_core.meter_configs t.core
 let set_controller t f = Dp_core.set_controller t.core f
+let controller t = Dp_core.controller t.core
 let set_time t now = Dp_core.set_now t.core now
 let set_upcall_hook t h = Dp_core.set_upcall_hook t.core h
 let handle_upcall t charge pkt key = Dp_core.handle_upcall t.core charge pkt key

@@ -167,10 +167,10 @@ val pipeline : t -> Ovs_ofproto.Pipeline.t
 val swap_pipeline : t -> Ovs_ofproto.Pipeline.t -> int
 (** The two-phase upgrade's atomic cutover: replace the classifier
     pointer with a fully-populated shadow pipeline, then revalidate the
-    megaflow cache against it (the armed revalidator's dependency
-    snapshot is rebuilt). Surviving megaflows keep forwarding and misses
-    always translate against a complete table set, so the swap is
-    hitless. Returns the number of stale megaflows evicted. *)
+    megaflow cache against it (the armed revalidator is closed and
+    rebuilt over the new tables). Surviving megaflows keep forwarding
+    and misses always translate against a complete table set, so the
+    swap is hitless. Returns the number of stale megaflows evicted. *)
 
 val set_ct_shards : t -> int -> unit
 (** Replace the connection table with one sharded [n] ways by the
@@ -182,8 +182,8 @@ val set_revalidator_enabled : t -> bool -> unit
 (** Arm (or disarm) incremental megaflow revalidation
     (lib/revalidator): translations record rule-dependency sets and
     {!revalidate_incremental} re-translates only megaflows touched by
-    rule churn. Disarmed (default) is byte-identical to the
-    pre-subsystem datapath. *)
+    rule churn. Disarming unwatches the tables' rule journals. Disarmed
+    (default) is byte-identical to the pre-subsystem datapath. *)
 
 val revalidator_enabled : t -> bool
 val revalidator_stats : t -> Ovs_revalidator.Revalidator.stats option
@@ -209,8 +209,14 @@ val dump_megaflows : t -> string list
 val set_meter : t -> id:int -> rate_pps:float -> burst:float -> unit
 val meter_stats : t -> id:int -> (int * int) option
 
+val meter_configs : t -> (int * float * float) list
+(** Every configured meter as [(id, rate_pps, burst)], by id. *)
+
 val set_controller : t -> (Ovs_packet.Buffer.t -> unit) -> unit
 (** Where the [controller] action punts packets (PACKET_IN). *)
+
+val controller : t -> (Ovs_packet.Buffer.t -> unit) option
+(** The hook {!set_controller} installed, if any. *)
 
 val set_time : t -> Ovs_sim.Time.ns -> unit
 (** Advance the datapath's virtual clock (meters, conntrack). *)

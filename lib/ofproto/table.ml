@@ -6,7 +6,11 @@
     The subtables sit in an array in probe order, which [add] and
     [remove_where] keep, so a lookup never sorts. [lookup] is the one
     place the probing rule, and with it every megaflow's mask, is
-    defined. *)
+    defined.
+
+    A reader that calls [watch] gets its own journal of the table's
+    changes, appended by [add] and [remove_where]; a table nobody
+    watches records nothing. *)
 
 module FK = Ovs_packet.Flow_key
 module Subtable = Ovs_flow.Subtable
@@ -23,6 +27,8 @@ type 'a rule = {
 (* process-global so rule ids stay unique across tables and bridges *)
 let next_rule_id = ref 0
 
+type 'a change = Added of 'a rule | Removed of 'a rule | Threshold of int
+
 type 'a subtable = {
   rules : 'a rule list Subtable.t;  (** emptied slots are deleted *)
   mutable max_priority : int;
@@ -34,9 +40,18 @@ type 'a t = {
   mutable rule_count : int;
   mutable created : int;  (** subtables made so far *)
   mutable probes : int;
+  mutable journals : 'a change Queue.t list;  (** one per watching reader *)
 }
 
-let create () = { subtables = [||]; rule_count = 0; created = 0; probes = 0 }
+let create () = { subtables = [||]; rule_count = 0; created = 0; probes = 0; journals = [] }
+
+let watch t =
+  let q = Queue.create () in
+  t.journals <- q :: t.journals;
+  q
+
+let unwatch t q = t.journals <- List.filter (fun q' -> q' != q) t.journals
+let note t c = List.iter (Queue.add c) t.journals
 
 let rule_count t = t.rule_count
 
@@ -69,6 +84,7 @@ let rec insert_rule r = function
 
 let add t ?(cookie = 0) ~priority (match_ : Match_.t) value =
   let mask = match_.Match_.mask in
+  let old_max = ref min_int in
   let i =
     match subtable_index t mask 0 with
     | -1 ->
@@ -78,7 +94,9 @@ let add t ?(cookie = 0) ~priority (match_ : Match_.t) value =
         t.created <- t.created + 1;
         t.subtables <- Array.append t.subtables [| st |];
         Array.length t.subtables - 1
-    | i -> i
+    | i ->
+        old_max := t.subtables.(i).max_priority;
+        i
   in
   let st = t.subtables.(i) in
   incr next_rule_id;
@@ -88,7 +106,11 @@ let add t ?(cookie = 0) ~priority (match_ : Match_.t) value =
   | s -> Subtable.set_value st.rules s (insert_rule r (Subtable.value st.rules s)));
   st.max_priority <- Int.max st.max_priority priority;
   t.rule_count <- t.rule_count + 1;
-  move_up t i
+  move_up t i;
+  if t.journals <> [] then begin
+    note t (Added r);
+    if priority > !old_max then note t (Threshold priority)
+  end
 
 (* Probe the subtables from the [i]th while one can still beat [best],
    whose priority is [prio]. *)
@@ -118,17 +140,19 @@ let remove_where t pred =
     (fun (st : _ subtable) ->
       (* keep max_priority exact: a stale upper bound would make probe
          pruning — and thus megaflow masks — depend on deleted rules *)
+      let old_max = st.max_priority in
       st.max_priority <- min_int;
       for s = st.rules.Subtable.count - 1 downto 0 do
-        let rules = Subtable.value st.rules s in
-        let kept = List.filter (fun r -> not (pred r)) rules in
-        removed := !removed + List.length rules - List.length kept;
+        let gone, kept = List.partition pred (Subtable.value st.rules s) in
+        removed := !removed + List.length gone;
+        if t.journals <> [] then List.iter (fun r -> note t (Removed r)) gone;
         match kept with
         | [] -> Subtable.delete st.rules s
         | r :: _ ->
             Subtable.set_value st.rules s kept;
             st.max_priority <- Int.max st.max_priority r.priority
-      done)
+      done;
+      if st.max_priority <> old_max then note t (Threshold old_max))
     t.subtables;
   t.subtables <-
     Array.of_seq (Seq.filter (fun st -> st.rules.Subtable.count > 0) (Array.to_seq t.subtables));

@@ -26,3 +26,17 @@ val probes : 'a t -> int
 
 val remove_where : 'a t -> ('a rule -> bool) -> int
 val iter : 'a t -> ('a rule -> unit) -> unit
+
+(** What [add] and [remove_where] append to each watching reader's
+    journal: every rule added or removed, and [Threshold p] whenever a
+    subtable is created or dropped or its max priority moves, [p] being
+    the larger of the old and new max: a lookup whose best match has
+    priority at most [p] may now probe a different set of subtables. *)
+type 'a change = Added of 'a rule | Removed of 'a rule | Threshold of int
+
+val watch : 'a t -> 'a change Queue.t
+(** A new reader's journal: every later change is appended to it, in
+    order. The reader drains it; a table nobody watches records nothing. *)
+
+val unwatch : 'a t -> 'a change Queue.t -> unit
+(** Stop appending to a journal {!watch} returned. *)

@@ -3,14 +3,15 @@
 
     The datapath records, per installed megaflow, the rule-dependency
     set collected at translate time ({!record}). On {!sweep} the
-    OpenFlow tables are diffed against the previous pass's snapshot;
-    only megaflows whose dependencies could be affected — a matched
-    rule removed, or an overlapping rule of sufficient priority added
-    to a visited table — are re-translated, and only those whose
-    actions or mask actually changed are evicted (via the caller's
-    callback, where the datapath invalidates its packet caches). The
-    flush-all re-translate in [Dp_core.revalidate] serves as the
-    oracle that the incremental result is identical. *)
+    tracker drains the journal each OpenFlow table keeps for it; only
+    megaflows whose dependencies could be affected — a matched rule
+    removed, an overlapping rule of sufficient priority added to a
+    visited table, or a subtable of a visited table created, dropped or
+    reprioritised at or above the matched priority — are re-translated,
+    and only those whose actions or mask actually changed are evicted
+    (via the caller's callback, where the datapath invalidates its
+    packet caches). The flush-all re-translate in [Dp_core.revalidate]
+    serves as the oracle that the incremental result is identical. *)
 
 module FK = Ovs_packet.Flow_key
 module Pipeline = Ovs_ofproto.Pipeline
@@ -44,8 +45,12 @@ type 'a t
 (** Tracker for megaflows carrying ['a] actions. *)
 
 val create : pipeline:Pipeline.t -> unit -> 'a t
-(** Snapshots the pipeline's tables as the baseline for the first
-    {!sweep}. *)
+(** Watches every table of the pipeline: the first {!sweep} reads the
+    changes made from now on. *)
+
+val close : 'a t -> unit
+(** Unwatch the pipeline's tables. A tracker that is dropped without
+    [close] keeps collecting changes for as long as its pipeline lives. *)
 
 val record : 'a t -> mask:FK.t -> key:FK.t -> actions:'a -> dep list -> unit
 (** Track (or refresh) a megaflow: [key] is a full packet key that
@@ -56,7 +61,7 @@ val forget : 'a t -> mask:FK.t -> key:FK.t -> unit
 (** Stop tracking a megaflow the datapath evicted on its own. *)
 
 val clear : 'a t -> unit
-(** Drop all tracked megaflows and re-baseline the snapshot. *)
+(** Drop all tracked megaflows and discard the pending changes. *)
 
 val flows : 'a t -> int
 val stats : 'a t -> stats
@@ -70,9 +75,9 @@ val sweep :
   translate:(FK.t -> 'a * FK.t * dep list) ->
   evict:(mask:FK.t -> key:FK.t -> unit) ->
   sweep_stats
-(** One revalidation pass: diff tables against the previous snapshot,
-    mark dirty megaflows, re-translate exactly those, and [evict] the
-    ones whose actions or megaflow mask changed. Re-translation is
+(** One revalidation pass: drain the tables' journals, mark dirty
+    megaflows, re-translate exactly those, and [evict] the ones whose
+    actions or megaflow mask changed. Re-translation is
     proportional to the dirty set; marking tests each megaflow indexed
     under a table that gained rules against every added rule. *)
 

@@ -192,7 +192,7 @@ let test_revalidator_show () =
     {|revalidator: enabled
   megaflows tracked: 1
   sweeps: 1
-  rules added: 1, removed: 0 (diffed against snapshot)
+  rules added: 1, removed: 0 (read from the rule journal)
   dirty: 1, re-translated: 1, evicted: 1|}
     (appctl_ok "dpif/revalidator-show"
        (Tools.appctl ~dp "dpif/revalidator-show"))

@@ -78,7 +78,11 @@ let test_vswitch_restart_preserves_rules () =
   let a = Netdev.create ~name:"p0" () and b = Netdev.create ~name:"p1" () in
   let pa = V.add_port sw a in
   let pb = V.add_port sw b in
-  V.add_flow sw (Printf.sprintf "in_port=%d actions=output:%d" pa pb);
+  V.set_meter sw ~id:1 ~rate_pps:1000. ~burst:4. ();
+  V.add_flow sw (Printf.sprintf "in_port=%d actions=meter:1,output:%d" pa pb);
+  let ctrl = Ovs_ofproto.Controller.create ~ports:[ pa; pb ] in
+  V.connect_controller sw ctrl;
+  V.add_flow sw (Printf.sprintf "in_port=%d actions=controller" pb);
   V.inject sw ~machine_ctx:ctx (Ovs_packet.Build.udp ()) ~port_no:pa;
   V.restart sw;
   (* ports must be re-attached after restart (the devices survive) *)
@@ -88,7 +92,19 @@ let test_vswitch_restart_preserves_rules () =
   check Alcotest.int "port numbering stable 2" pb pb';
   V.inject sw ~machine_ctx:ctx (Ovs_packet.Build.udp ()) ~port_no:pa;
   check Alcotest.int "rules survive restart" 2 b.Netdev.stats.Netdev.tx_packets;
-  check Alcotest.int "restart counted" 1 sw.V.restarts
+  check Alcotest.int "restart counted" 1 sw.V.restarts;
+  (* the meter comes back with its rate and a full 4-packet bucket: of
+     ten packets in one instant, four pass *)
+  for _ = 1 to 9 do
+    V.inject sw ~machine_ctx:ctx (Ovs_packet.Build.udp ()) ~port_no:pa
+  done;
+  check Alcotest.int "meter survives restart" 5 b.Netdev.stats.Netdev.tx_packets;
+  Alcotest.(check (option (pair int int)))
+    "meter counts restart" (Some (4, 6)) (V.meter_stats sw ~id:1);
+  (* the controller stays connected to the new datapath *)
+  V.inject sw ~machine_ctx:ctx (Ovs_packet.Build.udp ()) ~port_no:pb;
+  check Alcotest.int "packet_in after restart" 1
+    ctrl.Ovs_ofproto.Controller.packet_ins
 
 let test_crash_outcomes_by_architecture () =
   let crash kind =
